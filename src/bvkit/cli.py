@@ -9,7 +9,6 @@ is expected.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
@@ -20,7 +19,7 @@ from .density import ac_modulus, bv_density, density_grid, integrate, \
     reconstruction_error
 from .errors import BVKitError
 from .measure import cantor_family, lusin_probe, shrinking_family
-from .specio import dump_json, jsonable, load_intervals
+from .specio import dump_json, jsonable, load_intervals, load_model
 from .variation import jordan_decomposition, total_variation
 
 
@@ -33,9 +32,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the spec file's arithmetic mode")
     parser.add_argument("--tol", type=float, default=1e-9,
                         help="refinement tolerance for variation estimates")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="reserved for randomized exploration; the "
-                             "standard pipelines are deterministic")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def allow_tol(sp):
@@ -89,21 +85,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args):
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if args.arithmetic is not None:
-        doc["arithmetic"] = args.arithmetic
-    from .specio import model_from_dict
-    return model_from_dict(doc)
-
-
 def _number(text, model):
     return as_number(text, model.arithmetic)
 
 
 def cmd_variation(args) -> int:
-    model = _load(args)
+    model = load_model(args.spec, args.arithmetic)
     at = model.b if args.at is None else _number(args.at, model)
     estimate = total_variation(model, at, tol=args.tol)
     print(f"variation from {model.a} to {at}: {estimate.lower}"
@@ -113,7 +100,7 @@ def cmd_variation(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    model = _load(args)
+    model = load_model(args.spec, args.arithmetic)
     decomposition = jordan_decomposition(model, args.tol)
     grid = model.verification_grid(args.grid)
     for path, part in zip(args.emit, (decomposition.p, decomposition.n)):
@@ -126,7 +113,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_lusin(args) -> int:
-    model = _load(args)
+    model = load_model(args.spec, args.arithmetic)
     domain = (model.a, model.b)
     if args.family == "cantor":
         family = cantor_family(domain)
@@ -144,7 +131,7 @@ def cmd_lusin(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    model = _load(args)
+    model = load_model(args.spec, args.arithmetic)
     nullset = load_intervals(args.nullset, model.arithmetic)
     eps = as_number(args.eps, model.arithmetic)
     if args.shift:
@@ -164,7 +151,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_recover(args) -> int:
-    model = _load(args)
+    model = load_model(args.spec, args.arithmetic)
     h = None if args.h == "auto" else as_number(args.h, model.arithmetic)
     grid, h = density_grid(model, args.grid, h)
     density = bv_density(model, grid, h)
@@ -190,7 +177,7 @@ def cmd_recover(args) -> int:
 
 
 def cmd_ac(args) -> int:
-    model = _load(args)
+    model = load_model(args.spec, args.arithmetic)
     deltas = [as_number(tok, model.arithmetic)
               for tok in args.deltas.split(",") if tok.strip()]
     report = ac_modulus(model, deltas)

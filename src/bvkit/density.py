@@ -6,6 +6,10 @@ over a window of width h (clipped at the right edge of the domain, with a
 left window at b itself).  All reconstruction claims are h-dependent
 bounds, checked against the model by re-integration.
 
+No image set is built: for a continuous non-decreasing G the image of
+[u, v] is [G(u), G(v)], so lambda(G([u, v])) = G(v) - G(u).  Recovery
+relies on ``_require_nondecreasing`` to make this theorem apply.
+
 The modulus omega(delta) is the worst total image swing over disjoint
 interval collections of total length at most delta; it is computed by an
 exact greedy fill for piecewise-linear models and by a discretized greedy
@@ -21,7 +25,6 @@ from fractions import Fraction
 from ._num import uniform_grid
 from .errors import PreconditionError, SpecFormatError
 from .intervals import Interval, IntervalSet
-from .measure import image_measure
 from .model import (
     ConstantPiece,
     FunctionModel,
@@ -86,8 +89,10 @@ def _require_nondecreasing(model: FunctionModel, who: str):
 
 def monotone_density(model: FunctionModel, grid=None, h=None) -> DensityGrid:
     """Difference quotient of the induced measure: at x the value is
-    nu([x, x+h]) / h with nu(E) = lambda(F(E)); the window clips at b and
-    the last point looks left."""
+    nu([x, x+h]) / h with nu(E) = lambda(F(E)) = F(x+h) - F(x), as the
+    model is checked continuous and non-decreasing; the window clips at b
+    and the last point looks left.  A float model may fall by up to 10*tol
+    (the ``is_nondecreasing`` grace), so a value may dip below 0 by that."""
     _require_nondecreasing(model, "monotone density recovery")
     if grid is None:
         grid, h = density_grid(model, h=h)
@@ -100,14 +105,11 @@ def monotone_density(model: FunctionModel, grid=None, h=None) -> DensityGrid:
     values = []
     for x in grid:
         if x == model.b:
-            lo = model.b - h
-            values.append(image_measure(model, IntervalSet.closed(lo, model.b)) / h)
+            lo = max(model.b - h, model.a)
+            values.append((model.evaluate(model.b) - model.evaluate(lo)) / h)
             continue
-        hi = x + h
-        if hi > model.b:
-            hi = model.b
-        width = hi - x
-        values.append(image_measure(model, IntervalSet.closed(x, hi)) / width)
+        hi = min(x + h, model.b)
+        values.append((model.evaluate(hi) - model.evaluate(x)) / (hi - x))
     return DensityGrid(tuple(grid), tuple(values), h, MONOTONE)
 
 

@@ -788,7 +788,14 @@ class FunctionModel:
                 if v_hi == y:
                     return phi
                 return p.solve(y, plo, phi)
-        raise ValueError(f"value {y} not attained on segment [{seg.lo}, {seg.hi}]")
+        if not self.exact:
+            # pieces may round a shared knot apart, so y can miss every
+            # range by an ulp: snap to an endpoint within 10*tol
+            gap, x = min((abs(self.evaluate(x) - y), x) for x in (seg.lo, seg.hi))
+            if gap <= 10 * self.tol:
+                return x
+        raise PreconditionError(
+            f"value {y} not attained on segment [{seg.lo}, {seg.hi}]")
 
     def level_points(self, y, lo, hi) -> list:
         """All solutions of F(x) = y inside [lo, hi], one per crossing."""

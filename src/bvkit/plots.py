@@ -10,6 +10,7 @@ from __future__ import annotations
 import os
 
 from ._num import sig15
+from .errors import BVKitError
 from .specio import dump_json
 from .variation import jordan_decomposition
 
@@ -107,7 +108,7 @@ def emit_plots(table, outdir) -> list:
             n_vals = [float(decomposition.n.evaluate(x)) for x in xs]
             series += [("p", xs, p_vals), ("n", xs, n_vals)]
             csv_rows = list(zip(xs, f_vals, p_vals, n_vals))
-        except Exception:
+        except BVKitError:
             csv_rows = [(x, f) for x, f in zip(xs, f_vals)]
         name = row.name
         path = os.path.join(outdir, f"{name}_curves.svg")

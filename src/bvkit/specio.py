@@ -97,13 +97,13 @@ def _fmt_param(value):
     return fmt_number(value)
 
 
-def load_model(path) -> FunctionModel:
+def load_model(path, arithmetic=None) -> FunctionModel:
+    """Read a spec file; a non-None ``arithmetic`` overrides the file's mode."""
     with open(path, "r", encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
-
-
-def save_model(model: FunctionModel, path) -> None:
-    dump_json(model_to_dict(model), path)
+        doc = json.load(fh)
+    if arithmetic is not None:
+        doc["arithmetic"] = arithmetic
+    return model_from_dict(doc)
 
 
 def intervals_from_dict(doc: dict, arithmetic: str = RATIONAL) -> IntervalSet:

@@ -46,14 +46,19 @@ def validate_partition(model: FunctionModel, points) -> tuple:
     return pts
 
 
+def _swing_prefix(model: FunctionModel, points) -> list:
+    """Running sums of |F(x_k) - F(x_{k-1})|, starting at zero; each point
+    is evaluated once."""
+    prefix = [Fraction(0) if model.exact else 0.0]
+    values = [model.evaluate(x) for x in points]
+    for v0, v1 in zip(values, values[1:]):
+        prefix.append(prefix[-1] + abs(v1 - v0))
+    return prefix
+
+
 def partition_sum(model: FunctionModel, points):
     """Sum of |F(x_k) - F(x_{k-1})| over the partition; exact in rational mode."""
-    pts = validate_partition(model, points)
-    values = [model.evaluate(x) for x in pts]
-    total = 0
-    for v0, v1 in zip(values, values[1:]):
-        total += abs(v1 - v0)
-    return total
+    return _swing_prefix(model, validate_partition(model, points))[-1]
 
 
 @dataclass(frozen=True)
@@ -145,11 +150,8 @@ class VariationFunction:
         self.tol = tol
         segmentation = model.monotone_segments()  # raises if infinite
         knots = segmentation.knots()
-        prefix = [Fraction(0) if model.exact else 0.0]
-        for lo, hi in zip(knots, knots[1:]):
-            prefix.append(prefix[-1] + abs(model.evaluate(hi) - model.evaluate(lo)))
         self.knots = knots
-        self.prefix = prefix
+        self.prefix = _swing_prefix(model, knots)
         self._directions = [seg.direction for seg in segmentation]
         self._lock = threading.Lock()
         self._model_form = None
@@ -298,15 +300,11 @@ def uniform_approx(model: FunctionModel, epsilon, base_partition=None,
         base = validate_partition(model, base_partition)
         if base[0] != model.a or base[-1] != model.b:
             raise SpecFormatError("base partition must span [a, b]")
-    achieved = partition_sum(model, base)
-    defect = pf.total - achieved
+    prefix = _swing_prefix(model, base)
+    defect = pf.total - prefix[-1]
     if not defect < epsilon:
         raise PreconditionError(
             f"partition misses the variation by {defect}, not below {epsilon}")
-    prefix = [Fraction(0) if model.exact else 0.0]
-    values = [model.evaluate(x) for x in base]
-    for v0, v1 in zip(values, values[1:]):
-        prefix.append(prefix[-1] + abs(v1 - v0))
     approx = UniformApprox(model, epsilon, base, prefix, pf)
     if verify_points:
         grid = model.verification_grid(verify_points)

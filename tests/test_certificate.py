@@ -22,7 +22,7 @@ from bvkit.model import (
     build_identity,
     piecewise_linear,
 )
-from bvkit.specio import jsonable
+from bvkit.specio import jsonable, model_from_dict, model_to_dict
 
 F = Fraction
 
@@ -275,6 +275,27 @@ class TestVariationCertificate:
                                       F(1, 100))
         text = json.dumps(jsonable(trace), sort_keys=True)
         assert "p_cover_budget" in text and "base_partition" in text
+
+    def test_float_sawtooth_off_dyadic_knots(self):
+        # 16 teeth with knots at multiples of 1/78: the float twin's adjacent
+        # pieces round shared knots apart, so a cover endpoint taken from
+        # evaluate can miss every piece's value range by an ulp
+        knots = [(0, 0), (4, 12), (6, 0), (7, 1), (11, 0), (15, 4), (16, 0),
+                 (20, 8), (22, 0), (24, 6), (28, 0), (32, 12), (36, 0),
+                 (40, 8), (42, 0), (46, 8), (47, 0), (48, 3), (49, 0),
+                 (51, 6), (52, 0), (54, 6), (56, 0), (57, 2), (58, 0),
+                 (59, 1), (60, 0), (61, 3), (65, 0), (69, 4), (71, 0),
+                 (73, 2), (75, 0)]
+        exact = piecewise_linear([(F(x, 78), F(y, 78)) for x, y in knots])
+        twin = model_from_dict(dict(model_to_dict(exact), arithmetic="float"))
+        nullset = shrinking_family((exact.a, exact.b), count=64).level(9)
+        twin_set = IntervalSet(Interval(float(c.lo), float(c.hi)) for c in nullset)
+        eps = F(1, 64)
+        want = variation_certificate(exact, nullset, eps)
+        got = variation_certificate(twin, twin_set, float(eps))
+        assert want.ok and got.ok
+        assert abs(got.max_p_sum - want.max_p_sum) < 1e-12
+        assert abs(got.max_n_sum - want.max_n_sum) < 1e-12
 
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bvkit.corpus import default_corpus
 from bvkit.density import (
     AC_AT_RESOLUTION,
     NOT_AC,
@@ -16,11 +17,16 @@ from bvkit.density import (
     shifted_monotone_density,
 )
 from bvkit.errors import PreconditionError, SpecFormatError
+from bvkit.intervals import IntervalSet
+from bvkit.measure import image_measure
 from bvkit.model import (
+    FunctionModel,
     build_cantor_iterate,
     build_zigzag,
     piecewise_linear,
 )
+from bvkit.specio import model_from_dict, model_to_dict
+from bvkit.variation import jordan_decomposition
 
 F = Fraction
 
@@ -68,6 +74,67 @@ class TestShiftedDensity:
         h = 2.0 ** -10
         d = shifted_monotone_density(square01, grid=[0.5], h=h)
         assert abs(d.values[0] - (1 + h)) < 1e-12
+
+    def test_cross_check_rejects_a_stray_shift(self, identity, monkeypatch):
+        # a companion G = F + 2x recovers a density one too high; the
+        # comparison with the direct quotient must catch it
+        shift = FunctionModel.shift_add_identity
+        monkeypatch.setattr(FunctionModel, "shift_add_identity",
+                            lambda model: shift(shift(model)))
+        with pytest.raises(PreconditionError, match="strays from direct"):
+            shifted_monotone_density(identity, grid=[F(1, 3)], h=F(1, 64))
+
+
+def _image_measure_windows(model, grid, h):
+    """The long route: (image measure, width) of each window, with the
+    window rules of ``monotone_density``."""
+    out = []
+    for x in grid:
+        if x == model.b:
+            lo = max(model.b - h, model.a)
+            out.append((image_measure(model, IntervalSet.closed(lo, model.b)), h))
+        else:
+            hi = min(x + h, model.b)
+            out.append((image_measure(model, IntervalSet.closed(x, hi)), hi - x))
+    return out
+
+
+def _float_twin(model):
+    return model_from_dict(dict(model_to_dict(model), arithmetic="float"))
+
+
+def _oracle_mismatches(model, tolerance):
+    """Windows where the endpoint-difference quotient of p, n, p + x or
+    n + x strays from the image-measure quotient by more than tolerance
+    times the window width (a tolerance on the measure).  The subsampled
+    grid keeps a clipped forward window and the left window at b."""
+    grid, h = density_grid(model, 256)
+    sub = sorted(set(grid[::5]) | {model.b - h / 2, model.b})
+    parts = jordan_decomposition(model)
+    bad = []
+    for part in (parts.p, parts.n):
+        for g in (part, part.shift_add_identity()):
+            got = monotone_density(g, sub, h).values
+            want = _image_measure_windows(g, sub, h)
+            bad += [(g.name, x, q, m / w) for x, q, (m, w) in zip(sub, got, want)
+                    if abs(q - m / w) > tolerance / w]
+    return bad
+
+
+class TestEndpointDifferenceOracle:
+    """Density recovery takes G(v) - G(u) for the image measure of [u, v];
+    the general image-set route is the oracle."""
+
+    @pytest.mark.parametrize("entry", default_corpus(), ids=lambda e: e.name)
+    def test_corpus_as_built_matches_exactly(self, entry):
+        assert _oracle_mismatches(entry.model, 0) == []
+
+    @pytest.mark.parametrize(
+        "entry", [e for e in default_corpus() if e.model.exact],
+        ids=lambda e: e.name)
+    def test_float_twins_match_within_tolerance(self, entry):
+        twin = _float_twin(entry.model)
+        assert _oracle_mismatches(twin, 10 * twin.tol) == []
 
 
 class TestBVDensity:

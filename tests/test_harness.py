@@ -16,11 +16,12 @@ from bvkit.corpus import (
 from bvkit.errors import BVKitError, SpecFormatError
 from bvkit.intervals import IntervalSet
 from bvkit.measure import shrinking_family
-from bvkit.model import build_identity
+from bvkit.model import FunctionModel, LinearPiece, build_identity
 from bvkit.plots import emit_plots, write_report
 from bvkit.specio import (
     intervals_from_dict,
     intervals_to_dict,
+    load_model,
     model_from_dict,
     model_to_dict,
 )
@@ -145,6 +146,29 @@ class TestReportsAndPlots:
             assert len(row) == 4
 
 
+    def test_discontinuous_row_writes_f_only_curves(self, small_table, tmp_path):
+        # Jordan decomposition refuses a jump; the curves fall back to F
+        jump = FunctionModel([LinearPiece(0, F(1, 2), 1, 0),
+                              LinearPiece(F(1, 2), 1, 1, 1)], name="jump")
+        row = small_table.rows[0]
+        row = replace(row, name="jump", entry=replace(row.entry, model=jump),
+                      density=None, modulus=None)
+        files = emit_plots(replace(small_table, rows=[row]), tmp_path)
+        assert sorted(os.path.basename(f) for f in files) == [
+            "jump_curves.csv", "jump_curves.svg"]
+        with open(tmp_path / "jump_curves.csv") as fh:
+            assert fh.readline().strip() == "x,F"
+            assert len(fh.readline().strip().split(",")) == 2
+
+    def test_unexpected_errors_surface(self, small_table, tmp_path, monkeypatch):
+        def broken(model, *args, **kwargs):
+            raise RuntimeError("bug")
+
+        monkeypatch.setattr("bvkit.plots.jordan_decomposition", broken)
+        with pytest.raises(RuntimeError):
+            emit_plots(small_table, tmp_path)
+
+
 class TestSpecIO:
     def test_model_round_trip_rational(self, zigzag):
         doc = model_to_dict(zigzag)
@@ -175,6 +199,14 @@ class TestSpecIO:
         with pytest.raises(SpecFormatError):
             model_from_dict({"domain": [0, 1], "pieces": [
                 {"kind": "exp", "domain": [0, 1], "params": {}}]})
+
+    def test_load_model_arithmetic_override(self, tmp_path, zigzag):
+        path = tmp_path / "zigzag.json"
+        path.write_text(json.dumps(model_to_dict(zigzag)))
+        assert load_model(path).arithmetic == "rational"
+        twin = load_model(path, arithmetic="float")
+        assert twin.arithmetic == "float"
+        assert twin.evaluate(0.375) == 0.5
 
     def test_intervals_round_trip(self):
         E = IntervalSet.from_pairs([(F(0), F(1, 3)), (F(1, 2), F(3, 4))],

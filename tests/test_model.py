@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from bvkit.errors import (
     InfiniteSegmentationError,
     OutOfDomainError,
+    PreconditionError,
     SpecFormatError,
 )
 from bvkit.intervals import IntervalSet
@@ -21,6 +22,7 @@ from bvkit.model import (
     build_zigzag,
     piecewise_linear,
 )
+from bvkit.specio import model_from_dict, model_to_dict
 
 F = Fraction
 
@@ -237,6 +239,26 @@ class TestPreimage:
         (a, b), (c, d) = [(iv.lo, iv.hi) for iv in got]
         assert abs(a - (-1)) < 1e-9 and abs(b - (-0.5)) < 1e-9
         assert abs(c - 0.5) < 1e-9 and abs(d - 1.0) < 1e-9
+
+    def test_float_knot_rounding_snaps_to_segment_end(self):
+        # the rising piece rounds the peak at 7/78 an ulp below the value
+        # evaluate reports there (taken from the falling piece)
+        exact = piecewise_linear([(F(6, 78), 0), (F(7, 78), F(1, 78)),
+                                  (F(11, 78), 0)])
+        twin = model_from_dict(dict(model_to_dict(exact), arithmetic="float"))
+        peak = float(F(7, 78))
+        got = twin.preimage(0.0, twin.evaluate(peak))
+        assert [(c.lo, c.hi) for c in got] == [
+            (float(F(6, 78)), peak), (peak, float(F(11, 78)))]
+        assert not got.contains(peak)
+
+    def test_unattained_value_is_a_precondition_error(self, zigzag):
+        rising = zigzag.monotone_segments().segments[0]
+        with pytest.raises(PreconditionError):
+            zigzag._solve_in_segment(rising, 2)
+        twin = model_from_dict(dict(model_to_dict(zigzag), arithmetic="float"))
+        with pytest.raises(PreconditionError):
+            twin._solve_in_segment(twin.monotone_segments().segments[0], 1.5)
 
     def test_empty_preimage_is_empty_set(self, zigzag):
         assert zigzag.preimage(5, 6).is_empty
