@@ -5,7 +5,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 
-from .errors import SpecFormatError
+from .errors import PreconditionError, SpecFormatError
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -76,7 +76,9 @@ def bisect_solve(fn, target, lo, hi, tol: float = 1e-12, max_iter: int = 200):
     """Certified-bracket bisection for fn(x) = target on [lo, hi].
 
     fn must be monotone on the bracket.  Returns a float root; exact hits
-    at the bracket endpoints are returned unchanged.
+    at the bracket endpoints are returned unchanged.  A bracket still wider
+    than the tolerance after ``max_iter`` halvings raises
+    :class:`PreconditionError` instead of returning an uncertified midpoint.
     """
     flo = fn(lo) - target
     fhi = fn(hi) - target
@@ -102,7 +104,9 @@ def bisect_solve(fn, target, lo, hi, tol: float = 1e-12, max_iter: int = 200):
             a, fa = mid, fm
         else:
             b = mid
-    return 0.5 * (a + b)
+    raise PreconditionError(
+        f"bisection for target {target} on [{lo}, {hi}] did not converge in "
+        f"{max_iter} iterations; last bracket [{a}, {b}]")
 
 
 def uniform_grid(a, b, n: int, exact: bool):

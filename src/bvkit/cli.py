@@ -106,8 +106,8 @@ def cmd_decompose(args) -> int:
     for path, part in zip(args.emit, (decomposition.p, decomposition.n)):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("x,value\n")
-            for x in grid:
-                fh.write(f"{sig15(x)},{sig15(part.evaluate(x))}\n")
+            for x, value in zip(grid, part.evaluate_many(grid)):
+                fh.write(f"{sig15(x)},{sig15(value)}\n")
         print(f"wrote {path}")
     return 0
 

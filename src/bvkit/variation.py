@@ -5,6 +5,13 @@ For models with a finite monotone segmentation the variation is exact: the
 segment knots achieve the supremum over partitions, so lower and upper
 bracket coincide.  Oscillating models fall back to dyadic refinement with
 a declared stagnation tolerance and a hard cap.
+
+p and n are assembled in O(segments + pieces): segments and expanded
+pieces both tile [a, b] in order, so one two-pointer walk visits exactly
+the pieces with ``piece.hi > seg.lo`` and ``piece.lo < seg.hi``.  Those are
+the pairs whose clip ``[max(lo), min(hi)]`` is non-empty, so the walk emits
+the same pieces, in the same order, as clipping every piece against every
+segment would.
 """
 
 from __future__ import annotations
@@ -46,19 +53,19 @@ def validate_partition(model: FunctionModel, points) -> tuple:
     return pts
 
 
-def _swing_prefix(model: FunctionModel, points) -> list:
-    """Running sums of |F(x_k) - F(x_{k-1})|, starting at zero; each point
-    is evaluated once."""
+def _swing_prefix(model: FunctionModel, points) -> tuple:
+    """Running sums of |F(x_k) - F(x_{k-1})|, starting at zero, and the
+    values F(x_k); the sorted points are evaluated in one sweep."""
     prefix = [Fraction(0) if model.exact else 0.0]
-    values = [model.evaluate(x) for x in points]
+    values = model.evaluate_many(points)
     for v0, v1 in zip(values, values[1:]):
         prefix.append(prefix[-1] + abs(v1 - v0))
-    return prefix
+    return prefix, values
 
 
 def partition_sum(model: FunctionModel, points):
     """Sum of |F(x_k) - F(x_{k-1})| over the partition; exact in rational mode."""
-    return _swing_prefix(model, validate_partition(model, points))[-1]
+    return _swing_prefix(model, validate_partition(model, points))[0][-1]
 
 
 @dataclass(frozen=True)
@@ -151,17 +158,15 @@ class VariationFunction:
         segmentation = model.monotone_segments()  # raises if infinite
         knots = segmentation.knots()
         self.knots = knots
-        self.prefix = _swing_prefix(model, knots)
-        self._directions = [seg.direction for seg in segmentation]
+        self.prefix, self.values = _swing_prefix(model, knots)
         self._lock = threading.Lock()
-        self._model_form = None
+        self._models = None
 
     def __call__(self, x):
         if x < self.model.a or x > self.model.b:
             raise SpecFormatError(f"{x} outside [{self.model.a}, {self.model.b}]")
         i = locate_cell(self.knots, x)
-        return self.prefix[i] + abs(self.model.evaluate(x)
-                                    - self.model.evaluate(self.knots[i]))
+        return self.prefix[i] + abs(self.model.evaluate(x) - self.values[i])
 
     @property
     def total(self):
@@ -169,36 +174,46 @@ class VariationFunction:
 
     def as_model(self) -> FunctionModel:
         """p as a first-class model (non-decreasing by construction)."""
+        return self.envelope_models()[0]
+
+    def envelope_models(self) -> tuple:
+        """(p, n) as models, built together on first use."""
         with self._lock:
-            if self._model_form is None:
-                self._model_form = _monotone_envelope_model(self, offset_scale=None)
-            return self._model_form
+            if self._models is None:
+                self._models = _monotone_envelope_models(self)
+            return self._models
 
 
 _SIGN = {INCREASING: 1, DECREASING: -1, CONSTANT: 0}
 
 
-def _monotone_envelope_model(pf: VariationFunction, offset_scale) -> FunctionModel:
-    """Assemble p (offset_scale None) or n (offset_scale 'n') as a model.
+def _monotone_envelope_models(pf: VariationFunction) -> tuple:
+    """Assemble p and n = p - F as models.
 
     Within a segment of direction sign s, p(x) = c + s*F(x) with
-    c = prefix - s*F(segment start); n = p - F replaces s by s - 1.
+    c = prefix - s*F(segment start); n replaces s by s - 1.
     """
     model = pf.model
-    pieces = []
-    seg_knots = pf.knots
+    expanded = model._expanded
+    p_pieces, n_pieces = [], []
+    j = 0
     for idx, seg in enumerate(model.monotone_segments()):
         s = _SIGN[seg.direction]
-        c = pf.prefix[idx] - s * model.evaluate(seg.lo)
-        scale = s if offset_scale is None else s - 1
-        for piece in model._expanded:
+        c = pf.prefix[idx] - s * pf.values[idx]
+        # both tile [a, b] in order, so j only moves forward
+        while expanded[j].hi <= seg.lo:
+            j += 1
+        k = j
+        while k < len(expanded) and expanded[k].lo < seg.hi:
+            piece = expanded[k]
             lo, hi = max(piece.lo, seg.lo), min(piece.hi, seg.hi)
-            if lo < hi:
-                pieces.append(make_transformed(piece, scale, 0, c, lo, hi))
-    suffix = "p" if offset_scale is None else "n"
+            p_pieces.append(make_transformed(piece, s, 0, c, lo, hi))
+            n_pieces.append(make_transformed(piece, s - 1, 0, c, lo, hi))
+            k += 1
     base = model.name or "F"
-    return FunctionModel(pieces, arithmetic=model.arithmetic, tol=model.tol,
-                         name=f"{suffix}[{base}]")
+    return tuple(FunctionModel(pieces, arithmetic=model.arithmetic, tol=model.tol,
+                               name=f"{suffix}[{base}]")
+                 for suffix, pieces in (("p", p_pieces), ("n", n_pieces)))
 
 
 def variation_function(model: FunctionModel, tol=DEFAULT_TOL) -> VariationFunction:
@@ -232,14 +247,16 @@ def jordan_decomposition(model: FunctionModel, tol=DEFAULT_TOL,
         except (InfiniteSegmentationError, UnresolvedOscillationError) as err:
             raise NotBVError(f"model is not of resolvable bounded variation: {err}") \
                 from err
-        p_model = pf.as_model()
-        n_model = _monotone_envelope_model(pf, offset_scale="n")
+        p_model, n_model = pf.envelope_models()
         grid = model.verification_grid(verify_points)
+        p_values = p_model.evaluate_many(grid)
+        n_values = n_model.evaluate_many(grid)
         grace = 0 if model.exact else 10 * model.tol
-        for g0, g1 in zip(grid, grid[1:]):
-            if p_model.evaluate(g1) - p_model.evaluate(g0) < -grace:
+        for g0, g1, p0, p1, n0, n1 in zip(grid, grid[1:], p_values, p_values[1:],
+                                          n_values, n_values[1:]):
+            if p1 - p0 < -grace:
                 raise NotBVError(f"p not non-decreasing between {g0} and {g1}")
-            if n_model.evaluate(g1) - n_model.evaluate(g0) < -grace:
+            if n1 - n0 < -grace:
                 raise NotBVError(f"n not non-decreasing between {g0} and {g1}")
         return Decomposition(p_model, n_model, model, pf)
 
@@ -257,19 +274,19 @@ class UniformApprox:
     """
 
     def __init__(self, model: FunctionModel, epsilon, base_partition,
-                 prefix, p_function: VariationFunction):
+                 prefix, base_values, p_function: VariationFunction):
         self.model = model
         self.epsilon = epsilon
         self.base_partition = base_partition
         self.prefix = prefix
+        self.base_values = base_values
         self.p_function = p_function
 
     def evaluate(self, x):
         if x < self.model.a or x > self.model.b:
             raise SpecFormatError(f"{x} outside [{self.model.a}, {self.model.b}]")
         i = locate_cell(self.base_partition, x)
-        return self.prefix[i] + abs(self.model.evaluate(x)
-                                    - self.model.evaluate(self.base_partition[i]))
+        return self.prefix[i] + abs(self.model.evaluate(x) - self.base_values[i])
 
     __call__ = evaluate
 
@@ -300,12 +317,12 @@ def uniform_approx(model: FunctionModel, epsilon, base_partition=None,
         base = validate_partition(model, base_partition)
         if base[0] != model.a or base[-1] != model.b:
             raise SpecFormatError("base partition must span [a, b]")
-    prefix = _swing_prefix(model, base)
+    prefix, base_values = _swing_prefix(model, base)
     defect = pf.total - prefix[-1]
     if not defect < epsilon:
         raise PreconditionError(
             f"partition misses the variation by {defect}, not below {epsilon}")
-    approx = UniformApprox(model, epsilon, base, prefix, pf)
+    approx = UniformApprox(model, epsilon, base, prefix, base_values, pf)
     if verify_points:
         grid = model.verification_grid(verify_points)
         grace = 0 if model.exact else 10 * model.tol

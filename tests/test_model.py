@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bvkit._num import bisect_solve
 from bvkit.errors import (
     InfiniteSegmentationError,
     OutOfDomainError,
@@ -57,6 +58,81 @@ class TestEvaluate:
     def test_float_model_coerces_rational_points(self, square01):
         assert square01.evaluate(F(1, 2)) == 0.25
         assert isinstance(square01.evaluate(F(1, 2)), float)
+
+
+def _float_cantor(level):
+    # the float override keeps the expansion's Fraction knots
+    return model_from_dict({"arithmetic": "float", "pieces": [
+        {"kind": "cantor_iterate", "domain": ["0", "1"], "params": {"level": level}}]})
+
+
+def _assert_sweep_matches(model, xs):
+    got = model.evaluate_many(xs)
+    want = [model.evaluate(x) for x in xs]
+    assert got == want
+    assert [type(v) for v in got] == [type(v) for v in want]
+
+
+class TestEvaluateMany:
+    """The sorted sweep picks the same piece as the bisection, so its
+    values are ``==`` to pointwise evaluation."""
+
+    def test_knots_ends_and_repeats(self, zigzag, cantor2, square_sym, cubic, xsin):
+        # the jump at 1 tells the two pieces meeting at a knot apart
+        jump = FunctionModel([LinearPiece(0, 1, 1, 0), LinearPiece(1, 2, 1, 5)])
+        for model in (zigzag, cantor2, build_cantor_iterate(5), square_sym,
+                      cubic, xsin, _float_cantor(3), _float_cantor(6), jump):
+            knots = model.knots()
+            xs = sorted(knots + knots[::3] + model.verification_grid(97)
+                        + [model.a, model.a, model.b, model.b])
+            _assert_sweep_matches(model, xs)
+
+    def test_float_cantor_between_rounded_knots(self):
+        # float(1/3) < 1/3 and float(2/3) > 2/3: a knot and its float
+        # rounding straddle a piece start
+        model = _float_cantor(4)
+        xs = []
+        for k in model.knots():
+            xs += [k, float(k), k]
+        _assert_sweep_matches(model, sorted(xs))
+
+    def test_rational_model_fed_float_points(self, zigzag):
+        c4 = build_cantor_iterate(4)
+        for model in (zigzag, c4):
+            xs = [i / 81 for i in range(82)] + [1 / 3, 2 / 3, 0.25, 0.75]
+            _assert_sweep_matches(model, sorted(xs))
+            assert all(isinstance(v, Fraction) for v in model.evaluate_many(sorted(xs)))
+
+    @given(st.lists(st.integers(0, 3 ** 5), max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_random_sorted_points(self, nums):
+        xs = sorted(F(n, 3 ** 5) for n in nums)
+        _assert_sweep_matches(build_cantor_iterate(4), xs)
+        _assert_sweep_matches(_float_cantor(4), xs)
+
+    def test_empty_input(self, zigzag):
+        assert zigzag.evaluate_many([]) == []
+
+    def test_out_of_domain(self, identity):
+        with pytest.raises(OutOfDomainError):
+            identity.evaluate_many([F(1, 2), 2])
+        with pytest.raises(OutOfDomainError):
+            identity.evaluate_many([F(-1, 2), 0])
+
+    def test_unsorted_refused(self, zigzag):
+        with pytest.raises(PreconditionError, match="non-decreasing"):
+            zigzag.evaluate_many([F(1, 2), F(1, 4)])
+
+
+class TestBisectSolve:
+    def test_converges_on_a_monotone_bracket(self):
+        root = bisect_solve(lambda x: x * x, 2, 0, 2)
+        assert abs(root - 2 ** 0.5) <= 1e-12
+
+    def test_iteration_cap_raises(self):
+        # three halvings of [0, 2] cannot reach a 1e-12 bracket
+        with pytest.raises(PreconditionError, match=r"\[0, 2\].*3 iterations"):
+            bisect_solve(lambda x: x * x, 2, 0, 2, max_iter=3)
 
 
 class TestValidation:

@@ -9,13 +9,19 @@ from bvkit.errors import (
     SpecFormatError,
     UnresolvedOscillationError,
 )
+from bvkit.corpus import default_corpus
 from bvkit.model import (
+    CONSTANT,
+    DECREASING,
+    INCREASING,
     FunctionModel,
     XSinPiece,
     build_cantor_iterate,
     build_zigzag,
+    make_transformed,
     piecewise_linear,
 )
+from bvkit.specio import model_from_dict, model_to_dict
 from bvkit.variation import (
     jordan_decomposition,
     partition_sum,
@@ -275,3 +281,107 @@ class TestUniformApprox:
         p = variation_function(zigzag)
         for knot in ZIGZAG_KNOTS:
             assert u.evaluate(knot) == p(knot)
+
+
+_SIGN = {INCREASING: 1, DECREASING: -1, CONSTANT: 0}
+
+
+def envelope_oracle(model):
+    """The O(segments x pieces) assembly of p and n: clip every expanded
+    piece against every segment and keep the non-empty clips."""
+    pf = variation_function(model)
+    p_pieces, n_pieces = [], []
+    for idx, seg in enumerate(model.monotone_segments()):
+        s = _SIGN[seg.direction]
+        c = pf.prefix[idx] - s * model.evaluate(seg.lo)
+        for piece in model._expanded:
+            lo, hi = max(piece.lo, seg.lo), min(piece.hi, seg.hi)
+            if lo < hi:
+                p_pieces.append(make_transformed(piece, s, 0, c, lo, hi))
+                n_pieces.append(make_transformed(piece, s - 1, 0, c, lo, hi))
+    return p_pieces, n_pieces
+
+
+def _piece_keys(pieces):
+    return [(type(p), p.lo, type(p.lo), p.hi, type(p.hi), p.params_dict())
+            for p in pieces]
+
+
+def assert_envelope_matches_oracle(model):
+    p_model, n_model = variation_function(model).envelope_models()
+    p_want, n_want = envelope_oracle(model)
+    assert _piece_keys(p_model.pieces) == _piece_keys(p_want)
+    assert _piece_keys(n_model.pieces) == _piece_keys(n_want)
+
+
+def _float_twin(model):
+    return model_from_dict(dict(model_to_dict(model), arithmetic="float"))
+
+
+def _cantor(level, arithmetic):
+    if arithmetic == "rational":
+        return build_cantor_iterate(level)
+    # the float override keeps the expansion's Fraction knots
+    return model_from_dict({"arithmetic": arithmetic, "pieces": [
+        {"kind": "cantor_iterate", "domain": ["0", "1"], "params": {"level": level}}]})
+
+
+@st.composite
+def rise_fall_plateau(draw):
+    """Continuous piecewise-linear knot lists mixing rises, falls and
+    plateaus, so runs of same-direction pieces merge into one segment."""
+    steps = draw(st.lists(st.tuples(st.integers(1, 4), st.integers(-3, 3)),
+                          min_size=1, max_size=12))
+    x, y = F(draw(st.integers(-2, 2))), F(draw(st.integers(-2, 2)))
+    knots = [(x, y)]
+    for width, rise in steps:
+        x, y = x + F(width, 3), y + F(rise, 2)
+        knots.append((x, y))
+    return knots
+
+
+class TestEnvelopeWalk:
+    """The two-pointer walk emits exactly the oracle's pieces for p and n:
+    same type, domain and parameters, in the same order."""
+
+    @pytest.mark.parametrize("entry", default_corpus(), ids=lambda e: e.name)
+    def test_corpus(self, entry):
+        assert_envelope_matches_oracle(entry.model)
+
+    @pytest.mark.parametrize(
+        "entry", [e for e in default_corpus() if e.model.exact],
+        ids=lambda e: e.name)
+    def test_corpus_float_twins(self, entry):
+        assert_envelope_matches_oracle(_float_twin(entry.model))
+
+    @pytest.mark.parametrize("arithmetic", ["rational", "float"])
+    def test_cantor_levels(self, arithmetic):
+        for level in range(10):
+            assert_envelope_matches_oracle(_cantor(level, arithmetic))
+
+    def test_segment_ends_inside_pieces(self, square_sym, cubic, xsin):
+        # square_sym turns inside its one piece; xsin spans many segments
+        # with a single piece
+        assert len(square_sym.monotone_segments()) == 2
+        assert len(xsin.monotone_segments()) > len(xsin.pieces)
+        for model in (square_sym, cubic, xsin):
+            assert_envelope_matches_oracle(model)
+
+    @given(rise_fall_plateau())
+    @settings(max_examples=60, deadline=None)
+    def test_random_piecewise_linear(self, knots):
+        model = piecewise_linear(knots)
+        assert_envelope_matches_oracle(model)
+        assert_envelope_matches_oracle(_float_twin(model))
+
+    def test_cantor_10_decomposition(self):
+        model = build_cantor_iterate(10)
+        dec = jordan_decomposition(model)
+        assert dec.p.evaluate(1) == 1
+        assert all(dec.n.evaluate(k) == 0 for k in model.knots())
+
+    def test_jordan_reuses_the_cached_pair(self, zigzag):
+        dec = jordan_decomposition(zigzag)
+        p_model, n_model = dec.p_function.envelope_models()
+        assert dec.p is p_model and dec.n is n_model
+        assert dec.p is dec.p_function.as_model()
