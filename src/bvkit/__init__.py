@@ -54,7 +54,6 @@ from .measure import (
     image_set,
     inflate,
     lusin_probe,
-    measure,
     shrinking_family,
     split_cover_at,
 )

@@ -113,11 +113,10 @@ class ShiftTrace:
 
 def plateau_intervals(model: FunctionModel) -> list:
     """Maximal constancy intervals with their values, as closed intervals."""
-    out = []
-    for seg in model.monotone_segments():
-        if seg.direction == CONSTANT:
-            out.append((Interval(seg.lo, seg.hi), model.evaluate(seg.lo)))
-    return out
+    segmentation = model.monotone_segments()
+    return [(Interval(seg.lo, seg.hi), value)
+            for seg, value in zip(segmentation, segmentation.values)
+            if seg.direction == CONSTANT]
 
 
 def shift_certificate(model: FunctionModel, N: IntervalSet, epsilon,

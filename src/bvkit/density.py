@@ -102,14 +102,16 @@ def monotone_density(model: FunctionModel, grid=None, h=None) -> DensityGrid:
         raise SpecFormatError("window h must be positive")
     if not model.exact:
         h = float(h)
-    values = []
-    for x in grid:
-        if x == model.b:
-            lo = max(model.b - h, model.a)
-            values.append((model.evaluate(model.b) - model.evaluate(lo)) / h)
-            continue
-        hi = min(x + h, model.b)
-        values.append((model.evaluate(hi) - model.evaluate(x)) / (hi - x))
+    # in sorted order both ends of the forward windows run left to right, so
+    # each end takes one sweep; points at b come last and keep the left window
+    order = sorted(range(len(grid)), key=grid.__getitem__)
+    los = [grid[i] for i in order if grid[i] != model.b]
+    his = [min(x + h, model.b) for x in los]
+    left = max(model.b - h, model.a)
+    values = [(model.evaluate(model.b) - model.evaluate(left)) / h] * len(grid)
+    for i, lo, hi, f_lo, f_hi in zip(order, los, his, model.evaluate_many(los),
+                                     model.evaluate_many(his)):
+        values[i] = (f_hi - f_lo) / (hi - lo)
     return DensityGrid(tuple(grid), tuple(values), h, MONOTONE)
 
 
@@ -180,8 +182,8 @@ def reconstruction_error(model: FunctionModel, density: DensityGrid) -> Reconstr
     cum = density.cumulative()
     worst = None
     arg = density.grid[0]
-    for x, acc in zip(density.grid, cum):
-        err = abs(model.evaluate(x) - f_a - acc)
+    for x, fx, acc in zip(density.grid, model.evaluate_many(density.grid), cum):
+        err = abs(fx - f_a - acc)
         if worst is None or err > worst:
             worst, arg = err, x
     return ReconstructionReport(worst, arg, len(density.grid), density.window)
@@ -233,8 +235,9 @@ def _greedy_items(model: FunctionModel):
             continue
         cuts = [piece.lo + (piece.hi - piece.lo) * k / _NONLINEAR_SLICES
                 for k in range(_NONLINEAR_SLICES + 1)]
-        for lo, hi in zip(cuts, cuts[1:]):
-            gain = abs(model.evaluate(hi) - model.evaluate(lo))
+        values = model.evaluate_many(cuts)
+        for lo, hi, f_lo, f_hi in zip(cuts, cuts[1:], values, values[1:]):
+            gain = abs(f_hi - f_lo)
             width = hi - lo
             if gain > 0:
                 items.append((gain / width, width, lo, hi, None))

@@ -37,7 +37,7 @@ def image_set(model: FunctionModel, E: IntervalSet) -> IntervalSet:
         raise PreconditionError("image computation requires a continuous model")
     segments = model.monotone_segments().segments
     seg_starts = [s.lo for s in segments]
-    pieces = []
+    parts = []
     for comp in E.clip(model.a, model.b):
         i = max(bisect_right(seg_starts, comp.lo) - 1, 0)
         while i < len(segments):
@@ -46,15 +46,18 @@ def image_set(model: FunctionModel, E: IntervalSet) -> IntervalSet:
                 break
             part = comp.intersect(Interval(seg.lo, seg.hi))
             if not part.empty:
-                flo = model.evaluate(part.lo)
-                fhi = model.evaluate(part.hi)
-                if seg.direction == CONSTANT:
-                    pieces.append(Interval(flo, flo))
-                elif seg.direction == INCREASING:
-                    pieces.append(Interval(flo, fhi, part.lo_open, part.hi_open))
-                else:
-                    pieces.append(Interval(fhi, flo, part.hi_open, part.lo_open))
+                parts.append((part, seg.direction))
             i += 1
+    # the parts run left to right, so their ends take one sorted sweep
+    ends = model.evaluate_many([e for part, _ in parts for e in (part.lo, part.hi)])
+    pieces = []
+    for (part, direction), flo, fhi in zip(parts, ends[::2], ends[1::2]):
+        if direction == CONSTANT:
+            pieces.append(Interval(flo, flo))
+        elif direction == INCREASING:
+            pieces.append(Interval(flo, fhi, part.lo_open, part.hi_open))
+        else:
+            pieces.append(Interval(fhi, flo, part.hi_open, part.lo_open))
     return IntervalSet(pieces)
 
 
@@ -209,10 +212,6 @@ class LusinReport:
     levels: tuple
     verdict: str
     threshold: object
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == PASSES
 
 
 def lusin_probe(model: FunctionModel, family: NullSetFamily, max_level: int,

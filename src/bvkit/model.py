@@ -531,10 +531,11 @@ class Segment:
 
 @dataclass(frozen=True)
 class MonotoneSegmentation:
-    """Maximal alternating monotone runs partitioning [a, b]."""
+    """Maximal alternating monotone runs partitioning [a, b], with the
+    model's values at their knots: ``values[k]`` is F at ``knots()[k]``."""
 
     segments: tuple
-    maximal: bool = True
+    values: tuple
 
     def knots(self) -> list:
         return [self.segments[0].lo] + [s.hi for s in self.segments]
@@ -544,9 +545,6 @@ class MonotoneSegmentation:
 
     def __len__(self):
         return len(self.segments)
-
-
-_EXACT_KINDS = (LinearPiece, ConstantPiece, CantorPiece)
 
 
 class FunctionModel:
@@ -644,20 +642,21 @@ class FunctionModel:
         return self._expanded[i].value(x)
 
     def evaluate_many(self, xs) -> list:
-        """``[self.evaluate(x) for x in xs]`` for non-decreasing ``xs``, in
-        one merge walk over the piece starts instead of one bisection per
-        point; the piece rule is the same, so the values are ``==``."""
+        """``[self.evaluate(x) for x in xs]`` for non-decreasing ``xs``: one
+        bisection for the first point, then one merge walk over the piece
+        starts; the piece rule is the same, so the values are ``==``."""
         starts, pieces = self._starts, self._expanded
         last = len(starts) - 1
-        i = 0
         prev = None
         out = []
         for raw in xs:
             if prev is not None and raw < prev:
                 raise PreconditionError(
                     f"evaluate_many needs non-decreasing points; {raw} follows {prev}")
-            prev = raw
             x = self._coerce(raw)
+            if prev is None:
+                i = max(bisect_right(starts, x) - 1, 0)
+            prev = raw
             while i < last and starts[i + 1] <= x:
                 i += 1
             out.append(pieces[i].value(x))
@@ -693,29 +692,20 @@ class FunctionModel:
             else:
                 direction = DECREASING
             if runs and runs[-1][2] == direction:
-                runs[-1] = (runs[-1][0], hi, direction)
+                runs[-1] = (runs[-1][0], hi, direction, fhi)
             else:
-                runs.append((lo, hi, direction))
-        segments = tuple(Segment(lo, hi, d) for lo, hi, d in runs)
-        return MonotoneSegmentation(segments)
+                runs.append((lo, hi, direction, fhi))
+        segments = tuple(Segment(lo, hi, d) for lo, hi, d, _ in runs)
+        return MonotoneSegmentation(segments, (values[0],) + tuple(r[3] for r in runs))
 
     def is_nondecreasing(self) -> bool:
         """True when no segment genuinely falls; float models forgive drops
         within 10*tol (bisected segment boundaries leave ulp-scale slivers)."""
         grace = 0 if self.exact else 10 * self.tol
-        return all(
-            s.direction != DECREASING
-            or self.evaluate(s.lo) - self.evaluate(s.hi) <= grace
-            for s in self.monotone_segments()
-        )
-
-    def is_nonincreasing(self) -> bool:
-        grace = 0 if self.exact else 10 * self.tol
-        return all(
-            s.direction != INCREASING
-            or self.evaluate(s.hi) - self.evaluate(s.lo) <= grace
-            for s in self.monotone_segments()
-        )
+        segmentation = self.monotone_segments()
+        values = segmentation.values
+        return all(s.direction != DECREASING or v_lo - v_hi <= grace
+                   for s, v_lo, v_hi in zip(segmentation, values, values[1:]))
 
     # -- derived models ---------------------------------------------------------
 
@@ -733,9 +723,10 @@ class FunctionModel:
                 raise PreconditionError("shift of a continuous model lost continuity")
             # strict increase across every resolvable gap of the segmentation
             grace = 0 if self.exact else 10 * self.tol
-            knots = shifted.monotone_segments().knots()
-            for k0, k1 in zip(knots, knots[1:]):
-                if k1 - k0 > grace and not shifted.evaluate(k1) > shifted.evaluate(k0):
+            segmentation = shifted.monotone_segments()
+            knots, values = segmentation.knots(), segmentation.values
+            for k0, k1, v0, v1 in zip(knots, knots[1:], values, values[1:]):
+                if k1 - k0 > grace and not v1 > v0:
                     raise PreconditionError("shift of a non-decreasing model is "
                                             "not strictly increasing")
         return shifted
@@ -762,12 +753,14 @@ class FunctionModel:
         if not c < d:
             raise SpecFormatError("target interval must satisfy c < d")
         parts = []
-        for seg in self.monotone_segments():
-            parts.extend(self._segment_preimage(seg, c, d))
+        segmentation = self.monotone_segments()
+        values = segmentation.values
+        for seg, flo, fhi in zip(segmentation, values, values[1:]):
+            parts.extend(self._segment_preimage(seg, flo, fhi, c, d))
         return IntervalSet(parts)
 
-    def _segment_preimage(self, seg: Segment, c, d):
-        flo, fhi = self.evaluate(seg.lo), self.evaluate(seg.hi)
+    def _segment_preimage(self, seg: Segment, flo, fhi, c, d):
+        """Preimage of (c, d) on one segment, given F at its ends."""
         if seg.direction == CONSTANT:
             if c < flo < d:
                 yield Interval(seg.lo, seg.hi)

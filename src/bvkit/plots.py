@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import os
 
-from ._num import sig15
+from ._num import sig15, uniform_grid
 from .errors import BVKitError
 from .specio import dump_json
 from .variation import jordan_decomposition
@@ -72,12 +72,6 @@ def _svg_document(series, title):
     return "\n".join(lines) + "\n"
 
 
-def _sample_xs(model):
-    a, b = float(model.a), float(model.b)
-    step = (b - a) / (SAMPLES - 1)
-    return [a + i * step for i in range(SAMPLES - 1)] + [b]
-
-
 def _write(path, text):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -98,14 +92,14 @@ def emit_plots(table, outdir) -> list:
         if row.entry is None or row.error:
             continue
         model = row.entry.model
-        xs = _sample_xs(model)
-        f_vals = [float(model.evaluate(x)) for x in xs]
+        xs = uniform_grid(model.a, model.b, SAMPLES, exact=False)
+        f_vals = [float(v) for v in model.evaluate_many(xs)]
         series = [("F", xs, f_vals)]
         csv_rows = None
         try:
             decomposition = jordan_decomposition(model)
-            p_vals = [float(decomposition.p.evaluate(x)) for x in xs]
-            n_vals = [float(decomposition.n.evaluate(x)) for x in xs]
+            p_vals = [float(v) for v in decomposition.p.evaluate_many(xs)]
+            n_vals = [float(v) for v in decomposition.n.evaluate_many(xs)]
             series += [("p", xs, p_vals), ("n", xs, n_vals)]
             csv_rows = list(zip(xs, f_vals, p_vals, n_vals))
         except BVKitError:

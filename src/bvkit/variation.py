@@ -53,19 +53,26 @@ def validate_partition(model: FunctionModel, points) -> tuple:
     return pts
 
 
-def _swing_prefix(model: FunctionModel, points) -> tuple:
-    """Running sums of |F(x_k) - F(x_{k-1})|, starting at zero, and the
-    values F(x_k); the sorted points are evaluated in one sweep."""
+def _swing_prefix(model: FunctionModel, values) -> list:
+    """Running sums of |F(x_k) - F(x_{k-1})| over the values F(x_k),
+    starting at zero."""
     prefix = [Fraction(0) if model.exact else 0.0]
-    values = model.evaluate_many(points)
     for v0, v1 in zip(values, values[1:]):
         prefix.append(prefix[-1] + abs(v1 - v0))
-    return prefix, values
+    return prefix
+
+
+def _cell_value(knots, prefix, values, x, fx):
+    """prefix[i] + |F(x) - F(x_i)| on the cell holding x, given fx = F(x);
+    the value of p and of u alike."""
+    i = locate_cell(knots, x)
+    return prefix[i] + abs(fx - values[i])
 
 
 def partition_sum(model: FunctionModel, points):
     """Sum of |F(x_k) - F(x_{k-1})| over the partition; exact in rational mode."""
-    return _swing_prefix(model, validate_partition(model, points))[0][-1]
+    points = validate_partition(model, points)
+    return _swing_prefix(model, model.evaluate_many(points))[-1]
 
 
 @dataclass(frozen=True)
@@ -156,17 +163,17 @@ class VariationFunction:
         self.model = model
         self.tol = tol
         segmentation = model.monotone_segments()  # raises if infinite
-        knots = segmentation.knots()
-        self.knots = knots
-        self.prefix, self.values = _swing_prefix(model, knots)
+        self.knots = segmentation.knots()
+        self.values = segmentation.values
+        self.prefix = _swing_prefix(model, self.values)
         self._lock = threading.Lock()
         self._models = None
 
     def __call__(self, x):
         if x < self.model.a or x > self.model.b:
             raise SpecFormatError(f"{x} outside [{self.model.a}, {self.model.b}]")
-        i = locate_cell(self.knots, x)
-        return self.prefix[i] + abs(self.model.evaluate(x) - self.values[i])
+        return _cell_value(self.knots, self.prefix, self.values, x,
+                           self.model.evaluate(x))
 
     @property
     def total(self):
@@ -285,8 +292,8 @@ class UniformApprox:
     def evaluate(self, x):
         if x < self.model.a or x > self.model.b:
             raise SpecFormatError(f"{x} outside [{self.model.a}, {self.model.b}]")
-        i = locate_cell(self.base_partition, x)
-        return self.prefix[i] + abs(self.model.evaluate(x) - self.base_values[i])
+        return _cell_value(self.base_partition, self.prefix, self.base_values, x,
+                           self.model.evaluate(x))
 
     __call__ = evaluate
 
@@ -317,7 +324,8 @@ def uniform_approx(model: FunctionModel, epsilon, base_partition=None,
         base = validate_partition(model, base_partition)
         if base[0] != model.a or base[-1] != model.b:
             raise SpecFormatError("base partition must span [a, b]")
-    prefix, base_values = _swing_prefix(model, base)
+    base_values = model.evaluate_many(base)
+    prefix = _swing_prefix(model, base_values)
     defect = pf.total - prefix[-1]
     if not defect < epsilon:
         raise PreconditionError(
@@ -326,8 +334,10 @@ def uniform_approx(model: FunctionModel, epsilon, base_partition=None,
     if verify_points:
         grid = model.verification_grid(verify_points)
         grace = 0 if model.exact else 10 * model.tol
-        for x in grid:
-            g = approx.gap(x)
+        for x, fx in zip(grid, model.evaluate_many(grid)):
+            # approx.gap(x), with F evaluated once over the sorted grid
+            g = (_cell_value(pf.knots, pf.prefix, pf.values, x, fx)
+                 - _cell_value(base, prefix, base_values, x, fx))
             if g < -grace or not g < epsilon:
                 raise PreconditionError(
                     f"approximant defect {g} at {x} escapes [0, {epsilon})")

@@ -1,10 +1,15 @@
+import ast
+import importlib
 import json
 import os
+import sys
+import types
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from bvkit._num import uniform_grid
 from bvkit.cli import main
 from bvkit.corpus import (
     CorpusConfig,
@@ -17,7 +22,7 @@ from bvkit.errors import BVKitError, SpecFormatError
 from bvkit.intervals import IntervalSet
 from bvkit.measure import shrinking_family
 from bvkit.model import FunctionModel, LinearPiece, build_identity
-from bvkit.plots import emit_plots, write_report
+from bvkit.plots import SAMPLES, emit_plots, write_report
 from bvkit.specio import (
     intervals_from_dict,
     intervals_to_dict,
@@ -300,3 +305,37 @@ class TestCLI:
         spec.write_text(json.dumps(model_to_dict(zigzag)))
         assert main(["--arithmetic", "float", "variation", str(spec)]) == 0
         assert "4" in capsys.readouterr().out
+
+
+class TestPackageSurface:
+    def test_measure_is_the_module(self):
+        import bvkit
+        import bvkit.measure as measure_mod
+        assert isinstance(measure_mod, types.ModuleType)
+        assert bvkit.measure is measure_mod is sys.modules["bvkit.measure"]
+        assert measure_mod.measure(IntervalSet.closed(0, F(1, 2))) == F(1, 2)
+
+    def test_benchmark_tracer_targets_resolve(self):
+        # the traced benchmark wraps these by name; a rename fails here
+        # rather than only in a traced run
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracer.py")
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        targets = next(ast.literal_eval(node.value) for node in tree.body
+                       if isinstance(node, ast.Assign)
+                       and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"])
+        assert targets
+        for module, attr in targets + (("bvkit.model", "FunctionModel.cached"),
+                                       ("bvkit.model", "bisect_solve")):
+            owner = importlib.import_module(module)
+            for part in attr.split("."):
+                owner = getattr(owner, part)
+            assert callable(owner), f"{module}.{attr}"
+
+    @pytest.mark.parametrize("entry", default_corpus(), ids=lambda e: e.name)
+    def test_curve_abscissae_match_the_old_sampler(self, entry):
+        a, b = float(entry.model.a), float(entry.model.b)
+        step = (b - a) / (SAMPLES - 1)
+        old = [a + i * step for i in range(SAMPLES - 1)] + [b]
+        new = uniform_grid(entry.model.a, entry.model.b, SAMPLES, exact=False)
+        assert [x.hex() for x in new] == [x.hex() for x in old]
