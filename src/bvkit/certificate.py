@@ -167,9 +167,8 @@ def shift_certificate(model: FunctionModel, N: IntervalSet, epsilon,
                 f"image measure {img.measure} leaves no cover slack below {epsilon}")
         u = inflate(img, epsilon - img.measure)
         u_prime = inflate(n2, epsilon - n2.measure)
-        pre_u = IntervalSet.empty()
-        for piece in u:
-            pre_u = pre_u.union(model.preimage(piece.lo, piece.hi))
+        pre_u = IntervalSet(comp for piece in u
+                            for comp in model.preimage(piece.lo, piece.hi))
         core = u_prime.intersect(pre_u)
 
         trimmed_list = []
@@ -385,7 +384,6 @@ def _cell_record(model, decomposition, index, xl, xr, N, epsilon) -> CellRecord:
     _assert_covered(model, image, cover_set, (f_lo, f_hi), index)
 
     lo_val, hi_val = (f_lo, f_hi) if f_lo <= f_hi else (f_hi, f_lo)
-    cell_open = Interval(xl, xr, True, True)
     pieces = []
     for piece in cover_set:
         if flat:
@@ -400,8 +398,7 @@ def _cell_record(model, decomposition, index, xl, xr, N, epsilon) -> CellRecord:
                     f"cell {index}: cover piece {piece} straddles a band "
                     "boundary after endpoint splitting")
             band = MID
-        comps = model.preimage(piece.lo, piece.hi)\
-            .intersect(IntervalSet((cell_open,)))
+        comps = model.preimage(piece.lo, piece.hi, xl, xr).clip(xl, xr, True, True)
         pieces.append(CoverPiece(piece, band, comps.components))
 
     def n_value(x):

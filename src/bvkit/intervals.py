@@ -195,7 +195,19 @@ class IntervalSet:
         return self.intersect(other.complement())
 
     def clip(self, lo, hi, lo_open=False, hi_open=False) -> "IntervalSet":
-        return self.intersect(IntervalSet((Interval(lo, hi, lo_open, hi_open),)))
+        """Intersection with one interval: a bisection finds the first
+        component that can meet it, and the walk stops past ``hi``."""
+        window = Interval(lo, hi, lo_open, hi_open)
+        comps = self.components
+        out = []
+        for i in range(max(bisect_right(self._starts, lo) - 1, 0), len(comps)):
+            comp = comps[i]
+            if comp.lo > hi:
+                break
+            piece = comp.intersect(window)
+            if not piece.empty:
+                out.append(piece)
+        return IntervalSet(out)
 
     def affine(self, scale, offset) -> "IntervalSet":
         """Image under x -> scale*x + offset (scale may be negative)."""

@@ -9,7 +9,6 @@ construction: failure is conclusive, passage holds "at resolution".
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,19 +34,18 @@ def image_set(model: FunctionModel, E: IntervalSet) -> IntervalSet:
     """
     if not model.continuity_flag:
         raise PreconditionError("image computation requires a continuous model")
-    segments = model.monotone_segments().segments
-    seg_starts = [s.lo for s in segments]
+    segmentation = model.monotone_segments()
+    segments = segmentation.segments
     parts = []
     for comp in E.clip(model.a, model.b):
-        i = max(bisect_right(seg_starts, comp.lo) - 1, 0)
-        while i < len(segments):
+        point = comp.lo == comp.hi
+        for i in segmentation.window(comp.lo, comp.hi):
             seg = segments[i]
-            if seg.lo > comp.hi:
-                break
             part = comp.intersect(Interval(seg.lo, seg.hi))
-            if not part.empty:
+            # a segment that only touches a longer component adds the
+            # image of one end, which the neighbouring part's image holds
+            if not part.empty and (point or part.lo != part.hi):
                 parts.append((part, seg.direction))
-            i += 1
     # the parts run left to right, so their ends take one sorted sweep
     ends = model.evaluate_many([e for part, _ in parts for e in (part.lo, part.hi)])
     pieces = []

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import math
 import threading
-from bisect import bisect_right
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -536,9 +536,25 @@ class MonotoneSegmentation:
 
     segments: tuple
     values: tuple
+    bounds: tuple = field(init=False, repr=False, compare=False)  # the knots
+
+    def __post_init__(self):
+        object.__setattr__(self, "bounds", tuple(
+            [self.segments[0].lo] + [s.hi for s in self.segments]))
 
     def knots(self) -> list:
-        return [self.segments[0].lo] + [s.hi for s in self.segments]
+        return list(self.bounds)
+
+    def window(self, lo, hi) -> range:
+        """Indices of the segments meeting ``[lo, hi]``, touching ones
+        included: segment ``i`` spans ``bounds[i]`` to ``bounds[i + 1]``.
+        A bisection finds the first; the last is walked to, because the
+        caller walks the window anyway and most windows are short."""
+        bounds, count = self.bounds, len(self.segments)
+        first = last = max(bisect_left(bounds, lo) - 1, 0)
+        while last < count and bounds[last] <= hi:
+            last += 1
+        return range(first, last)
 
     def __iter__(self):
         return iter(self.segments)
@@ -741,23 +757,28 @@ class FunctionModel:
 
     # -- preimages ---------------------------------------------------------
 
-    def preimage(self, c, d) -> IntervalSet:
-        """Maximal relatively-open components of F^{-1}((c, d)) in [a, b].
+    def preimage(self, c, d, lo=None, hi=None) -> IntervalSet:
+        """Maximal relatively-open components of F^{-1}((c, d)) in [a, b],
+        intersected with the window ``[lo, hi]`` (default: the whole domain).
 
         Open targets only: endpoint values c and d are excluded, so interior
         peaks at the target boundary split components.  Exact knots for
-        piecewise-linear models, certified bisection otherwise.
+        piecewise-linear models, certified bisection otherwise.  Only the
+        segments meeting the window are visited.
         """
         if not self.continuity_flag:
             raise PreconditionError("preimage requires a continuous model")
         if not c < d:
             raise SpecFormatError("target interval must satisfy c < d")
-        parts = []
+        lo = self.a if lo is None else lo
+        hi = self.b if hi is None else hi
         segmentation = self.monotone_segments()
-        values = segmentation.values
-        for seg, flo, fhi in zip(segmentation, values, values[1:]):
-            parts.extend(self._segment_preimage(seg, flo, fhi, c, d))
-        return IntervalSet(parts)
+        segments, values = segmentation.segments, segmentation.values
+        parts = []
+        for i in segmentation.window(lo, hi):
+            parts.extend(self._segment_preimage(segments[i], values[i], values[i + 1],
+                                                c, d))
+        return IntervalSet(parts).clip(lo, hi)
 
     def _segment_preimage(self, seg: Segment, flo, fhi, c, d):
         """Preimage of (c, d) on one segment, given F at its ends."""
@@ -808,7 +829,14 @@ class FunctionModel:
                 return p.solve(y, plo, phi)
         if not self.exact:
             # pieces may round a shared knot apart, so y can miss every
-            # range by an ulp: snap to an endpoint within 10*tol
+            # range by an ulp: a y inside the gap two pieces leave at their
+            # junction is attained there; otherwise snap to an endpoint
+            # within 10*tol
+            pieces = self._expanded[max(lo_i, 0):hi_i + 1]
+            for left, right in zip(pieces, pieces[1:]):
+                u, v = sorted((left.value(right.lo), right.value(right.lo)))
+                if u <= y <= v and v - u <= 10 * self.tol:
+                    return right.lo
             gap, x = min((abs(self.evaluate(x) - y), x) for x in (seg.lo, seg.hi))
             if gap <= 10 * self.tol:
                 return x
@@ -816,13 +844,23 @@ class FunctionModel:
             f"value {y} not attained on segment [{seg.lo}, {seg.hi}]")
 
     def level_points(self, y, lo, hi) -> list:
-        """All solutions of F(x) = y inside [lo, hi], one per crossing."""
+        """All solutions of F(x) = y inside [lo, hi], one per crossing.
+
+        Only the segments meeting ``[lo, hi]`` are visited.  A clipped end
+        that lands on one of the segment's knots reads the value stored
+        there; only an end strictly inside a segment is evaluated."""
+        segmentation = self.monotone_segments()
+        segments, values = segmentation.segments, segmentation.values
         points = []
-        for seg in self.monotone_segments():
+        for i in segmentation.window(lo, hi):
+            seg = segments[i]
             s_lo, s_hi = max(seg.lo, lo), min(seg.hi, hi)
             if not s_lo <= s_hi:
                 continue
-            flo, fhi = self.evaluate(s_lo), self.evaluate(s_hi)
+            flo = (values[i] if s_lo == seg.lo else values[i + 1] if s_lo == seg.hi
+                   else self.evaluate(s_lo))
+            fhi = (values[i + 1] if s_hi == seg.hi else values[i] if s_hi == seg.lo
+                   else self.evaluate(s_hi))
             if seg.direction == CONSTANT:
                 if flo == y:
                     points.extend([s_lo, s_hi])

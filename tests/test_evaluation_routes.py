@@ -113,8 +113,9 @@ def _outcome(route, model, c, d):
 
 
 def assert_preimages_match(model):
-    # float targets that fall into the ulp gap two pieces leave at a knot
-    # inside a segment are refused by both routes alike
+    # a float target in the ulp gap two pieces leave at a knot inside a
+    # segment resolves to that knot; both routes solve through
+    # _solve_in_segment, so they agree there too
     for c, d in _targets(model):
         assert _outcome(FunctionModel.preimage, model, c, d) == \
             _outcome(preimage_oracle, model, c, d)

@@ -328,6 +328,27 @@ class TestPreimage:
             (float(F(6, 78)), peak), (peak, float(F(11, 78)))]
         assert not got.contains(peak)
 
+    def test_float_target_in_a_junction_gap_inside_a_segment(self):
+        # the two rising pieces of the last segment round the knot 28/3
+        # apart (-3.5 from the left, -3.4999999999999996 from the right),
+        # so a target between them lies in neither piece's value range;
+        # the continuous model attains it at the junction
+        exact = piecewise_linear([
+            (1, 0), (F(4, 3), 0), (F(5, 3), 0), (2, 0), (F(7, 3), 0),
+            (F(8, 3), 0), (3, 0), (4, 0), (F(16, 3), F(-3, 2)), (F(20, 3), -3),
+            (8, F(-9, 2)), (F(28, 3), F(-7, 2)), (F(31, 3), -3)])
+        twin = model_from_dict(dict(model_to_dict(exact), arithmetic="float"))
+        knot = float(F(28, 3))
+        rising = twin.monotone_segments().segments[-1]
+        assert twin._solve_in_segment(rising, -3.4999999999999996) == knot
+        got = twin.preimage(-4, -3.4999999999999996)
+        assert [(c.lo, c.hi, c.lo_open, c.hi_open) for c in got] == [
+            (float(F(64, 9)), float(F(68, 9)), True, True),
+            (float(F(26, 3)), knot, True, True)]
+        want = exact.preimage(-4, F(-3.4999999999999996))
+        for g, w in zip(got, want):
+            assert abs(g.lo - w.lo) < 1e-12 and abs(g.hi - w.hi) < 1e-12
+
     def test_unattained_value_is_a_precondition_error(self, zigzag):
         rising = zigzag.monotone_segments().segments[0]
         with pytest.raises(PreconditionError):
