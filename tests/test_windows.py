@@ -367,7 +367,9 @@ class TestShiftPullback:
     @pytest.mark.parametrize("model", [
         _staircase(12), _float_twin(_staircase(12)),
         _cantor(3, "rational"), _cantor(3, "float"),
-        _cantor(6, "rational"), _cantor(6, "float")], ids=repr)
+        _cantor(6, "rational"), _cantor(6, "float")],
+        ids=["stairs", "stairs-float", "cantor_3", "cantor_3-float", "cantor_6",
+             "cantor_6-float"])
     def test_open_core_matches_successive_unions(self, model):
         nullset = shrinking_family((model.a, model.b), count=16).level(8)
         eps = F(1, 16)
