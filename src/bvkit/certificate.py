@@ -361,7 +361,7 @@ def _values_equal(model, u, v) -> bool:
 
 def _cell_record(model, decomposition, index, xl, xr, N, epsilon) -> CellRecord:
     pf = decomposition.p_function
-    f_lo, f_hi = model.evaluate(xl), model.evaluate(xr)
+    f_lo, f_hi = model.evaluate_many((xl, xr))
     flat = _values_equal(model, f_lo, f_hi)
     case = FLAT_CELL if flat else ORDERED_CELL
     zero = Fraction(0) if model.exact else 0.0
@@ -401,19 +401,21 @@ def _cell_record(model, decomposition, index, xl, xr, N, epsilon) -> CellRecord:
         comps = model.preimage(piece.lo, piece.hi, xl, xr).clip(xl, xr, True, True)
         pieces.append(CoverPiece(piece, band, comps.components))
 
-    def n_value(x):
-        return pf(x) - model.evaluate(x)
-
     p_sum = n_sum = f_sum = zero
     band_sums = {PLUS: zero, MINUS: zero, MID: zero, FLAT_BAND: zero}
     q_points = [xl, xr]
     for cp in pieces:
-        for comp in cp.components:
-            q_points.extend((comp.lo, comp.hi))
-            p_len = pf(comp.hi) - pf(comp.lo)
-            swing = abs(model.evaluate(comp.hi) - model.evaluate(comp.lo))
-            p_sum += p_len
-            n_sum += n_value(comp.hi) - n_value(comp.lo)
+        # a piece's components are disjoint and sorted: one sweep gives F
+        # at every end, and p and n = p - F follow from the same values
+        ends = [e for comp in cp.components for e in (comp.lo, comp.hi)]
+        q_points.extend(ends)
+        values = model.evaluate_many(ends)
+        for lo, hi, f_lo_end, f_hi_end in zip(ends[::2], ends[1::2],
+                                              values[::2], values[1::2]):
+            p_lo, p_hi = pf.at(lo, f_lo_end), pf.at(hi, f_hi_end)
+            swing = abs(f_hi_end - f_lo_end)
+            p_sum += p_hi - p_lo
+            n_sum += (p_hi - f_hi_end) - (p_lo - f_lo_end)
             f_sum += swing
             band_sums[cp.band] += swing
     q_partition = tuple(_sorted_unique(q_points))
@@ -540,8 +542,13 @@ def _mid_anchors(model, xl, xr, mid_members, increasing):
     endpoints = [e for cp in mid_members for comp in cp.components
                  for e in (comp.lo, comp.hi)]
     s2 = tuple(_sorted_unique(list(s1) + endpoints))
-    anchor_sum = sum(abs(model.evaluate(a.beta) - model.evaluate(a.alpha))
-                     for a in anchors)
+    ends = [e for a in anchors for e in (a.alpha, a.beta)]
+    order = sorted(range(len(ends)), key=ends.__getitem__)
+    values = [None] * len(ends)
+    for k, value in zip(order, model.evaluate_many([ends[k] for k in order])):
+        values[k] = value
+    anchor_sum = sum(abs(f_beta - f_alpha)
+                     for f_alpha, f_beta in zip(values[::2], values[1::2]))
     return tuple(anchors), s1, s2, anchor_sum
 
 

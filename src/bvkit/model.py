@@ -6,6 +6,13 @@ rationals; polynomial and oscillating ``x^p*sin(1/x)`` pieces evaluate in
 binary floating point to a stated tolerance.  Evaluation follows the type
 of its argument, so rational-mode models stay rational end to end.
 
+Evaluation has one path per arithmetic mode, and ``evaluate`` is a batch
+of one.  A rational model evaluates on integer numerator/denominator
+pairs: its linear and constant pieces are tabulated at construction, and
+the order, domain and piece tests are integer cross-multiplications.  A
+float model walks its pieces and lets each evaluate the point; so does a
+rational model built by hand from pieces the table cannot hold.
+
 The monotone segmentation (maximal alternating runs of increasing /
 decreasing / constant behaviour) is the workhorse every downstream module
 consumes: it makes variation, image measures and preimages exact for the
@@ -38,6 +45,7 @@ CONSTANT = "constant"
 _ONE_THIRD = Fraction(1, 3)
 _TWO_THIRDS = Fraction(2, 3)
 _HALF = Fraction(1, 2)
+_EXACT = (int, Fraction)  # the types a pair table holds
 
 
 # ---------------------------------------------------------------------------
@@ -600,6 +608,7 @@ class FunctionModel:
         self._cache: dict = {}
         self._expanded = self._expand_pieces()
         self._starts = [p.lo for p in self._expanded]
+        self._table = self._pair_table() if arithmetic == RATIONAL else None
         self.continuity_flag = self._verify_continuity()
 
     # -- construction helpers ---------------------------------------------
@@ -612,6 +621,34 @@ class FunctionModel:
             else:
                 out.append(p)
         return tuple(out)
+
+    def _pair_table(self):
+        """The integer-pair table behind :meth:`_pair_many`: piece starts
+        as (numerator, denominator), ``slope*x + intercept`` at ``x = n/d``
+        as ``(A*n + C*d) / (B*d)`` with integers A, C, B, and each constant
+        piece's ``const`` as is.  None when a piece is not linear or
+        constant, or a start or coefficient is not an int or Fraction."""
+        start_num, start_den, coeffs, consts = [], [], [], []
+        for p in self._expanded:
+            if type(p.lo) not in _EXACT:
+                return None
+            start_num.append(p.lo.numerator)
+            start_den.append(p.lo.denominator)
+            if type(p) is ConstantPiece:
+                coeffs.append(None)
+                consts.append(p.const)
+            elif (type(p) is LinearPiece and type(p.slope) in _EXACT
+                  and type(p.intercept) in _EXACT):
+                a, b = p.slope.numerator, p.slope.denominator
+                c, e = p.intercept.numerator, p.intercept.denominator
+                coeffs.append((a * e, c * b, b * e,
+                               type(p.slope) is int and type(p.intercept) is int))
+                consts.append(None)
+            else:
+                return None
+        if type(self.b) not in _EXACT:
+            return None
+        return start_num, start_den, coeffs, consts, (self.b.numerator, self.b.denominator)
 
     def _verify_continuity(self) -> bool:
         for left, right in zip(self._expanded, self._expanded[1:]):
@@ -640,9 +677,10 @@ class FunctionModel:
     def _coerce(self, x):
         """Domain check, then the model's arithmetic rather than the
         caller's: floats convert exactly into rationals, rationals round
-        once into floats (a monotone map, so sorted input stays sorted)."""
-        if x < self.a or x > self.b:
-            raise OutOfDomainError(f"{x} outside [{self.a}, {self.b}]")
+        once into floats (a monotone map, so sorted input stays sorted).
+        NaN is in no domain."""
+        if not self.a <= x <= self.b:
+            raise self._outside(x)
         if self.arithmetic == FLOAT:
             if not isinstance(x, float):
                 x = float(x)
@@ -650,25 +688,28 @@ class FunctionModel:
             x = Fraction(x)
         return x
 
+    def _outside(self, x) -> OutOfDomainError:
+        return OutOfDomainError(f"{x} outside [{self.a}, {self.b}]")
+
     def evaluate(self, x):
-        x = self._coerce(x)
-        i = bisect_right(self._starts, x) - 1
-        if i < 0:
-            i = 0
-        return self._expanded[i].value(x)
+        return self.evaluate_many((x,))[0]
 
     def evaluate_many(self, xs) -> list:
-        """``[self.evaluate(x) for x in xs]`` for non-decreasing ``xs``: one
+        """``F`` at each of the non-decreasing points ``xs``.
+
+        Rational models of linear and constant pieces run on their pair
+        table (:meth:`_pair_many`); every other model runs this loop: one
         bisection for the first point, then one merge walk over the piece
-        starts; the piece rule is the same, so the values are ``==``."""
+        starts."""
+        if self._table is not None:
+            return self._pair_many(xs)
         starts, pieces = self._starts, self._expanded
         last = len(starts) - 1
         prev = None
         out = []
         for raw in xs:
             if prev is not None and raw < prev:
-                raise PreconditionError(
-                    f"evaluate_many needs non-decreasing points; {raw} follows {prev}")
+                raise _unsorted(raw, prev)
             x = self._coerce(raw)
             if prev is None:
                 i = max(bisect_right(starts, x) - 1, 0)
@@ -676,6 +717,51 @@ class FunctionModel:
             while i < last and starts[i + 1] <= x:
                 i += 1
             out.append(pieces[i].value(x))
+        return out
+
+    def _pair_many(self, xs) -> list:
+        """The rational kernel: each point becomes an integer pair ``n/d``
+        (a float exactly, through ``as_integer_ratio``, as ``Fraction(x)``
+        does), so the order, domain and piece tests are integer
+        cross-multiplications over positive denominators, and a linear
+        value is one Fraction built from integers.  Values and types are
+        those of ``piece.value``: an ``int`` point on a piece with ``int``
+        slope and intercept gives an ``int``."""
+        start_num, start_den, coeffs, consts, (b_num, b_den) = self._table
+        a_num, a_den = start_num[0], start_den[0]
+        last = len(start_num) - 1
+        prev = p_num = p_den = None
+        i = 0
+        out = []
+        for x in xs:
+            if type(x) is Fraction:
+                (n, d), whole = x.as_integer_ratio(), False
+            elif isinstance(x, float):
+                if not math.isfinite(x):
+                    # NaN and the infinities are out of domain, but -inf
+                    # after a point is out of order first
+                    if prev is not None and x < prev:
+                        raise _unsorted(x, prev)
+                    raise self._outside(x)
+                (n, d), whole = x.as_integer_ratio(), False
+            else:
+                n, d, whole = x.numerator, x.denominator, isinstance(x, int)
+            if prev is not None and n * p_den < p_num * d:
+                raise _unsorted(x, prev)
+            if n * a_den < a_num * d or n * b_den > b_num * d:
+                raise self._outside(x)
+            if prev is None:
+                i = _pair_bisect_right(start_num, start_den, n, d) - 1
+            prev, p_num, p_den = x, n, d
+            while i < last and start_num[i + 1] * d <= n * start_den[i + 1]:
+                i += 1
+            co = coeffs[i]
+            if co is None:
+                out.append(consts[i])
+            else:
+                slope_num, icpt_num, den, whole_co = co
+                num = slope_num * n + icpt_num * d
+                out.append(num if whole and whole_co else Fraction(num, den * d))
         return out
 
     def __call__(self, x):
@@ -776,8 +862,17 @@ class FunctionModel:
         segments, values = segmentation.segments, segmentation.values
         parts = []
         for i in segmentation.window(lo, hi):
-            parts.extend(self._segment_preimage(segments[i], values[i], values[i + 1],
-                                                c, d))
+            seg = segments[i]
+            if seg.hi == lo or seg.lo == hi:
+                # the window meets this segment at one knot, which is in
+                # the preimage exactly when its stored value is in (c, d);
+                # the whole segment then stands in for its part, so the
+                # merged component still runs past the window's end and the
+                # clip keeps the caller's lo or hi there, with no solve
+                if c < values[i + 1 if seg.hi == lo else i] < d:
+                    parts.append(Interval(seg.lo, seg.hi))
+                continue
+            parts.extend(self._segment_preimage(seg, values[i], values[i + 1], c, d))
         return IntervalSet(parts).clip(lo, hi)
 
     def _segment_preimage(self, seg: Segment, flo, fhi, c, d):
@@ -890,6 +985,23 @@ class FunctionModel:
     def __repr__(self):
         label = self.name or f"{len(self.pieces)} pieces"
         return f"FunctionModel({label} on [{self.a}, {self.b}], {self.arithmetic})"
+
+
+def _unsorted(x, prev) -> PreconditionError:
+    return PreconditionError(
+        f"evaluate_many needs non-decreasing points; {x} follows {prev}")
+
+
+def _pair_bisect_right(num, den, n, d) -> int:
+    """``bisect_right`` of ``n/d`` in the sorted fractions ``num[k]/den[k]``."""
+    lo, hi = 0, len(num)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if n * den[mid] < num[mid] * d:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def _sorted_unique(values) -> list:

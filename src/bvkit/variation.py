@@ -172,8 +172,11 @@ class VariationFunction:
     def __call__(self, x):
         if x < self.model.a or x > self.model.b:
             raise SpecFormatError(f"{x} outside [{self.model.a}, {self.model.b}]")
-        return _cell_value(self.knots, self.prefix, self.values, x,
-                           self.model.evaluate(x))
+        return self.at(x, self.model.evaluate(x))
+
+    def at(self, x, fx):
+        """p(x) given fx = F(x), for callers that evaluated F in a batch."""
+        return _cell_value(self.knots, self.prefix, self.values, x, fx)
 
     @property
     def total(self):
@@ -336,8 +339,7 @@ def uniform_approx(model: FunctionModel, epsilon, base_partition=None,
         grace = 0 if model.exact else 10 * model.tol
         for x, fx in zip(grid, model.evaluate_many(grid)):
             # approx.gap(x), with F evaluated once over the sorted grid
-            g = (_cell_value(pf.knots, pf.prefix, pf.values, x, fx)
-                 - _cell_value(base, prefix, base_values, x, fx))
+            g = pf.at(x, fx) - _cell_value(base, prefix, base_values, x, fx)
             if g < -grace or not g < epsilon:
                 raise PreconditionError(
                     f"approximant defect {g} at {x} escapes [0, {epsilon})")

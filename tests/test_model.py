@@ -123,6 +123,19 @@ class TestEvaluateMany:
         with pytest.raises(PreconditionError, match="non-decreasing"):
             zigzag.evaluate_many([F(1, 2), F(1, 4)])
 
+    def test_nan_is_out_of_domain(self, square01, zigzag):
+        # every comparison with NaN is false, so neither the domain test
+        # nor the order test may be written as one that NaN fails to trip
+        nan = float("nan")
+        with pytest.raises(OutOfDomainError):
+            square01.evaluate(nan)
+        with pytest.raises(OutOfDomainError):
+            square01.evaluate_many([0.1, nan, 0.05])
+        with pytest.raises(OutOfDomainError):
+            zigzag.evaluate(nan)
+        with pytest.raises(OutOfDomainError):
+            zigzag.evaluate_many([F(1, 4), nan])
+
 
 class TestBisectSolve:
     def test_converges_on_a_monotone_bracket(self):

@@ -25,6 +25,7 @@ from bvkit.model import (
     _sorted_unique,
     piecewise_linear,
 )
+from bvkit.variation import jordan_decomposition
 
 from test_evaluation_routes import (
     CANTOR_IDS,
@@ -112,6 +113,32 @@ def assert_windowed_preimages_match(model):
             else:
                 want = _interval_keys(full.intersect(IntervalSet((Interval(lo, hi),))))
             assert _outcome(model.preimage, c, d, lo, hi) == want
+
+
+class TestTouchingSegments:
+    """A segment that meets the window at one knot only is decided from the
+    value stored at that knot: ``_segment_preimage``, and so every solve,
+    runs only on segments that overlap the window."""
+
+    @pytest.mark.parametrize("model", [m for m, _ in CONTINUOUS + CANTOR],
+                             ids=[i for _, i in CONTINUOUS + CANTOR])
+    def test_only_overlapping_segments_are_visited(self, model, monkeypatch):
+        visits = []
+        segment_preimage = FunctionModel._segment_preimage
+
+        def logged(self, seg, *rest):
+            visits.append(seg)
+            return segment_preimage(self, seg, *rest)
+
+        monkeypatch.setattr(FunctionModel, "_segment_preimage", logged)
+        for c, d in _targets(model)[::3]:
+            for lo, hi in _windows(model):
+                visits.clear()
+                try:
+                    model.preimage(c, d, lo, hi)
+                except PreconditionError:
+                    continue
+                assert all(seg.lo < hi and seg.hi > lo for seg in visits), (lo, hi)
 
 
 class TestWindowedPreimage:
@@ -347,6 +374,40 @@ class TestCellLocality:
         for visits in (log.preimage_visits, log.level_visits):
             for (xl, xr), seg in visits:
                 assert seg.lo <= xr and seg.hi >= xl, (xl, xr, seg)
+
+
+class TestCellSums:
+    """Each cell's p, n and swing sums, and its anchored swing total, come
+    from one sweep per cover piece; they equal the per-point route they
+    replaced, which evaluated F and p at every end on its own."""
+
+    @pytest.mark.parametrize("model", [
+        _sawtooth(16), _float_twin(_sawtooth(16)),
+        _cantor(4, "rational"), _cantor(4, "float")],
+        ids=["saw_16", "saw_16-float", "cantor_4", "cantor_4-float"])
+    def test_sums_match_pointwise_route(self, model):
+        nullset = shrinking_family((model.a, model.b), count=64).level(9)
+        eps = F(1, 64)
+        if not model.exact:
+            nullset = IntervalSet(Interval(float(c.lo), float(c.hi)) for c in nullset)
+            eps = float(eps)
+        trace = variation_certificate(model, nullset, eps)
+        pf = jordan_decomposition(model).p_function
+        f = model.evaluate
+        assert any(cell.anchors for cell in trace.cells)
+        for cell in trace.cells:
+            p_sum = n_sum = f_sum = F(0) if model.exact else 0.0
+            for cp in cell.cover:
+                for comp in cp.components:
+                    p_sum += pf(comp.hi) - pf(comp.lo)
+                    n_sum += (pf(comp.hi) - f(comp.hi)) - (pf(comp.lo) - f(comp.lo))
+                    f_sum += abs(f(comp.hi) - f(comp.lo))
+            assert _keys([cell.p_sum, cell.n_sum, cell.f_sum]) == \
+                _keys([p_sum, n_sum, f_sum])
+            if cell.anchors:
+                anchored = sum(abs(f(a.beta) - f(a.alpha)) for a in cell.anchors)
+                assert _keys(e.lhs for e in cell.ledger
+                             if e.name == "anchor_swings_vs_mid_cover") == _keys([anchored])
 
 
 # ---------------------------------------------------------------------------
