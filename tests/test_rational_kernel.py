@@ -8,7 +8,7 @@ from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from bvkit._num import FLOAT
 from bvkit.corpus import default_corpus
@@ -67,10 +67,6 @@ def _outcome(route, model, xs):
         return "raised", type(err)
 
 
-def _new(model, xs):
-    return model.evaluate_many(xs)
-
-
 def _points(model):
     """Knots as given, as floats and as the floats next to them; a grid in
     the model's arithmetic and as floats; the integers and -0.0 in the
@@ -87,11 +83,10 @@ def _points(model):
 
 def assert_kernel_matches(model):
     xs = _points(model)
-    assert _outcome(_new, model, xs) == _outcome(old_evaluate_many, model, xs)
-    assert _outcome(_new, model, []) == ("ok", [])
-    for k in (0, 3, 6):  # sub-sampled batches start anywhere
-        sub = xs[k::7]
-        assert _outcome(_new, model, sub) == _outcome(old_evaluate_many, model, sub)
+    # sub-sampled batches start anywhere
+    for batch in [xs, []] + [xs[k::7] for k in (0, 3, 6)]:
+        assert _outcome(FunctionModel.evaluate_many, model, batch) == \
+            _outcome(old_evaluate_many, model, batch)
     for x in xs[::3] + [model.a, model.b]:
         assert _keys([model.evaluate(x)]) == _keys(old_evaluate_many(model, [x]))
 
@@ -110,7 +105,7 @@ def assert_errors_match(model):
         [float(mid), -math.inf], [math.inf], [-math.inf, a],
     ]
     for xs in batches:
-        got = _outcome(_new, model, xs)
+        got = _outcome(FunctionModel.evaluate_many, model, xs)
         assert got[0] == "raised"
         assert got == _outcome(old_evaluate_many, model, xs)
 
