@@ -39,7 +39,7 @@ def as_number(value, arithmetic: str):
     if arithmetic == RATIONAL:
         return frac(value)
     if isinstance(value, str):
-        return float(Fraction(value))
+        return float(frac(value))
     return float(value)
 
 
@@ -112,7 +112,7 @@ def bisect_solve(fn, target, lo, hi, tol: float = 1e-12, max_iter: int = 200):
 def uniform_grid(a, b, n: int, exact: bool):
     """n evenly spaced points from a to b inclusive, in the given arithmetic."""
     if n < 2:
-        raise ValueError("grid needs at least two points")
+        raise SpecFormatError("grid needs at least two points")
     if exact:
         a, b = frac_like(a), frac_like(b)
         step = (b - a) / (n - 1)

@@ -37,7 +37,6 @@ from .model import CONSTANT, FunctionModel, _sorted_unique
 from .variation import (
     jordan_decomposition,
     partition_sum,
-    total_variation,
     validate_partition,
 )
 
@@ -320,12 +319,15 @@ def variation_certificate(model: FunctionModel, N: IntervalSet, epsilon,
     pf = decomposition.p_function
 
     if base_partition is None:
-        partition = total_variation(model, model.b).achieving_partition
+        # the segment knots achieve the variation: their partition sum is
+        # p's own running total, with no second evaluation of F
+        partition = pf.achieving_partition
+        defect = pf.total - pf.prefix[-1]
     else:
         partition = validate_partition(model, base_partition)
         if partition[0] != model.a or partition[-1] != model.b:
             raise SpecFormatError("base partition must span [a, b]")
-    defect = pf.total - partition_sum(model, partition)
+        defect = pf.total - partition_sum(model, partition)
     if not defect < epsilon:
         raise PreconditionError(
             f"partition defect {defect} is not below epsilon {epsilon}")
@@ -420,8 +422,8 @@ def _cell_record(model, decomposition, index, xl, xr, N, epsilon) -> CellRecord:
             band_sums[cp.band] += swing
     q_partition = tuple(_sorted_unique(q_points))
 
-    p_image = image_set(decomposition.p, n_i).measure
-    n_image = image_set(decomposition.n, n_i).measure
+    p_image = image_measure(decomposition.p, n_i)
+    n_image = image_measure(decomposition.n, n_i)
 
     ledger = [
         LedgerEntry("p_image_vs_components", p_image, p_sum, strict=False),

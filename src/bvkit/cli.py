@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
-from ._num import FLOAT, RATIONAL, as_number, sig15
+from ._num import FLOAT, RATIONAL, as_number, frac, sig15
 from .certificate import shift_certificate, variation_certificate
 from .corpus import CorpusConfig, run_corpus
 from .density import ac_modulus, bv_density, density_grid, integrate, \
@@ -119,7 +118,7 @@ def cmd_lusin(args) -> int:
         family = cantor_family(domain)
     else:
         family = shrinking_family(domain, count=args.count)
-    threshold = Fraction(args.threshold)
+    threshold = frac(args.threshold)
     report = lusin_probe(model, family, args.levels, threshold)
     for j, mu, img in report.levels:
         print(f"level {j}: set measure {sig15(mu)}, image measure {sig15(img)}")

@@ -2,7 +2,9 @@
 
 Everything here is exact for finite-segmentation models: the image of an
 interval set is assembled monotone segment by monotone segment, so its
-measure carries no quadrature error.  Null sets are represented by
+measure carries no quadrature error.  On a continuous monotone rational
+model the image measure needs no image set: it is a sum of endpoint
+differences, one per component.  Null sets are represented by
 shrinking families (measure -> 0), and Lusin verdicts are one-sided by
 construction: failure is conclusive, passage holds "at resolution".
 """
@@ -15,7 +17,7 @@ from fractions import Fraction
 from ._num import frac
 from .errors import PreconditionError, SpecFormatError
 from .intervals import Interval, IntervalSet
-from .model import CONSTANT, INCREASING, FunctionModel
+from .model import CONSTANT, DECREASING, INCREASING, FunctionModel
 
 
 def measure(E: IntervalSet):
@@ -59,9 +61,38 @@ def image_set(model: FunctionModel, E: IntervalSet) -> IntervalSet:
     return IntervalSet(pieces)
 
 
+def _sums_endpoints(model: FunctionModel) -> bool:
+    """Whether lambda(F(E)) may be taken as a sum of |F(hi) - F(lo)|.
+
+    That holds for a continuous monotone F: the images of disjoint
+    components overlap in at most one point.  Rational models only, whose
+    segment directions are exact (a float sum drifts from the merged image
+    by ulps), and of those only the ones whose every value is a Fraction,
+    so the sum has the type the merged image set's measure has.
+    """
+    def build():
+        if not (model.continuity_flag and model.fraction_valued):
+            return False
+        directions = {seg.direction for seg in model.monotone_segments()}
+        return not (INCREASING in directions and DECREASING in directions)
+
+    return model.cached("image_endpoint_sums", build)
+
+
 def image_measure(model: FunctionModel, E: IntervalSet):
-    """lambda(F(E)): the image measure of E under the model."""
-    return image_set(model, E).measure
+    """lambda(F(E)): the image measure of E under the model.
+
+    On a rational, continuous model with no decreasing segment (or no
+    increasing one) the image of a component ``[lo, hi]`` is the interval
+    between F(lo) and F(hi), so the measure is the sum of |F(hi) - F(lo)|
+    over the components of E inside the domain, with F taken in one sorted
+    sweep.  Every other model measures :func:`image_set`.
+    """
+    if not _sums_endpoints(model):
+        return image_set(model, E).measure
+    ends = [e for comp in E.clip(model.a, model.b) for e in (comp.lo, comp.hi)]
+    values = model.evaluate_many(ends)
+    return sum(abs(fhi - flo) for flo, fhi in zip(values[::2], values[1::2]))
 
 
 def inflate(E: IntervalSet, slack) -> IntervalSet:

@@ -665,6 +665,17 @@ class FunctionModel:
     def exact(self) -> bool:
         return self.arithmetic == RATIONAL
 
+    @property
+    def fraction_valued(self) -> bool:
+        """True when F(x) is a Fraction at every point: the model has a pair
+        table, no linear piece with int slope and intercept (an int point
+        there gives an int), and no constant piece holding an int."""
+        if self._table is None:
+            return False
+        _, _, coeffs, consts, _ = self._table
+        return (all(co is None or not co[3] for co in coeffs)
+                and all(c is None or type(c) is Fraction for c in consts))
+
     def cached(self, key, build):
         """Internally synchronized memo for derived immutable structures."""
         with self._lock:

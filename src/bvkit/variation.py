@@ -182,6 +182,14 @@ class VariationFunction:
     def total(self):
         return self.prefix[-1]
 
+    @property
+    def achieving_partition(self) -> tuple:
+        """The segment knots, which achieve V_a^b: the partition
+        ``total_variation(model).achieving_partition`` returns, led by the
+        model's own ``a`` as that one is (a float Cantor twin's first knot
+        is its expansion's ``Fraction(0)``, its ``a`` the float ``0.0``)."""
+        return (self.model.a, *self.knots[1:])
+
     def as_model(self) -> FunctionModel:
         """p as a first-class model (non-decreasing by construction)."""
         return self.envelope_models()[0]
@@ -279,8 +287,8 @@ class UniformApprox:
     On the cell [x_{i-1}, x_i] the value is the partition sum of the points
     up to x_{i-1} plus |F(x) - F(x_{i-1})|; the cells paste continuously
     (shared knots are evaluated via the left cell and agree by
-    construction).  The defect p - u lies in [0, epsilon) on the
-    verification grid whenever the base partition is epsilon-achieving.
+    construction).  The defect p - u lies in [0, epsilon) whenever the base
+    partition is epsilon-achieving; on the segment-knot partition it is 0.
     """
 
     def __init__(self, model: FunctionModel, epsilon, base_partition,
@@ -310,10 +318,12 @@ def uniform_approx(model: FunctionModel, epsilon, base_partition=None,
     """Approximant u on a partition P with V_a^b(F) - |F(P)| < epsilon.
 
     Default P is the segment-knot partition, which achieves the supremum
-    exactly for finite segmentations (one P serves every epsilon).  A
-    custom epsilon-achieving partition may be supplied; validity is
-    checked.  The bracket 0 <= p - u < epsilon is asserted on the
-    verification grid before returning.
+    exactly for finite segmentations (one P serves every epsilon).  Then u
+    is p itself: its partition, values and running sums are p's own tables,
+    so p - u vanishes at every x; verification checks that the tables
+    agree.  A custom epsilon-achieving partition may be supplied; validity
+    is checked, and the bracket 0 <= p - u < epsilon is asserted on the
+    verification grid.  ``verify_points=0`` skips verification.
     """
     if epsilon <= 0:
         raise SpecFormatError("epsilon must be positive")
@@ -321,26 +331,36 @@ def uniform_approx(model: FunctionModel, epsilon, base_partition=None,
         raise PreconditionError("uniform approximation requires continuity")
     pf = variation_function(model)
     if base_partition is None:
-        estimate = total_variation(model, model.b)
-        base = estimate.achieving_partition
+        # copies, so a caller editing u's tables cannot reach the cached p
+        base = pf.achieving_partition
+        base_values = list(pf.values)
+        prefix = list(pf.prefix)
     else:
         base = validate_partition(model, base_partition)
         if base[0] != model.a or base[-1] != model.b:
             raise SpecFormatError("base partition must span [a, b]")
-    base_values = model.evaluate_many(base)
-    prefix = _swing_prefix(model, base_values)
+        base_values = model.evaluate_many(base)
+        prefix = _swing_prefix(model, base_values)
     defect = pf.total - prefix[-1]
     if not defect < epsilon:
         raise PreconditionError(
             f"partition misses the variation by {defect}, not below {epsilon}")
     approx = UniformApprox(model, epsilon, base, prefix, base_values, pf)
-    if verify_points:
-        grid = model.verification_grid(verify_points)
-        grace = 0 if model.exact else 10 * model.tol
-        for x, fx in zip(grid, model.evaluate_many(grid)):
-            # approx.gap(x), with F evaluated once over the sorted grid
-            g = pf.at(x, fx) - _cell_value(base, prefix, base_values, x, fx)
-            if g < -grace or not g < epsilon:
-                raise PreconditionError(
-                    f"approximant defect {g} at {x} escapes [0, {epsilon})")
+    if not verify_points:
+        return approx
+    if base_partition is None:
+        # p and u both evaluate _cell_value, so equal tables give p - u = 0
+        # at every x, not only on a grid
+        if not (list(base) == pf.knots and base_values == list(pf.values)
+                and prefix == pf.prefix):
+            raise PreconditionError("approximant tables differ from p's")
+        return approx
+    grid = model.verification_grid(verify_points)
+    grace = 0 if model.exact else 10 * model.tol
+    for x, fx in zip(grid, model.evaluate_many(grid)):
+        # approx.gap(x), with F evaluated once over the sorted grid
+        g = pf.at(x, fx) - _cell_value(base, prefix, base_values, x, fx)
+        if g < -grace or not g < epsilon:
+            raise PreconditionError(
+                f"approximant defect {g} at {x} escapes [0, {epsilon})")
     return approx

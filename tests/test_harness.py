@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from bvkit._num import uniform_grid
+from bvkit._num import FLOAT, as_number, uniform_grid
 from bvkit.cli import main
 from bvkit.corpus import (
     CorpusConfig,
@@ -305,6 +305,35 @@ class TestCLI:
         spec.write_text(json.dumps(model_to_dict(zigzag)))
         assert main(["--arithmetic", "float", "variation", str(spec)]) == 0
         assert "4" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["--arithmetic", "float", "ac", "{spec}", "--deltas", "abc"],
+        ["--arithmetic", "float", "variation", "{spec}", "--at", "abc"],
+        ["--arithmetic", "float", "certify", "{spec}", "--nullset", "{nullset}",
+         "--eps", "abc"],
+        ["--arithmetic", "float", "recover", "{spec}", "--h", "1/0"],
+        ["--arithmetic", "float", "variation", "{bad_spec}"],
+        ["lusin", "{spec}", "--threshold", "abc"],
+        ["decompose", "{spec}", "--emit", "{out}/p.csv", "{out}/n.csv",
+         "--grid", "1"],
+        ["recover", "{spec}", "--grid", "0"],
+    ], ids=["float-deltas", "float-at", "float-eps", "float-h", "float-spec",
+            "threshold", "decompose-grid", "recover-grid"])
+    def test_malformed_input_is_an_error(self, argv, zigzag_spec, nullset_file,
+                                         tmp_path, capsys):
+        bad = json.loads((tmp_path / "zigzag.json").read_text())
+        bad["pieces"][0]["params"]["slope"] = "abc"
+        bad_spec = tmp_path / "bad.json"
+        bad_spec.write_text(json.dumps(bad))
+        argv = [a.format(spec=zigzag_spec, nullset=nullset_file,
+                         bad_spec=bad_spec, out=tmp_path) for a in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_float_numbers_parse_as_before(self):
+        for text in ("1/3", "0.1", "1e-3", " -7/8 ", "2"):
+            assert as_number(text, FLOAT).hex() == float(Fraction(text)).hex()
 
 
 class TestPackageSurface:

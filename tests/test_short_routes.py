@@ -1,0 +1,292 @@
+"""The exact short routes, each compared with the long route it replaced,
+kept here as the oracle: ``==`` with the same type in rational mode, and
+bit-equal floats in float mode.
+
+* Image measures of continuous monotone rational models are sums of
+  ``|F(hi) - F(lo)|`` over the components; the oracle measures the merged
+  image set.
+* With the default partition, the approximant u takes p's own tables; the
+  oracle builds them from ``total_variation`` and a second evaluation, and
+  walks the verification grid.
+* With the default partition, ``variation_certificate`` takes the
+  partition and its defect from p; the oracle calls ``total_variation`` and
+  ``partition_sum``.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+
+import bvkit.measure as measure_mod
+from bvkit.certificate import variation_certificate
+from bvkit.corpus import default_corpus
+from bvkit.errors import PreconditionError
+from bvkit.intervals import Interval, IntervalSet
+from bvkit.measure import cantor_family, image_measure, image_set, shrinking_family
+from bvkit.model import ConstantPiece, FunctionModel, LinearPiece, piecewise_linear
+from bvkit.variation import (
+    VariationFunction,
+    jordan_decomposition,
+    partition_sum,
+    total_variation,
+    uniform_approx,
+    variation_function,
+)
+
+from test_evaluation_routes import (
+    CANTOR_IDS,
+    CANTOR_MODELS,
+    CONTINUOUS,
+    _key,
+    _keys,
+)
+from test_variation import _cantor, _float_twin, rise_fall_plateau
+
+F = Fraction
+
+
+# ---------------------------------------------------------------------------
+# image measures
+# ---------------------------------------------------------------------------
+
+
+def old_image_measure(model, E):
+    return image_set(model, E).measure
+
+
+def _monotone(model) -> bool:
+    directions = {seg.direction for seg in model.monotone_segments()}
+    return not {"increasing", "decreasing"} <= directions
+
+
+def _companions(model):
+    """The model, its Jordan parts and the ``+ x`` companions of the
+    non-decreasing ones."""
+    jordan = jordan_decomposition(model)
+    out = [model, jordan.p, jordan.n]
+    out += [m.shift_add_identity() for m in list(out) if m.is_nondecreasing()]
+    return out
+
+
+def _monotone_rational_models():
+    models, ids = [], []
+    for entry in default_corpus():
+        if entry.model.exact and entry.model.continuity_flag:
+            for model in _companions(entry.model):
+                if _monotone(model):
+                    models.append(model)
+                    ids.append(model.name)
+    for level in range(10):
+        if f"cantor_{level}" not in ids:
+            models.append(_cantor(level, "rational"))
+            ids.append(f"cantor_{level}")
+    return models, ids
+
+
+MONOTONE, MONOTONE_IDS = _monotone_rational_models()
+
+
+def _random_set(rng, a, b, count):
+    """Components with open or closed ends and some points, spilling up to
+    a quarter width past either end of [a, b]."""
+    width = b - a
+    out = []
+    for _ in range(count):
+        lo = a - width / 4 + F(rng.randrange(0, 1536), 1024) * width
+        if rng.random() < 0.2:
+            out.append(Interval(lo, lo))
+            continue
+        hi = lo + F(rng.randrange(1, 97), 1024) * width
+        out.append(Interval(lo, hi, rng.random() < 0.5, rng.random() < 0.5))
+    return IntervalSet(out)
+
+
+def _sets(model):
+    a, b = model.a, model.b
+    cantor, shrinking = cantor_family((a, b)), shrinking_family((a, b), count=3)
+    rng = random.Random(7)
+    width = b - a
+    sets = [IntervalSet.empty(),
+            IntervalSet.closed(a - width / 2, b + width / 2),
+            IntervalSet.open(a, b),
+            IntervalSet.point(a),
+            IntervalSet.point(b)]
+    sets += [cantor.level(j) for j in range(1, 6)]
+    sets += [shrinking.level(j) for j in range(1, 5)]
+    sets += [_random_set(rng, a, b, count) for count in (1, 2, 5, 17, 40)]
+    return sets
+
+
+def assert_image_measures_match(model):
+    for E in _sets(model):
+        assert _key(image_measure(model, E)) == _key(old_image_measure(model, E)), E
+
+
+class _CountImageSets:
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        real = measure_mod.image_set
+
+        def counting(model, E):
+            self.calls += 1
+            return real(model, E)
+
+        monkeypatch.setattr(measure_mod, "image_set", counting)
+
+
+class TestImageMeasure:
+    """``image_measure`` agrees with the measure of the merged image set."""
+
+    @pytest.mark.parametrize("model", MONOTONE, ids=MONOTONE_IDS)
+    def test_monotone_rational_models(self, model):
+        assert model.exact and _monotone(model)
+        assert_image_measures_match(model)
+
+    @pytest.mark.parametrize("model", [m for m, _ in CONTINUOUS],
+                             ids=[i for _, i in CONTINUOUS])
+    def test_corpus_and_float_twins(self, model):
+        assert_image_measures_match(model)
+
+    @given(rise_fall_plateau())
+    @settings(max_examples=40, deadline=None)
+    def test_random_jordan_parts(self, knots):
+        model = piecewise_linear(knots)
+        jordan = jordan_decomposition(model)
+        for part in (model, jordan.p, jordan.n, jordan.p.shift_add_identity()):
+            assert_image_measures_match(part)
+
+    @pytest.mark.parametrize("model", MONOTONE, ids=MONOTONE_IDS)
+    def test_monotone_rational_models_take_the_sum(self, model, monkeypatch):
+        counter = _CountImageSets(monkeypatch)
+        for E in _sets(model):
+            image_measure(model, E)
+        assert counter.calls == 0
+
+    @pytest.mark.parametrize("model", [_float_twin(m) for m in MONOTONE[:12]]
+                             + [_cantor(6, "float")],
+                             ids=[f"{i}-float" for i in MONOTONE_IDS[:12]]
+                             + ["cantor_6-float"])
+    def test_float_models_measure_the_image_set(self, model, monkeypatch):
+        assert _monotone(model)
+        counter = _CountImageSets(monkeypatch)
+        sets = _sets(model)
+        for E in sets:
+            image_measure(model, E)
+        assert counter.calls == len(sets)
+
+    @pytest.mark.parametrize("model", [m for m, _ in CONTINUOUS if not _monotone(m)],
+                             ids=[i for m, i in CONTINUOUS if not _monotone(m)])
+    def test_non_monotone_models_measure_the_image_set(self, model, monkeypatch):
+        counter = _CountImageSets(monkeypatch)
+        sets = _sets(model)
+        for E in sets:
+            image_measure(model, E)
+        assert counter.calls == len(sets)
+
+    def test_int_valued_model_keeps_the_merged_type(self):
+        # two components whose images touch at the Fraction 1/2 between
+        # int ends: the merged image [0, 1] has the int length 1, while a
+        # sum of the two halves would be Fraction(1)
+        model = FunctionModel([LinearPiece(0, F(1, 2), 1, 0),
+                               ConstantPiece(F(1, 2), F(3, 4), F(1, 2)),
+                               LinearPiece(F(3, 4), 1, 2, -1)])
+        assert model.exact and not model.fraction_valued
+        E = IntervalSet([Interval(0, F(5, 8)), Interval(F(11, 16), 1)])
+        assert _key(image_measure(model, E)) == _key(old_image_measure(model, E)) \
+            == (int, 1)
+
+    def test_discontinuous_model_is_refused(self):
+        step = FunctionModel([LinearPiece(F(0), F(1), F(1), F(0)),
+                              LinearPiece(F(1), F(2), F(1), F(1))])
+        assert step.exact and not step.continuity_flag
+        with pytest.raises(PreconditionError, match="continuous"):
+            image_measure(step, IntervalSet.closed(F(0), F(2)))
+
+
+# ---------------------------------------------------------------------------
+# the default approximant
+# ---------------------------------------------------------------------------
+
+
+def old_default_tables(model):
+    """u's partition, values and running sums as the grid-walk route built
+    them: the achieving partition of ``total_variation``, F evaluated on
+    it again, and the running swing sums."""
+    base = total_variation(model, model.b).achieving_partition
+    values = model.evaluate_many(base)
+    prefix = [F(0) if model.exact else 0.0]
+    for v0, v1 in zip(values, values[1:]):
+        prefix.append(prefix[-1] + abs(v1 - v0))
+    return base, values, prefix
+
+
+def old_grid_gaps(model, approx, verify_points=1024):
+    """p - u on the verification grid, as the grid walk computed it."""
+    grid = model.verification_grid(verify_points)
+    return [approx.p_function.at(x, fx) - approx.evaluate(x)
+            for x, fx in zip(grid, model.evaluate_many(grid))]
+
+
+APPROX_MODELS = [m for m, _ in CONTINUOUS] + CANTOR_MODELS
+APPROX_IDS = [i for _, i in CONTINUOUS] + CANTOR_IDS
+
+
+def _eps(model):
+    return F(1, 100) if model.exact else 0.01
+
+
+class TestDefaultApproximant:
+    """With no base partition, u's tables are p's, as the old route built them."""
+
+    @pytest.mark.parametrize("model", APPROX_MODELS, ids=APPROX_IDS)
+    def test_tables_match_the_old_route(self, model):
+        approx = uniform_approx(model, _eps(model))
+        base, values, prefix = old_default_tables(model)
+        assert type(approx.base_partition) is type(base) is tuple
+        assert type(approx.base_values) is type(values) is list
+        assert type(approx.prefix) is type(prefix) is list
+        assert _keys(approx.base_partition) == _keys(base)
+        assert _keys(approx.base_values) == _keys(values)
+        assert _keys(approx.prefix) == _keys(prefix)
+
+    @pytest.mark.parametrize("model", APPROX_MODELS, ids=APPROX_IDS)
+    def test_old_grid_walk_finds_no_gap(self, model):
+        approx = uniform_approx(model, _eps(model))
+        assert all(g == 0 for g in old_grid_gaps(model, approx))
+
+    def test_tables_are_copies(self, zigzag):
+        approx = uniform_approx(zigzag, F(1, 100))
+        pf = variation_function(zigzag)
+        approx.prefix[-1] += 1
+        approx.base_values[0] -= 1
+        assert pf.prefix[-1] == 4 and pf.values[0] == 0
+
+    def test_differing_tables_are_refused(self, monkeypatch):
+        model = piecewise_linear([(0, 0), (1, 1), (2, 0)])
+        monkeypatch.setattr(VariationFunction, "achieving_partition",
+                            property(lambda pf: (pf.model.a, pf.model.b)))
+        with pytest.raises(PreconditionError, match="tables differ"):
+            uniform_approx(model, F(1, 100))
+        assert uniform_approx(model, F(1, 100), verify_points=0).base_partition \
+            == (0, 2)
+
+
+# ---------------------------------------------------------------------------
+# the default certificate partition
+# ---------------------------------------------------------------------------
+
+
+class TestDefaultCertificatePartition:
+    """With no base partition, the certificate's partition and defect are
+    those of ``total_variation`` and ``partition_sum``."""
+
+    @pytest.mark.parametrize("model", APPROX_MODELS, ids=APPROX_IDS)
+    def test_partition_and_defect_match_the_old_route(self, model):
+        trace = variation_certificate(model, IntervalSet.empty(), _eps(model))
+        partition = total_variation(model, model.b).achieving_partition
+        defect = variation_function(model).total - partition_sum(model, partition)
+        assert type(trace.base_partition) is tuple
+        assert _keys(trace.base_partition) == _keys(partition)
+        assert _key(trace.partition_defect) == _key(defect)
