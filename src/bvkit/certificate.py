@@ -78,10 +78,6 @@ def _check(entries, grace, context) -> None:
             )
 
 
-def _grace(model: FunctionModel):
-    return 0 if model.exact else 10 * model.tol
-
-
 # ---------------------------------------------------------------------------
 # shift certificate (non-decreasing F, G = F + x)
 # ---------------------------------------------------------------------------
@@ -214,7 +210,7 @@ def shift_certificate(model: FunctionModel, N: IntervalSet, epsilon,
         images=images, g_n1_measure=g_n1, g_n2_measure=g_n2,
         shift_bound=bound, ledger=tuple(ledger),
     )
-    _check(trace.ledger, _grace(model), "shift certificate")
+    _check(trace.ledger, model.grace, "shift certificate")
     return trace
 
 
@@ -336,7 +332,7 @@ def variation_certificate(model: FunctionModel, N: IntervalSet, epsilon,
     cells = []
     for i, (xl, xr) in enumerate(zip(partition, partition[1:])):
         cells.append(_cell_record(model, decomposition, i, xl, xr, N, epsilon))
-    zero = Fraction(0) if model.exact else 0.0
+    zero = model.zero
     trace = CertificateTrace(
         epsilon=epsilon,
         base_partition=partition,
@@ -345,7 +341,7 @@ def variation_certificate(model: FunctionModel, N: IntervalSet, epsilon,
         max_p_sum=max((c.p_sum for c in cells), default=zero),
         max_n_sum=max((c.n_sum for c in cells), default=zero),
     )
-    base_grace = _grace(model)
+    base_grace = model.grace
     for cell in trace.cells:
         # sums over many bisected endpoints accumulate one ulp-scale error
         # per term; scale the non-strict grace accordingly
@@ -366,7 +362,7 @@ def _cell_record(model, decomposition, index, xl, xr, N, epsilon) -> CellRecord:
     f_lo, f_hi = model.evaluate_many((xl, xr))
     flat = _values_equal(model, f_lo, f_hi)
     case = FLAT_CELL if flat else ORDERED_CELL
-    zero = Fraction(0) if model.exact else 0.0
+    zero = model.zero
     n_i = N.clip(xl, xr)
 
     if n_i.is_empty:
@@ -612,7 +608,7 @@ def lusin_propagation_check(model: FunctionModel, family: NullSetFamily,
                 chosen = (j, nj, img)
                 break
         if chosen is None:
-            zero = Fraction(0) if model.exact else 0.0
+            zero = model.zero
             rows.append(PropagationRow(eps, None, zero, zero, zero, zero,
                                        False, False))
             continue

@@ -100,7 +100,7 @@ def cmd_variation(args) -> int:
 
 def cmd_decompose(args) -> int:
     model = load_model(args.spec, args.arithmetic)
-    decomposition = jordan_decomposition(model, args.tol)
+    decomposition = jordan_decomposition(model)
     grid = model.verification_grid(args.grid)
     for path, part in zip(args.emit, (decomposition.p, decomposition.n)):
         with open(path, "w", encoding="utf-8") as fh:

@@ -165,8 +165,6 @@ class EquivalenceRow:
 @dataclass(frozen=True)
 class CorpusConfig:
     grid_points: int = 1024
-    lusin_threshold: object = Fraction(1, 2)
-    variation_tol: float = 1e-9
 
 
 @dataclass
@@ -218,15 +216,14 @@ def run_entry(entry: CorpusEntry, config: CorpusConfig) -> EquivalenceRow:
     measured["continuous"] = bool(model.continuity_flag)
 
     try:
-        estimate = total_variation(model, tol=config.variation_tol)
+        estimate = total_variation(model)
         measured["bv"] = bool(estimate.converged)
         variation = estimate.lower
     except BVKitError:
         measured["bv"] = False
         variation = None
 
-    lusin = lusin_probe(model, entry.lusin_family, entry.lusin_levels,
-                        config.lusin_threshold)
+    lusin = lusin_probe(model, entry.lusin_family, entry.lusin_levels)
     measured["lusin"] = lusin.verdict == PASSES
 
     modulus = ac_modulus(model, entry.ac_deltas)

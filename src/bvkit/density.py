@@ -22,7 +22,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._num import uniform_grid
 from .errors import PreconditionError, SpecFormatError
 from .intervals import Interval, IntervalSet
 from .model import (
@@ -39,21 +38,17 @@ BV_DIFFERENCE = "bv_difference"
 
 
 def density_grid(model: FunctionModel, n: int = 4096, h=None):
-    """Default recovery grid: n uniform points, every knot, and each point
-    one window before a knot (so windowed quotients stay piecewise smooth
-    between grid points)."""
-    pts = uniform_grid(model.a, model.b, n, model.exact)
-    spacing = (model.b - model.a) / (n - 1)
+    """Default recovery grid: ``model.verification_grid(n)`` (n uniform
+    points and every knot) plus each point one window before a knot (so
+    windowed quotients stay piecewise smooth between grid points)."""
+    pts = model.verification_grid(n)  # raises on n < 2 before h divides
     if h is None:
-        h = spacing / 4
+        h = (model.b - model.a) / (n - 1) / 4
     if not model.exact:
         h = float(h)
-    knots = model.knots()
-    pts.extend(knots)
-    pts.extend(k - h for k in knots if k - h > model.a)
-    if not model.exact:
-        pts = [float(x) for x in pts]
-    grid = [x for x in _sorted_unique(pts) if model.a <= x <= model.b]
+    # a float h makes every k - h a float, whatever the knot's type
+    before = [k - h for k in model.knots() if k - h > model.a]
+    grid = [x for x in _sorted_unique(pts + before) if model.a <= x <= model.b]
     return grid, h
 
 
@@ -91,8 +86,9 @@ def monotone_density(model: FunctionModel, grid=None, h=None) -> DensityGrid:
     """Difference quotient of the induced measure: at x the value is
     nu([x, x+h]) / h with nu(E) = lambda(F(E)) = F(x+h) - F(x), as the
     model is checked continuous and non-decreasing; the window clips at b
-    and the last point looks left.  A float model may fall by up to 10*tol
-    (the ``is_nondecreasing`` grace), so a value may dip below 0 by that."""
+    and the last point looks left.  A float model may fall by up to its
+    ``grace`` (as ``is_nondecreasing`` allows), so a value may dip below 0
+    by that."""
     _require_nondecreasing(model, "monotone density recovery")
     if grid is None:
         grid, h = density_grid(model, h=h)
@@ -135,12 +131,12 @@ def shifted_monotone_density(model: FunctionModel, grid=None, h=None) -> Density
     return DensityGrid(tuple(grid), values, h, SHIFTED)
 
 
-def bv_density(model: FunctionModel, grid=None, h=None, tol=1e-9) -> DensityGrid:
+def bv_density(model: FunctionModel, grid=None, h=None) -> DensityGrid:
     """Density of a continuous BV model as the difference of the recovered
     densities of p and n from its Jordan decomposition."""
     if not model.continuity_flag:
         raise PreconditionError("density recovery requires a continuous model")
-    decomposition = jordan_decomposition(model, tol)
+    decomposition = jordan_decomposition(model)
     if grid is None:
         grid, h = density_grid(model, h=h)
     rising = shifted_monotone_density(decomposition.p, grid, h)
@@ -260,7 +256,7 @@ def ac_modulus(model: FunctionModel, deltas) -> ModulusReport:
     if not schedule or not schedule[0] > 0:
         raise SpecFormatError("deltas must be positive")
     items = _greedy_items(model)
-    zero = Fraction(0) if model.exact else 0.0
+    zero = model.zero
     samples = []
     for delta in schedule:
         remaining = delta

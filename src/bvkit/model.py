@@ -601,6 +601,10 @@ class FunctionModel:
         self.pieces = pieces
         self.arithmetic = arithmetic
         self.tol = tol
+        # the mode's zero, and how far a float comparison may miss (bisected
+        # segment boundaries and re-summed swings leave ulp-scale slivers)
+        self.zero = Fraction(0) if arithmetic == RATIONAL else 0.0
+        self.grace = 0 if arithmetic == RATIONAL else 10 * tol
         self.name = name
         self.a = pieces[0].lo
         self.b = pieces[-1].hi
@@ -813,8 +817,8 @@ class FunctionModel:
 
     def is_nondecreasing(self) -> bool:
         """True when no segment genuinely falls; float models forgive drops
-        within 10*tol (bisected segment boundaries leave ulp-scale slivers)."""
-        grace = 0 if self.exact else 10 * self.tol
+        within ``grace`` (bisected segment boundaries leave ulp-scale slivers)."""
+        grace = self.grace
         segmentation = self.monotone_segments()
         values = segmentation.values
         return all(s.direction != DECREASING or v_lo - v_hi <= grace
@@ -835,7 +839,7 @@ class FunctionModel:
             if not shifted.continuity_flag:
                 raise PreconditionError("shift of a continuous model lost continuity")
             # strict increase across every resolvable gap of the segmentation
-            grace = 0 if self.exact else 10 * self.tol
+            grace = self.grace
             segmentation = shifted.monotone_segments()
             knots, values = segmentation.knots(), segmentation.values
             for k0, k1, v0, v1 in zip(knots, knots[1:], values, values[1:]):
@@ -937,14 +941,15 @@ class FunctionModel:
             # pieces may round a shared knot apart, so y can miss every
             # range by an ulp: a y inside the gap two pieces leave at their
             # junction is attained there; otherwise snap to an endpoint
-            # within 10*tol
+            # within the grace
+            grace = self.grace
             pieces = self._expanded[max(lo_i, 0):hi_i + 1]
             for left, right in zip(pieces, pieces[1:]):
                 u, v = sorted((left.value(right.lo), right.value(right.lo)))
-                if u <= y <= v and v - u <= 10 * self.tol:
+                if u <= y <= v and v - u <= grace:
                     return right.lo
             gap, x = min((abs(self.evaluate(x) - y), x) for x in (seg.lo, seg.hi))
-            if gap <= 10 * self.tol:
+            if gap <= grace:
                 return x
         raise PreconditionError(
             f"value {y} not attained on segment [{seg.lo}, {seg.hi}]")

@@ -32,41 +32,49 @@ from .model import (
 
 _PIECE_KINDS = ("linear", "constant", "polynomial", "cantor_iterate", "x_sin_family")
 
+# what reading a field of a document that is not the expected shape raises:
+# a missing key, a wrong container or scalar type, an unparsable value
+_MALFORMED = (KeyError, TypeError, ValueError, AttributeError)
+
 
 def model_from_dict(doc: dict) -> FunctionModel:
+    """Build a model from a spec document; a document whose fields cannot
+    be read raises :class:`SpecFormatError`."""
     try:
         arithmetic = doc.get("arithmetic", RATIONAL)
         tol = float(doc.get("tol", DEFAULT_FLOAT_TOL))
         raw_pieces = doc["pieces"]
-        domain = doc.get("domain")
-    except (KeyError, TypeError) as exc:
-        raise SpecFormatError(f"malformed function spec: {exc}") from exc
+        name = doc.get("name")
+    except _MALFORMED as exc:
+        raise SpecFormatError(f"malformed function spec: {exc!r}") from exc
     if arithmetic not in (RATIONAL, FLOAT):
         raise SpecFormatError(f"unknown arithmetic {arithmetic!r}")
-    pieces = []
-    for entry in raw_pieces:
-        kind = entry.get("kind")
-        if kind not in _PIECE_KINDS:
-            raise SpecFormatError(f"unknown piece kind {kind!r}")
-        lo, hi = (as_number(v, arithmetic) for v in entry["domain"])
-        params = entry.get("params", {})
-        if kind == "linear":
-            pieces.append(LinearPiece(lo, hi,
-                                      as_number(params["slope"], arithmetic),
-                                      as_number(params["intercept"], arithmetic)))
-        elif kind == "constant":
-            pieces.append(ConstantPiece(lo, hi,
-                                        as_number(params["value"], arithmetic)))
-        elif kind == "polynomial":
-            coeffs = [as_number(c, FLOAT if arithmetic == FLOAT else RATIONAL)
-                      for c in params["coefficients"]]
-            pieces.append(PolynomialPiece(lo, hi, coeffs))
-        elif kind == "cantor_iterate":
-            pieces.append(CantorPiece(lo, hi, int(params["level"])))
-        else:
-            pieces.append(XSinPiece(lo, hi, float(params["exponent"])))
-    return FunctionModel(pieces, arithmetic=arithmetic, tol=tol,
-                         name=doc.get("name"))
+    try:
+        fields = [_piece_fields(entry, arithmetic) for entry in raw_pieces]
+    except _MALFORMED as exc:
+        raise SpecFormatError(f"malformed piece: {exc!r}") from exc
+    return FunctionModel([cls(*args) for cls, args in fields],
+                         arithmetic=arithmetic, tol=tol, name=name)
+
+
+def _piece_fields(entry: dict, arithmetic: str) -> tuple:
+    """The piece class and its constructor arguments, read from one entry."""
+    kind = entry.get("kind")
+    if kind not in _PIECE_KINDS:
+        raise SpecFormatError(f"unknown piece kind {kind!r}")
+    lo, hi = (as_number(v, arithmetic) for v in entry["domain"])
+    params = entry.get("params", {})
+    if kind == "linear":
+        return LinearPiece, (lo, hi, as_number(params["slope"], arithmetic),
+                             as_number(params["intercept"], arithmetic))
+    if kind == "constant":
+        return ConstantPiece, (lo, hi, as_number(params["value"], arithmetic))
+    if kind == "polynomial":
+        return PolynomialPiece, (lo, hi, [as_number(c, arithmetic)
+                                          for c in params["coefficients"]])
+    if kind == "cantor_iterate":
+        return CantorPiece, (lo, hi, int(params["level"]))
+    return XSinPiece, (lo, hi, float(params["exponent"]))
 
 
 def model_to_dict(model: FunctionModel) -> dict:
@@ -97,29 +105,33 @@ def _fmt_param(value):
     return fmt_number(value)
 
 
+def _read_json(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    # json.JSONDecodeError and UnicodeDecodeError are ValueErrors
+    except (OSError, ValueError) as exc:
+        raise SpecFormatError(f"cannot read {path}: {exc}") from exc
+
+
 def load_model(path, arithmetic=None) -> FunctionModel:
     """Read a spec file; a non-None ``arithmetic`` overrides the file's mode."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if arithmetic is not None:
+    doc = _read_json(path)
+    if arithmetic is not None and isinstance(doc, dict):
         doc["arithmetic"] = arithmetic
     return model_from_dict(doc)
 
 
 def intervals_from_dict(doc: dict, arithmetic: str = RATIONAL) -> IntervalSet:
     try:
-        comps = doc["components"]
-    except (KeyError, TypeError) as exc:
-        raise SpecFormatError(f"malformed interval set: {exc}") from exc
-    out = []
-    for comp in comps:
-        out.append(Interval(
-            as_number(comp["lo"], arithmetic),
-            as_number(comp["hi"], arithmetic),
-            bool(comp.get("lo_open", False)),
-            bool(comp.get("hi_open", False)),
-        ))
-    return IntervalSet(out)
+        fields = [(as_number(comp["lo"], arithmetic),
+                   as_number(comp["hi"], arithmetic),
+                   bool(comp.get("lo_open", False)),
+                   bool(comp.get("hi_open", False)))
+                  for comp in doc["components"]]
+    except _MALFORMED as exc:
+        raise SpecFormatError(f"malformed interval set: {exc!r}") from exc
+    return IntervalSet(Interval(*args) for args in fields)
 
 
 def intervals_to_dict(E: IntervalSet) -> dict:
@@ -131,8 +143,7 @@ def intervals_to_dict(E: IntervalSet) -> dict:
 
 
 def load_intervals(path, arithmetic: str = RATIONAL) -> IntervalSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        return intervals_from_dict(json.load(fh), arithmetic)
+    return intervals_from_dict(_read_json(path), arithmetic)
 
 
 def dump_json(payload, path) -> None:

@@ -16,9 +16,7 @@ segment would.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from fractions import Fraction
 
 from ._num import locate_cell
 from .errors import (
@@ -34,11 +32,11 @@ from .model import (
     INCREASING,
     FunctionModel,
     make_transformed,
-    _sorted_unique,
 )
 
 DEFAULT_TOL = 1e-9
 REFINEMENT_CAP = 1 << 20
+JORDAN_VERIFY_POINTS = 256
 
 
 def validate_partition(model: FunctionModel, points) -> tuple:
@@ -56,7 +54,7 @@ def validate_partition(model: FunctionModel, points) -> tuple:
 def _swing_prefix(model: FunctionModel, values) -> list:
     """Running sums of |F(x_k) - F(x_{k-1})| over the values F(x_k),
     starting at zero."""
-    prefix = [Fraction(0) if model.exact else 0.0]
+    prefix = [model.zero]
     for v0, v1 in zip(values, values[1:]):
         prefix.append(prefix[-1] + abs(v1 - v0))
     return prefix
@@ -90,30 +88,26 @@ def total_variation(model: FunctionModel, x=None, tol=DEFAULT_TOL,
                     max_points: int = REFINEMENT_CAP) -> VariationEstimate:
     """Variation of the model from a to x (default b).
 
-    Finite segmentation: exact, with the achieving partition being the
-    segment knots clipped to [a, x].  Otherwise: dyadic refinement until a
-    full round gains at most ``tol``; past ``max_points`` an
+    Finite segmentation: exact, read from p's tables as ``p(x)`` with one
+    evaluation of F at x; the achieving partition is ``a``, the segment
+    knots below x, and x.  Otherwise: dyadic refinement until a full round
+    gains at most ``tol``; past ``max_points`` an
     :class:`UnresolvedOscillationError` carries the partial lower bound.
+    ``tol`` tunes only that refinement.
     """
     if x is None:
         x = model.b
     if x < model.a or x > model.b:
         raise SpecFormatError(f"{x} outside [{model.a}, {model.b}]")
     if x == model.a:
-        zero = Fraction(0) if model.exact else 0.0
+        zero = model.zero
         return VariationEstimate(zero, zero, (model.a,), True, ((1, zero),))
     try:
-        segmentation = model.monotone_segments()
+        pf = variation_function(model)
     except InfiniteSegmentationError as err:
         return _refine_variation(model, x, tol, err, max_points)
-    knots = [model.a]
-    for seg in segmentation:
-        if seg.hi < x:
-            knots.append(seg.hi)
-    knots.append(x)
-    pts = tuple(_sorted_unique(knots))
-    value = partition_sum(model, pts) if len(pts) >= 2 else (
-        Fraction(0) if model.exact else 0.0)
+    pts = (model.a, *(k for k in pf.knots[1:] if k < x), x)
+    value = pf.at(x, model.evaluate(x))
     return VariationEstimate(value, value, pts, True, ((len(pts), value),))
 
 
@@ -157,17 +151,18 @@ def _refine_variation(model, x, tol, cause, max_points) -> VariationEstimate:
 
 class VariationFunction:
     """p(x) = V_a^x(F), memoized at segment knots; evaluation is
-    O(log #segments) and exact whenever the model is."""
+    O(log #segments) and exact whenever the model is.
 
-    def __init__(self, model: FunctionModel, tol=DEFAULT_TOL):
+    Its tables (knots, F at the knots, running swing sums) are immutable;
+    one instance per model lives in the model's cache.  p and n as models
+    are the :func:`jordan_decomposition`'s."""
+
+    def __init__(self, model: FunctionModel):
         self.model = model
-        self.tol = tol
         segmentation = model.monotone_segments()  # raises if infinite
         self.knots = segmentation.knots()
         self.values = segmentation.values
         self.prefix = _swing_prefix(model, self.values)
-        self._lock = threading.Lock()
-        self._models = None
 
     def __call__(self, x):
         if x < self.model.a or x > self.model.b:
@@ -189,17 +184,6 @@ class VariationFunction:
         model's own ``a`` as that one is (a float Cantor twin's first knot
         is its expansion's ``Fraction(0)``, its ``a`` the float ``0.0``)."""
         return (self.model.a, *self.knots[1:])
-
-    def as_model(self) -> FunctionModel:
-        """p as a first-class model (non-decreasing by construction)."""
-        return self.envelope_models()[0]
-
-    def envelope_models(self) -> tuple:
-        """(p, n) as models, built together on first use."""
-        with self._lock:
-            if self._models is None:
-                self._models = _monotone_envelope_models(self)
-            return self._models
 
 
 _SIGN = {INCREASING: 1, DECREASING: -1, CONSTANT: 0}
@@ -234,9 +218,8 @@ def _monotone_envelope_models(pf: VariationFunction) -> tuple:
                  for suffix, pieces in (("p", p_pieces), ("n", n_pieces)))
 
 
-def variation_function(model: FunctionModel, tol=DEFAULT_TOL) -> VariationFunction:
-    return model.cached(("variation_function", tol),
-                        lambda: VariationFunction(model, tol))
+def variation_function(model: FunctionModel) -> VariationFunction:
+    return model.cached("variation_function", lambda: VariationFunction(model))
 
 
 @dataclass(frozen=True)
@@ -249,11 +232,13 @@ class Decomposition:
     p_function: VariationFunction
 
 
-def jordan_decomposition(model: FunctionModel, tol=DEFAULT_TOL,
-                         verify_points: int = 256) -> Decomposition:
-    """Build p = V_a^x(F) and n = p - F and verify both are non-decreasing.
+def jordan_decomposition(model: FunctionModel) -> Decomposition:
+    """Build p = V_a^x(F) and n = p - F as models and verify both are
+    non-decreasing on ``model.verification_grid(JORDAN_VERIFY_POINTS)``.
 
-    Raises :class:`NotBVError` when the variation does not resolve and
+    The pair is built once per model, under the model's cache; its
+    ``p_function`` is the cached :func:`variation_function`.  Raises
+    :class:`NotBVError` when the variation does not resolve and
     :class:`PreconditionError` on a discontinuous model.
     """
     if not model.continuity_flag:
@@ -261,15 +246,15 @@ def jordan_decomposition(model: FunctionModel, tol=DEFAULT_TOL,
 
     def build() -> Decomposition:
         try:
-            pf = variation_function(model, tol)
+            pf = variation_function(model)
         except (InfiniteSegmentationError, UnresolvedOscillationError) as err:
             raise NotBVError(f"model is not of resolvable bounded variation: {err}") \
                 from err
-        p_model, n_model = pf.envelope_models()
-        grid = model.verification_grid(verify_points)
+        p_model, n_model = _monotone_envelope_models(pf)
+        grid = model.verification_grid(JORDAN_VERIFY_POINTS)
         p_values = p_model.evaluate_many(grid)
         n_values = n_model.evaluate_many(grid)
-        grace = 0 if model.exact else 10 * model.tol
+        grace = model.grace
         for g0, g1, p0, p1, n0, n1 in zip(grid, grid[1:], p_values, p_values[1:],
                                           n_values, n_values[1:]):
             if p1 - p0 < -grace:
@@ -278,7 +263,7 @@ def jordan_decomposition(model: FunctionModel, tol=DEFAULT_TOL,
                 raise NotBVError(f"n not non-decreasing between {g0} and {g1}")
         return Decomposition(p_model, n_model, model, pf)
 
-    return model.cached(("jordan", tol), build)
+    return model.cached("jordan", build)
 
 
 class UniformApprox:
@@ -356,7 +341,7 @@ def uniform_approx(model: FunctionModel, epsilon, base_partition=None,
             raise PreconditionError("approximant tables differ from p's")
         return approx
     grid = model.verification_grid(verify_points)
-    grace = 0 if model.exact else 10 * model.tol
+    grace = model.grace
     for x, fx in zip(grid, model.evaluate_many(grid)):
         # approx.gap(x), with F evaluated once over the sorted grid
         g = pf.at(x, fx) - _cell_value(base, prefix, base_values, x, fx)

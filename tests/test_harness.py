@@ -30,6 +30,7 @@ from bvkit.specio import (
     model_from_dict,
     model_to_dict,
 )
+from bvkit.variation import total_variation
 
 F = Fraction
 
@@ -306,6 +307,19 @@ class TestCLI:
         assert main(["--arithmetic", "float", "variation", str(spec)]) == 0
         assert "4" in capsys.readouterr().out
 
+    def test_tol_tunes_the_refinement(self, tmp_path, capsys):
+        # x^3 sin(1/x) on [0, 1] has no finite segmentation, so variation
+        # refines until a round gains at most --tol
+        doc = {"arithmetic": "float", "pieces": [
+            {"kind": "x_sin_family", "domain": [0, 1], "params": {"exponent": 3}}]}
+        spec = tmp_path / "xsin3.json"
+        spec.write_text(json.dumps(doc))
+        estimate = total_variation(model_from_dict(doc), tol=1e-3)
+        assert main(["--tol", "1e-3", "variation", str(spec)]) == 0
+        assert capsys.readouterr().out == (
+            f"variation from 0.0 to 1.0: {estimate.lower} (converged=True, "
+            f"partition size {len(estimate.achieving_partition)})\n")
+
     @pytest.mark.parametrize("argv", [
         ["--arithmetic", "float", "ac", "{spec}", "--deltas", "abc"],
         ["--arithmetic", "float", "variation", "{spec}", "--at", "abc"],
@@ -317,16 +331,45 @@ class TestCLI:
         ["decompose", "{spec}", "--emit", "{out}/p.csv", "{out}/n.csv",
          "--grid", "1"],
         ["recover", "{spec}", "--grid", "0"],
+        ["variation", "{bad_tol}"],
+        ["variation", "{truncated}"],
+        ["variation", "{out}/missing.json"],
+        ["variation", "{no_domain}"],
+        ["variation", "{cantor_level}"],
+        ["variation", "{no_slope}"],
+        ["variation", "{string_piece}"],
+        ["certify", "{spec}", "--nullset", "{no_hi}", "--eps", "1/10"],
     ], ids=["float-deltas", "float-at", "float-eps", "float-h", "float-spec",
-            "threshold", "decompose-grid", "recover-grid"])
+            "threshold", "decompose-grid", "recover-grid", "spec-tol",
+            "spec-truncated", "spec-missing", "piece-domain", "cantor-level",
+            "linear-slope", "piece-string", "interval-hi"])
     def test_malformed_input_is_an_error(self, argv, zigzag_spec, nullset_file,
                                          tmp_path, capsys):
-        bad = json.loads((tmp_path / "zigzag.json").read_text())
-        bad["pieces"][0]["params"]["slope"] = "abc"
-        bad_spec = tmp_path / "bad.json"
-        bad_spec.write_text(json.dumps(bad))
-        argv = [a.format(spec=zigzag_spec, nullset=nullset_file,
-                         bad_spec=bad_spec, out=tmp_path) for a in argv]
+        text = (tmp_path / "zigzag.json").read_text()
+
+        def edited(edit):
+            doc = json.loads(text)
+            edit(doc)
+            return json.dumps(doc)
+
+        files = {
+            "bad_spec": edited(lambda d: d["pieces"][0]["params"].update(slope="abc")),
+            "bad_tol": edited(lambda d: d.update(tol="abc")),
+            "truncated": text[:len(text) // 2],
+            "no_domain": edited(lambda d: d["pieces"][0].pop("domain")),
+            "cantor_level": json.dumps({"pieces": [{
+                "kind": "cantor_iterate", "domain": ["0", "1"],
+                "params": {"level": "x"}}]}),
+            "no_slope": edited(lambda d: d["pieces"][0]["params"].pop("slope")),
+            "string_piece": edited(lambda d: d["pieces"].__setitem__(0, "linear")),
+            "no_hi": json.dumps({"components": [{"lo": "0"}]}),
+        }
+        paths = {}
+        for name, body in files.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(body)
+        argv = [a.format(spec=zigzag_spec, nullset=nullset_file, out=tmp_path,
+                         **paths) for a in argv]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -161,6 +161,13 @@ class TestValidation:
         model = FunctionModel([LinearPiece(0, 1, 1, 0), LinearPiece(1, 2, 1, 5)])
         assert not model.continuity_flag
 
+    def test_mode_zero_and_grace(self, zigzag):
+        assert type(zigzag.zero) is Fraction and zigzag.zero == 0
+        assert type(zigzag.grace) is int and zigzag.grace == 0
+        model = FunctionModel([PolynomialPiece(0.0, 1.0, [0, 1])], tol=1e-12)
+        assert type(model.zero) is float and model.zero.hex() == (0.0).hex()
+        assert model.grace == 10 * 1e-12
+
     def test_junction_within_tol_is_continuous(self):
         model = FunctionModel(
             [PolynomialPiece(0.0, 1.0, [0, 1]),

@@ -11,6 +11,11 @@ bit-equal floats in float mode.
 * With the default partition, ``variation_certificate`` takes the
   partition and its defect from p; the oracle calls ``total_variation`` and
   ``partition_sum``.
+* On a finite segmentation, ``total_variation`` reads p(x) from p's
+  tables; the oracle evaluates F again on a, the segment ends below x and
+  x, and sums the swings.
+* ``density_grid`` builds on the verification grid; the oracle builds the
+  uniform grid, knots and window points itself.
 """
 
 import random
@@ -21,11 +26,19 @@ from hypothesis import given, settings
 
 import bvkit.measure as measure_mod
 from bvkit.certificate import variation_certificate
+from bvkit._num import uniform_grid
 from bvkit.corpus import default_corpus
-from bvkit.errors import PreconditionError
+from bvkit.density import density_grid
+from bvkit.errors import InfiniteSegmentationError, PreconditionError
 from bvkit.intervals import Interval, IntervalSet
 from bvkit.measure import cantor_family, image_measure, image_set, shrinking_family
-from bvkit.model import ConstantPiece, FunctionModel, LinearPiece, piecewise_linear
+from bvkit.model import (
+    ConstantPiece,
+    FunctionModel,
+    LinearPiece,
+    _sorted_unique,
+    piecewise_linear,
+)
 from bvkit.variation import (
     VariationFunction,
     jordan_decomposition,
@@ -39,6 +52,8 @@ from test_evaluation_routes import (
     CANTOR_IDS,
     CANTOR_MODELS,
     CONTINUOUS,
+    CORPUS_IDS,
+    CORPUS_MODELS,
     _key,
     _keys,
 )
@@ -290,3 +305,100 @@ class TestDefaultCertificatePartition:
         assert type(trace.base_partition) is tuple
         assert _keys(trace.base_partition) == _keys(partition)
         assert _key(trace.partition_defect) == _key(defect)
+
+
+# ---------------------------------------------------------------------------
+# V(x) from p's tables
+# ---------------------------------------------------------------------------
+
+
+def old_total_variation(model, x):
+    """V_a^x(F) and its partition as the partition-sum route built them:
+    a, the segment ends below x and x, with F evaluated on them again."""
+    knots = [model.a] + [seg.hi for seg in model.monotone_segments() if seg.hi < x]
+    pts = tuple(_sorted_unique(knots + [x]))
+    return partition_sum(model, pts), pts
+
+
+def _finite(model) -> bool:
+    try:
+        model.monotone_segments()
+    except InfiniteSegmentationError:
+        return False
+    return True
+
+
+VARIATION_MODELS = [m for m in CORPUS_MODELS + CANTOR_MODELS if _finite(m)]
+VARIATION_IDS = [i for m, i in zip(CORPUS_MODELS + CANTOR_MODELS,
+                                   CORPUS_IDS + CANTOR_IDS) if _finite(m)]
+
+
+class TestVariationFromTables:
+    """``total_variation`` on a finite segmentation gives the old route's
+    value, partition and trace, by type and value.  The oracle costs
+    O(knots) per point, so past 128 knots every k-th knot is taken, with
+    k = #knots // 128."""
+
+    @pytest.mark.parametrize("model", VARIATION_MODELS, ids=VARIATION_IDS)
+    def test_knots_and_grid_match_the_old_route(self, model):
+        knots = model.monotone_segments().knots()
+        grid = uniform_grid(model.a, model.b, 33, model.exact)
+        for x in knots[1::max(1, len(knots) // 128)] + [knots[-1]] + grid[1:]:
+            est = total_variation(model, x)
+            value, pts = old_total_variation(model, x)
+            assert _key(est.lower) == _key(est.upper) == _key(value), x
+            assert type(est.achieving_partition) is tuple
+            assert _keys(est.achieving_partition) == _keys(pts), x
+            assert est.refinement_trace == ((len(pts), value),)
+
+    def test_f_is_evaluated_once(self, monkeypatch):
+        model = _cantor(6, "rational")
+        variation_function(model)
+        calls = []
+        real = FunctionModel.evaluate_many
+        monkeypatch.setattr(FunctionModel, "evaluate_many",
+                            lambda m, xs: calls.append(len(xs)) or real(m, xs))
+        total_variation(model, F(1, 3))
+        assert calls == [1]
+
+
+# ---------------------------------------------------------------------------
+# the density grid
+# ---------------------------------------------------------------------------
+
+
+def old_density_grid(model, n, h=None):
+    """The recovery grid as it was built before it reused the
+    verification grid."""
+    pts = uniform_grid(model.a, model.b, n, model.exact)
+    spacing = (model.b - model.a) / (n - 1)
+    if h is None:
+        h = spacing / 4
+    if not model.exact:
+        h = float(h)
+    knots = model.knots()
+    pts.extend(knots)
+    pts.extend(k - h for k in knots if k - h > model.a)
+    if not model.exact:
+        pts = [float(x) for x in pts]
+    grid = [x for x in _sorted_unique(pts) if model.a <= x <= model.b]
+    return grid, h
+
+
+class TestDensityGrid:
+    """``density_grid`` gives the old recipe's points and window."""
+
+    @pytest.mark.parametrize("model", CORPUS_MODELS + CANTOR_MODELS,
+                             ids=CORPUS_IDS + CANTOR_IDS)
+    def test_matches_the_old_recipe(self, model):
+        for n in (192, 512, 1024, 4096):
+            grid, h = density_grid(model, n)
+            want_grid, want_h = old_density_grid(model, n)
+            assert _key(h) == _key(want_h)
+            assert _keys(grid) == _keys(want_grid)
+
+    def test_explicit_window(self, zigzag):
+        for h in (F(1, 7), F(1, 3)):
+            grid, got_h = density_grid(zigzag, 64, h)
+            assert got_h is h
+            assert _keys(grid) == _keys(old_density_grid(zigzag, 64, h)[0])

@@ -164,9 +164,9 @@ class TestVariationFunction:
             x = F(num, 9)
             assert p(x) == total_variation(cantor2, x).lower
 
-    def test_as_model_agrees(self, zigzag):
+    def test_p_model_agrees(self, zigzag):
         p = variation_function(zigzag)
-        pm = p.as_model()
+        pm = jordan_decomposition(zigzag).p
         for x in zigzag.verification_grid(128):
             assert pm.evaluate(x) == p(x)
 
@@ -308,10 +308,10 @@ def _piece_keys(pieces):
 
 
 def assert_envelope_matches_oracle(model):
-    p_model, n_model = variation_function(model).envelope_models()
+    dec = jordan_decomposition(model)
     p_want, n_want = envelope_oracle(model)
-    assert _piece_keys(p_model.pieces) == _piece_keys(p_want)
-    assert _piece_keys(n_model.pieces) == _piece_keys(n_want)
+    assert _piece_keys(dec.p.pieces) == _piece_keys(p_want)
+    assert _piece_keys(dec.n.pieces) == _piece_keys(n_want)
 
 
 def _float_twin(model):
@@ -382,6 +382,5 @@ class TestEnvelopeWalk:
 
     def test_jordan_reuses_the_cached_pair(self, zigzag):
         dec = jordan_decomposition(zigzag)
-        p_model, n_model = dec.p_function.envelope_models()
-        assert dec.p is p_model and dec.n is n_model
-        assert dec.p is dec.p_function.as_model()
+        assert jordan_decomposition(zigzag) is dec
+        assert dec.p_function is variation_function(zigzag)
