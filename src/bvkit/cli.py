@@ -47,7 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--emit", nargs=2, metavar=("P_CSV", "N_CSV"), required=True)
     p.add_argument("--grid", type=int, default=1024)
-    allow_tol(p)
 
     p = sub.add_parser("lusin", help="null-family image probe")
     p.add_argument("spec")

@@ -10,6 +10,20 @@ No image set is built: for a continuous non-decreasing G the image of
 [u, v] is [G(u), G(v)], so lambda(G([u, v])) = G(v) - G(u).  Recovery
 relies on ``_require_nondecreasing`` to make this theorem apply.
 
+A BV model's density is p's recovered density less n's, for the Jordan
+decomposition F = p - n.  It takes one of two routes:
+
+* the window quotient, when every quotient is exact (a rational model with
+  exact values, an int or Fraction window no wider than the domain, and
+  int or Fraction points): p's quotient less n's is then F's own,
+  (F(hi) - F(lo)) / (hi - lo), so one sweep of F gives every value.  The
+  checks of the shift route are made once, on the tables at p's knots;
+* the shift route otherwise (float mode, a float window or point, a window
+  wider than the domain): each part is recovered through its strictly
+  increasing shift and checked against its direct quotient at every grid
+  point, four monotone passes in all.  Float twins of the two routes
+  differ by up to about 1e-11, so float mode keeps this one.
+
 The modulus omega(delta) is the worst total image swing over disjoint
 interval collections of total length at most delta; it is computed by an
 exact greedy fill for piecewise-linear models and by a discretized greedy
@@ -18,6 +32,7 @@ exact greedy fill for piecewise-linear models and by a discretized greedy
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,6 +40,7 @@ from fractions import Fraction
 from .errors import PreconditionError, SpecFormatError
 from .intervals import Interval, IntervalSet
 from .model import (
+    _EXACT,
     ConstantPiece,
     FunctionModel,
     LinearPiece,
@@ -98,17 +114,24 @@ def monotone_density(model: FunctionModel, grid=None, h=None) -> DensityGrid:
         raise SpecFormatError("window h must be positive")
     if not model.exact:
         h = float(h)
+    return DensityGrid(tuple(grid), _window_quotients(model, grid, h), h, MONOTONE)
+
+
+def _window_quotients(model: FunctionModel, grid, h, divide=operator.truediv) -> tuple:
+    """``divide(F(hi) - F(lo), hi - lo)`` over the forward window
+    [x, min(x + h, b)] of each grid point x, and ``divide(F(b) - F(left), h)``
+    with left = max(b - h, a) at b itself."""
     # in sorted order both ends of the forward windows run left to right, so
     # each end takes one sweep; points at b come last and keep the left window
     order = sorted(range(len(grid)), key=grid.__getitem__)
     los = [grid[i] for i in order if grid[i] != model.b]
     his = [min(x + h, model.b) for x in los]
     left = max(model.b - h, model.a)
-    values = [(model.evaluate(model.b) - model.evaluate(left)) / h] * len(grid)
+    values = [divide(model.evaluate(model.b) - model.evaluate(left), h)] * len(grid)
     for i, lo, hi, f_lo, f_hi in zip(order, los, his, model.evaluate_many(los),
                                      model.evaluate_many(his)):
-        values[i] = (f_hi - f_lo) / (hi - lo)
-    return DensityGrid(tuple(grid), tuple(values), h, MONOTONE)
+        values[i] = divide(f_hi - f_lo, hi - lo)
+    return tuple(values)
 
 
 def shifted_monotone_density(model: FunctionModel, grid=None, h=None) -> DensityGrid:
@@ -133,16 +156,76 @@ def shifted_monotone_density(model: FunctionModel, grid=None, h=None) -> Density
 
 def bv_density(model: FunctionModel, grid=None, h=None) -> DensityGrid:
     """Density of a continuous BV model as the difference of the recovered
-    densities of p and n from its Jordan decomposition."""
+    densities of p and n from its Jordan decomposition.
+
+    When every window quotient is exact (:func:`_exact_windows`), p's
+    quotient less n's is F's own, so the values come from one sweep of F,
+    after :func:`_check_parts` has made the shift route's checks on the
+    tables.  Otherwise each part goes through
+    :func:`shifted_monotone_density`.  Both routes give the same values, of
+    the same type; an input the window route does not take keeps the shift
+    route's error."""
     if not model.continuity_flag:
         raise PreconditionError("density recovery requires a continuous model")
     decomposition = jordan_decomposition(model)
     if grid is None:
         grid, h = density_grid(model, h=h)
-    rising = shifted_monotone_density(decomposition.p, grid, h)
-    falling = shifted_monotone_density(decomposition.n, grid, h)
-    values = tuple(g - r for g, r in zip(rising.values, falling.values))
+    if _exact_windows(model, grid, h):
+        _check_parts(model, decomposition)
+        values = _window_quotients(model, grid, h, _fraction_quotient)
+    else:
+        rising = shifted_monotone_density(decomposition.p, grid, h)
+        falling = shifted_monotone_density(decomposition.n, grid, h)
+        values = tuple(g - r for g, r in zip(rising.values, falling.values))
     return DensityGrid(tuple(grid), values, h, BV_DIFFERENCE)
+
+
+def _exact_windows(model: FunctionModel, grid, h) -> bool:
+    """True when F's window quotient is the shift route's answer exactly:
+    a rational model whose knots and values there are ints or Fractions
+    (a float coefficient would make the value at its knot a float), an int
+    or Fraction window 0 < h <= b - a, and a non-empty grid of int or
+    Fraction points, so every width hi - lo is exact.  Past b - a the
+    point at b has no full left window, which the shift route refuses; an
+    empty grid, a missing or non-positive h keep that route's errors."""
+    if not (model.exact and type(h) in _EXACT and 0 < h <= model.b - model.a
+            and len(grid) > 0):
+        return False
+    knots = model.knots()
+    return (all(type(x) in _EXACT for x in grid)
+            and all(type(k) in _EXACT for k in knots)
+            and all(type(v) in _EXACT for v in model.evaluate_many(knots)))
+
+
+def _check_parts(model: FunctionModel, decomposition) -> None:
+    """The shift route's checks, made on the tables: each part is
+    non-decreasing and has a shift G = part + x (whose build checks G
+    continuous and strictly increasing), G(k) - k == part(k) and
+    p(k) - n(k) == F(k) at every knot k of p.  n and both shifts have p's
+    pieces, and every piece of a rational model is affine (linear, constant,
+    or a reflection or transform of one), so all five are affine between
+    consecutive knots and equality at the knots is equality at every x:
+    each shifted quotient less 1 is the direct one, and p's direct quotient
+    less n's is F's."""
+    knots = decomposition.p.knots()
+    at_knots = []
+    for part in (decomposition.p, decomposition.n):
+        _require_nondecreasing(part, "shifted density recovery")
+        shifted = part.shift_add_identity()
+        values = part.evaluate_many(knots)
+        for k, g, v in zip(knots, shifted.evaluate_many(knots), values):
+            if g - k != v:
+                raise PreconditionError(f"shift {g} at {k} is not {v} + {k}")
+        at_knots.append(values)
+    for k, p, n, f in zip(knots, *at_knots, model.evaluate_many(knots)):
+        if p - n != f:
+            raise PreconditionError(f"p - n = {p - n} at {k}, not F = {f}")
+
+
+def _fraction_quotient(d, w):
+    """d / w as a Fraction, as the shift route gives it: int / int would
+    round to a float."""
+    return Fraction(d, w) if type(d) is int and type(w) is int else d / w
 
 
 def integrate(density: DensityGrid, x):

@@ -39,12 +39,14 @@ _MALFORMED = (KeyError, TypeError, ValueError, AttributeError)
 
 def model_from_dict(doc: dict) -> FunctionModel:
     """Build a model from a spec document; a document whose fields cannot
-    be read raises :class:`SpecFormatError`."""
+    be read, or whose optional ``domain`` is not the span of its pieces,
+    raises :class:`SpecFormatError`."""
     try:
         arithmetic = doc.get("arithmetic", RATIONAL)
         tol = float(doc.get("tol", DEFAULT_FLOAT_TOL))
         raw_pieces = doc["pieces"]
         name = doc.get("name")
+        raw_domain = doc.get("domain")
     except _MALFORMED as exc:
         raise SpecFormatError(f"malformed function spec: {exc!r}") from exc
     if arithmetic not in (RATIONAL, FLOAT):
@@ -53,8 +55,17 @@ def model_from_dict(doc: dict) -> FunctionModel:
         fields = [_piece_fields(entry, arithmetic) for entry in raw_pieces]
     except _MALFORMED as exc:
         raise SpecFormatError(f"malformed piece: {exc!r}") from exc
-    return FunctionModel([cls(*args) for cls, args in fields],
-                         arithmetic=arithmetic, tol=tol, name=name)
+    try:
+        domain = (None if raw_domain is None
+                  else [as_number(v, arithmetic) for v in raw_domain])
+    except _MALFORMED as exc:
+        raise SpecFormatError(f"malformed spec domain: {exc!r}") from exc
+    model = FunctionModel([cls(*args) for cls, args in fields],
+                          arithmetic=arithmetic, tol=tol, name=name)
+    if domain is not None and domain != [model.a, model.b]:
+        raise SpecFormatError(f"spec domain {raw_domain} is not the pieces' "
+                              f"span [{model.a}, {model.b}]")
+    return model
 
 
 def _piece_fields(entry: dict, arithmetic: str) -> tuple:

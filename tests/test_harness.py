@@ -201,6 +201,32 @@ class TestSpecIO:
         assert doc["pieces"][0]["params"]["slope"] == "4"
         assert doc["pieces"][1]["params"]["intercept"] == "2"
 
+    @pytest.mark.parametrize("entry", default_corpus(), ids=lambda e: e.name)
+    def test_written_specs_reload(self, entry):
+        # model_to_dict writes the domain, which the reload checks
+        model = entry.model
+        doc = json.loads(json.dumps(model_to_dict(model)))
+        again = model_from_dict(doc)
+        assert (again.a, again.b) == (model.a, model.b)
+        grid = model.verification_grid(16)
+        assert again.evaluate_many(grid) == model.evaluate_many(grid)
+        if model.exact:
+            twin = model_from_dict(dict(doc, arithmetic="float"))
+            assert (twin.a, twin.b) == (model.a, model.b)
+
+    def test_domain_must_span_the_pieces(self):
+        piece = {"kind": "linear", "domain": ["0", "1"],
+                 "params": {"slope": "1", "intercept": "0"}}
+        assert model_from_dict({"pieces": [piece]}).b == 1
+        assert model_from_dict({"domain": ["0", "1"], "pieces": [piece]}).b == 1
+        assert model_from_dict({"domain": [0, 1.0], "arithmetic": "float",
+                                "pieces": [piece]}).b == 1
+        for domain in (["0", "2"], ["1/2", "1"], ["0"], ["0", "1", "2"]):
+            with pytest.raises(SpecFormatError, match="^spec domain"):
+                model_from_dict({"domain": domain, "pieces": [piece]})
+        with pytest.raises(SpecFormatError, match="^malformed spec domain"):
+            model_from_dict({"domain": 5, "pieces": [piece]})
+
     def test_bad_kind_rejected(self):
         with pytest.raises(SpecFormatError):
             model_from_dict({"domain": [0, 1], "pieces": [
@@ -339,10 +365,11 @@ class TestCLI:
         ["variation", "{no_slope}"],
         ["variation", "{string_piece}"],
         ["certify", "{spec}", "--nullset", "{no_hi}", "--eps", "1/10"],
+        ["variation", "{wide_domain}"],
     ], ids=["float-deltas", "float-at", "float-eps", "float-h", "float-spec",
             "threshold", "decompose-grid", "recover-grid", "spec-tol",
             "spec-truncated", "spec-missing", "piece-domain", "cantor-level",
-            "linear-slope", "piece-string", "interval-hi"])
+            "linear-slope", "piece-string", "interval-hi", "spec-domain"])
     def test_malformed_input_is_an_error(self, argv, zigzag_spec, nullset_file,
                                          tmp_path, capsys):
         text = (tmp_path / "zigzag.json").read_text()
@@ -363,6 +390,9 @@ class TestCLI:
             "no_slope": edited(lambda d: d["pieces"][0]["params"].pop("slope")),
             "string_piece": edited(lambda d: d["pieces"].__setitem__(0, "linear")),
             "no_hi": json.dumps({"components": [{"lo": "0"}]}),
+            "wide_domain": json.dumps({"domain": ["0", "2"], "pieces": [{
+                "kind": "linear", "domain": ["0", "1"],
+                "params": {"slope": "1", "intercept": "0"}}]}),
         }
         paths = {}
         for name, body in files.items():
@@ -373,6 +403,14 @@ class TestCLI:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_decompose_takes_no_tol(self, zigzag_spec, tmp_path, capsys):
+        # nothing in the Jordan decomposition reads a tolerance
+        with pytest.raises(SystemExit) as exit_info:
+            main(["decompose", zigzag_spec, "--tol", "1e-3", "--emit",
+                  str(tmp_path / "p.csv"), str(tmp_path / "n.csv")])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
     def test_float_numbers_parse_as_before(self):
         for text in ("1/3", "0.1", "1e-3", " -7/8 ", "2"):

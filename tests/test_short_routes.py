@@ -16,19 +16,34 @@ bit-equal floats in float mode.
   x, and sums the swings.
 * ``density_grid`` builds on the verification grid; the oracle builds the
   uniform grid, knots and window points itself.
+* When every window quotient is exact, ``bv_density`` is F's own window
+  quotient; the oracle recovers p and n through their shifts, four
+  monotone passes, and checks each against its direct quotient.
 """
 
+import json
 import random
+import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
+import bvkit.cli as cli_mod
+import bvkit.density as density_mod
 import bvkit.measure as measure_mod
 from bvkit.certificate import variation_certificate
 from bvkit._num import uniform_grid
+from bvkit.cli import main
 from bvkit.corpus import default_corpus
-from bvkit.density import density_grid
+from bvkit.density import (
+    BV_DIFFERENCE,
+    DensityGrid,
+    bv_density,
+    density_grid,
+    shifted_monotone_density,
+)
 from bvkit.errors import InfiniteSegmentationError, PreconditionError
 from bvkit.intervals import Interval, IntervalSet
 from bvkit.measure import cantor_family, image_measure, image_set, shrinking_family
@@ -36,9 +51,13 @@ from bvkit.model import (
     ConstantPiece,
     FunctionModel,
     LinearPiece,
+    ReflectedPiece,
+    XSinPiece,
     _sorted_unique,
+    build_zigzag,
     piecewise_linear,
 )
+from bvkit.specio import model_to_dict
 from bvkit.variation import (
     VariationFunction,
     jordan_decomposition,
@@ -52,6 +71,7 @@ from test_evaluation_routes import (
     CANTOR_IDS,
     CANTOR_MODELS,
     CONTINUOUS,
+    CORPUS,
     CORPUS_IDS,
     CORPUS_MODELS,
     _key,
@@ -402,3 +422,270 @@ class TestDensityGrid:
             grid, got_h = density_grid(zigzag, 64, h)
             assert got_h is h
             assert _keys(grid) == _keys(old_density_grid(zigzag, 64, h)[0])
+
+
+# ---------------------------------------------------------------------------
+# BV density as F's window quotient
+# ---------------------------------------------------------------------------
+
+
+def four_pass_bv_density(model, grid=None, h=None):
+    """``bv_density`` as it was: p and n each recovered through its shift
+    and checked against its direct quotient."""
+    if not model.continuity_flag:
+        raise PreconditionError("density recovery requires a continuous model")
+    decomposition = jordan_decomposition(model)
+    if grid is None:
+        grid, h = density_grid(model, h=h)
+    rising = shifted_monotone_density(decomposition.p, grid, h)
+    falling = shifted_monotone_density(decomposition.n, grid, h)
+    values = tuple(g - r for g, r in zip(rising.values, falling.values))
+    return DensityGrid(tuple(grid), values, h, BV_DIFFERENCE)
+
+
+def _density_outcome(recover, model, grid, h):
+    """Grid, values and window by type and bits, or the error's class and
+    message."""
+    try:
+        d = recover(model, grid, h)
+    except Exception as exc:  # the oracle's errors are part of its answer
+        return type(exc), str(exc)
+    return _keys(d.grid), _keys(d.values), _key(d.window), d.method
+
+
+def assert_density_matches(model, grid=None, h=None):
+    want = _density_outcome(four_pass_bv_density, model, grid, h)
+    assert _density_outcome(bv_density, model, grid, h) == want
+
+
+def assert_grids_match(model, sizes, explicit=True):
+    """The default grids of each size, and explicit grids with a window h
+    and h/2, with and without b, reversed with b twice."""
+    for n in sizes:
+        assert_density_matches(model, *density_grid(model, n))
+    if not explicit:
+        return
+    grid, h = density_grid(model, 64)
+    for window in (h, h / 2):
+        assert_density_matches(model, grid, window)
+        assert_density_matches(model, grid[:-1], window)
+        assert_density_matches(model, grid[::-1] + [model.b], window)
+
+
+def _int_valued():
+    """Int knots, slopes and intercepts: F is int at int points."""
+    return FunctionModel([LinearPiece(0, 2, 3, 1), LinearPiece(2, 5, -1, 9),
+                          ConstantPiece(5, 8, 4)])
+
+
+def _reflected():
+    """A falling reflected piece, then a rise: no pair table."""
+    return FunctionModel([ReflectedPiece(LinearPiece(0, 1, F(1, 3), 1), 1),
+                          LinearPiece(1, 2, F(2), F(-1))])
+
+
+# the corpus's cantor_k entries are Cantor levels below, so each is run once
+RATIONAL_CORPUS = [e.model for e in CORPUS
+                   if e.model.exact and not e.name.startswith("cantor")]
+RATIONAL_CORPUS_IDS = [e.name for e in CORPUS
+                       if e.model.exact and not e.name.startswith("cantor")]
+FLOAT_CORPUS = [e.model for e in CORPUS
+                if not e.model.exact and e.model.continuity_flag]
+FLOAT_CORPUS_IDS = [e.name for e in CORPUS
+                    if not e.model.exact and e.model.continuity_flag]
+CANTOR_RATIONAL = CANTOR_MODELS[:10]
+CANTOR_RATIONAL_IDS = CANTOR_IDS[:10]
+
+
+class _CountMonotonePasses:
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        real = density_mod.monotone_density
+
+        def counting(model, grid=None, h=None):
+            self.calls += 1
+            return real(model, grid, h)
+
+        monkeypatch.setattr(density_mod, "monotone_density", counting)
+
+
+def _bump_at(model, knot, delta):
+    """Shadow ``model.evaluate_many`` with one that adds delta at knot."""
+    real = model.evaluate_many
+
+    def bumped(xs):
+        return [v + delta if x == knot else v for x, v in zip(xs, real(xs))]
+
+    model.evaluate_many = bumped
+
+
+class TestBVDensityWindowQuotient:
+    """``bv_density`` gives the four-pass route's values, by type and bits,
+    and its errors, by class and message."""
+
+    @pytest.mark.parametrize("model", RATIONAL_CORPUS + CANTOR_RATIONAL,
+                             ids=RATIONAL_CORPUS_IDS + CANTOR_RATIONAL_IDS)
+    def test_rational_models(self, model):
+        assert_grids_match(model, (2, 192, 1024, 4096))
+
+    @pytest.mark.parametrize("model", RATIONAL_CORPUS + CANTOR_RATIONAL,
+                             ids=RATIONAL_CORPUS_IDS + CANTOR_RATIONAL_IDS)
+    def test_jordan_parts(self, model):
+        jordan = jordan_decomposition(model)
+        for part in (jordan.p, jordan.n):
+            assert_grids_match(part, (2, 192), explicit=False)
+
+    @pytest.mark.parametrize("model", FLOAT_CORPUS, ids=FLOAT_CORPUS_IDS)
+    def test_float_models(self, model):
+        assert_grids_match(model, (2, 192))
+
+    @given(rise_fall_plateau())
+    @settings(max_examples=25, deadline=None)
+    def test_random_models(self, knots):
+        model = piecewise_linear(knots)
+        assert_grids_match(model, (2, 48))
+
+    @pytest.mark.parametrize("build", [_int_valued, _reflected],
+                             ids=["int-valued", "reflected"])
+    def test_hand_built(self, build):
+        model = build()
+        assert_grids_match(model, (2, 192))
+        for h in (1, 2, F(1, 3)):
+            assert_density_matches(model, list(range(int(model.b) + 1)), h)
+        values = bv_density(model, [0, 1], 1).values
+        assert all(type(v) is Fraction for v in values)
+
+    def test_float_coefficient_keeps_the_shift_route(self, monkeypatch):
+        # exact pieces with a float slope: a rational model whose values
+        # are floats, so no quotient is exact
+        model = FunctionModel([LinearPiece(0, 1, 0.5, 0)], arithmetic="rational")
+        assert_density_matches(model, [F(0), F(1, 2), F(1)], F(1, 4))
+        counter = _CountMonotonePasses(monkeypatch)
+        bv_density(model, [F(0), F(1, 2), F(1)], F(1, 4))
+        assert counter.calls == 4
+
+    def test_float_points_keep_the_shift_route(self):
+        # slopes of 1/3 round differently through the shifts than directly
+        model = piecewise_linear([(0, 0), (F(1, 3), 1), (1, F(1, 7))])
+        assert_density_matches(model, [F(0), 0.3, F(1, 2)], F(1, 64))
+        assert_density_matches(model, [0.1, 0.3, 0.7], F(1, 64))
+
+    def test_float_knots_keep_the_shift_route(self):
+        # exact values at the float knot 0.1, where G(k) - k rounds
+        model = FunctionModel([LinearPiece(0, 0.1, 2, 0),
+                               ConstantPiece(0.1, 1, 2 * F(0.1))],
+                              arithmetic="rational")
+        assert model.continuity_flag
+        assert_density_matches(model, [F(0), F(1, 2), F(1)], F(1, 64))
+
+    @pytest.mark.parametrize("grid, h", [
+        ([F(0), F(1, 2), F(1)], F(3, 2)),     # h > b - a, b in the grid
+        ([F(0), F(1, 2)], F(3, 2)),           # h > b - a, b not in the grid
+        ([F(0), F(1)], F(1)),                 # h = b - a
+        ([F(1, 2)], F(0)),
+        ([F(1, 2)], F(-1, 64)),
+        ([F(1, 2)], None),
+        ([], F(1, 64)),
+        ([F(-1), F(1, 2)], F(1, 64)),
+        ([F(1, 2), F(3, 2)], F(1, 64)),
+        ([0.5, F(3, 4)], F(1, 64)),
+        ([F(1, 2)], 1 / 64),
+    ], ids=["wide-h-with-b", "wide-h-without-b", "full-h", "zero-h", "negative-h",
+            "no-h", "empty-grid", "below-a", "above-b", "float-point", "float-h"])
+    def test_windows_and_errors(self, grid, h):
+        assert_density_matches(build_zigzag(), grid, h)
+
+    def test_wide_window_keeps_its_error(self):
+        got = _density_outcome(bv_density, build_zigzag(), [F(0), F(1)], F(2))
+        assert got[0] is PreconditionError and got[1].startswith("shifted quotient")
+
+    def test_discontinuous_model(self):
+        model = FunctionModel([LinearPiece(0, 1, 1, 0), ConstantPiece(1, 2, 3)])
+        assert not model.continuity_flag
+        assert_density_matches(model)
+        assert_density_matches(model, [F(1, 2)], F(1, 64))
+
+    def test_oscillating_model(self):
+        model = FunctionModel([XSinPiece(0.0, 1.0, 1)])
+        assert_density_matches(model)
+        assert_density_matches(model, [0.5], 1 / 64)
+
+    @pytest.mark.parametrize("model", RATIONAL_CORPUS + FLOAT_CORPUS,
+                             ids=RATIONAL_CORPUS_IDS + FLOAT_CORPUS_IDS)
+    def test_monotone_passes(self, model, monkeypatch):
+        counter = _CountMonotonePasses(monkeypatch)
+        bv_density(model, *density_grid(model, 64))
+        assert counter.calls == (0 if model.exact else 4)
+
+    def test_a_falling_part_is_refused(self, monkeypatch):
+        # p = F and n = 0 pass both table checks, but p falls
+        model = build_zigzag()
+        zero = FunctionModel([ConstantPiece(model.a, model.b, F(0))])
+        fake = replace(jordan_decomposition(model), p=model, n=zero)
+        monkeypatch.setattr(density_mod, "jordan_decomposition", lambda m: fake)
+        grid = density_grid(model, 64)
+        got = _density_outcome(bv_density, model, *grid)
+        monkeypatch.setattr(sys.modules[__name__], "jordan_decomposition",
+                            lambda m: fake)
+        assert got == _density_outcome(four_pass_bv_density, model, *grid)
+        assert got[1] == "shifted density recovery requires a non-decreasing model"
+
+    def test_a_wrong_knot_of_p_is_refused(self):
+        model = build_zigzag()
+        p = jordan_decomposition(model).p
+        p.monotone_segments()
+        _bump_at(p, F(1, 4), F(1, 7))
+        with pytest.raises(PreconditionError, match="^shift .* is not"):
+            bv_density(model, *density_grid(model, 64))
+
+    def test_a_wrong_knot_of_a_shift_is_refused(self, monkeypatch):
+        model = build_zigzag()
+        n = jordan_decomposition(model).n
+        real = FunctionModel.shift_add_identity
+
+        def shift(part):
+            shifted = real(part)
+            if part is n:
+                _bump_at(shifted, F(1, 2), F(1, 7))
+            return shifted
+
+        monkeypatch.setattr(FunctionModel, "shift_add_identity", shift)
+        with pytest.raises(PreconditionError, match="^shift .* is not"):
+            bv_density(model, *density_grid(model, 64))
+
+    def test_a_wrong_jordan_pair_is_refused(self, monkeypatch):
+        # p and its shift move together, so only p - n == F can see it
+        model = build_zigzag()
+        p = jordan_decomposition(model).p
+        p.monotone_segments()
+        real = FunctionModel.shift_add_identity
+
+        def shift(part):
+            shifted = real(part)
+            if part is p:
+                _bump_at(shifted, F(3, 4), F(1, 7))
+            return shifted
+
+        monkeypatch.setattr(FunctionModel, "shift_add_identity", shift)
+        _bump_at(p, F(3, 4), F(1, 7))
+        with pytest.raises(PreconditionError, match="^p - n = .* not F"):
+            bv_density(model, *density_grid(model, 64))
+
+    @pytest.mark.parametrize("model", [build_zigzag(), CANTOR_MODELS[4]],
+                             ids=["zigzag", "cantor_4"])
+    def test_recover_writes_the_oracle_route_bytes(self, model, tmp_path,
+                                                   monkeypatch, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(model_to_dict(model)))
+        outputs = []
+        for route in ("window", "four-pass"):
+            if route == "four-pass":
+                monkeypatch.setattr(cli_mod, "bv_density", four_pass_bv_density)
+            out = tmp_path / route
+            out.mkdir()
+            assert main(["recover", str(spec), "--emit", str(out / "f.csv"),
+                         "--report", str(out / "recon.json")]) == 0
+            outputs.append(((out / "f.csv").read_bytes(),
+                            (out / "recon.json").read_bytes(),
+                            capsys.readouterr().out.replace(str(out), "")))
+        assert outputs[0] == outputs[1]
