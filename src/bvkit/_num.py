@@ -54,9 +54,19 @@ def fmt_number(value):
     return float(value)
 
 
+SIG15 = "%.15g"
+
+
 def sig15(value) -> str:
     """Decimalize at 15 significant digits (CSV output contract)."""
-    return "%.15g" % float(value)
+    return SIG15 % float(value)
+
+
+def sig15_row(width: int) -> str:
+    """The ``%`` format of a CSV row of ``width`` values, each written as
+    :func:`sig15` writes it (``%g`` takes an int or a Fraction through
+    ``float``, as sig15 does), so a row is one ``%`` operation."""
+    return ",".join([SIG15] * width)
 
 
 def locate_cell(points, x) -> int:

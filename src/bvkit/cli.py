@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ._num import FLOAT, RATIONAL, as_number, frac, sig15
+from ._num import FLOAT, RATIONAL, as_number, frac, sig15, sig15_row
 from .certificate import shift_certificate, variation_certificate
 from .corpus import CorpusConfig, run_corpus
 from .density import ac_modulus, bv_density, density_grid, integrate, \
@@ -101,11 +101,11 @@ def cmd_decompose(args) -> int:
     model = load_model(args.spec, args.arithmetic)
     decomposition = jordan_decomposition(model)
     grid = model.verification_grid(args.grid)
+    row_format = sig15_row(2) + "\n"
     for path, part in zip(args.emit, (decomposition.p, decomposition.n)):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("x,value\n")
-            for x, value in zip(grid, part.evaluate_many(grid)):
-                fh.write(f"{sig15(x)},{sig15(value)}\n")
+            fh.writelines([row_format % row for row in zip(grid, part.evaluate_many(grid))])
         print(f"wrote {path}")
     return 0
 
@@ -158,10 +158,10 @@ def cmd_recover(args) -> int:
           f"sup reconstruction error {sig15(report.sup_error)} "
           f"at x = {sig15(report.argmax)}")
     if args.emit:
+        row_format = sig15_row(2) + "\n"
         with open(args.emit, "w", encoding="utf-8") as fh:
             fh.write("x,f\n")
-            for x, v in zip(density.grid, density.values):
-                fh.write(f"{sig15(x)},{sig15(v)}\n")
+            fh.writelines([row_format % row for row in zip(density.grid, density.values)])
         print(f"wrote {args.emit}")
     if args.report:
         dump_json({"sup_error": float(report.sup_error),

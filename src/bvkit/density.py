@@ -17,12 +17,22 @@ decomposition F = p - n.  It takes one of two routes:
   exact values, an int or Fraction window no wider than the domain, and
   int or Fraction points): p's quotient less n's is then F's own,
   (F(hi) - F(lo)) / (hi - lo), so one sweep of F gives every value.  The
-  checks of the shift route are made once, on the tables at p's knots;
+  checks of the shift route are made once, on the tables at p's knots.
+  On a model with a pair table (linear and constant pieces) the window
+  ends, widths and F's values are integer (numerator, denominator) pairs
+  from the model's pair walk, and each value is one Fraction;
 * the shift route otherwise (float mode, a float window or point, a window
   wider than the domain): each part is recovered through its strictly
   increasing shift and checked against its direct quotient at every grid
   point, four monotone passes in all.  Float twins of the two routes
   differ by up to about 1e-11, so float mode keeps this one.
+
+Re-integration follows the grid's arithmetic.  When every density value is
+a Fraction and every grid point an int or Fraction, the trapezoid sum is
+carried as one reduced integer pair, and ``reconstruction_error`` on a
+model with a pair table compares its errors by cross-multiplication; each
+stored sum, and the sup, is one Fraction.  Other grids keep the loops over
+their own arithmetic, which give the same values and types.
 
 The modulus omega(delta) is the worst total image swing over disjoint
 interval collections of total length at most delta; it is computed by an
@@ -81,14 +91,45 @@ class DensityGrid:
         self._cumulative = None
 
     def cumulative(self) -> tuple:
-        """Trapezoid antiderivative at the grid points (starts at 0)."""
+        """Trapezoid antiderivative at the grid points (starts at 0).
+
+        When every value is a Fraction and every grid point an int or
+        Fraction, the sum runs on integer pairs: each step adds
+        (f0 + f1)(x1 - x0)/2 by cross-multiplication and builds the stored
+        Fraction, whose one gcd reduces the pair for the next step.  Other
+        grids keep the loop over their own arithmetic."""
         if self._cumulative is None:
-            acc = [self.values[0] * 0]
-            for (x0, f0), (x1, f1) in zip(zip(self.grid, self.values),
-                                          zip(self.grid[1:], self.values[1:])):
-                acc.append(acc[-1] + (f0 + f1) * (x1 - x0) / 2)
-            self._cumulative = tuple(acc)
+            if (all(type(v) is Fraction for v in self.values)
+                    and all(type(x) in _EXACT for x in self.grid)):
+                self._cumulative = _pair_cumulative(self.grid, self.values)
+            else:
+                acc = [self.values[0] * 0]
+                for (x0, f0), (x1, f1) in zip(zip(self.grid, self.values),
+                                              zip(self.grid[1:], self.values[1:])):
+                    acc.append(acc[-1] + (f0 + f1) * (x1 - x0) / 2)
+                self._cumulative = tuple(acc)
         return self._cumulative
+
+
+def _pair_cumulative(grid, values) -> tuple:
+    """The trapezoid sum of Fraction values over int or Fraction points, one
+    Fraction per point: the same values, of the same type, as the loop."""
+    acc = values[0] * 0
+    out = [acc]
+    acc_n, acc_d = 0, 1
+    x0_n, x0_d = grid[0].as_integer_ratio()
+    f0_n, f0_d = values[0].as_integer_ratio()
+    for x1, f1 in zip(grid[1:], values[1:]):
+        x1_n, x1_d = x1.as_integer_ratio()
+        f1_n, f1_d = f1.as_integer_ratio()
+        # (f0 + f1) * (x1 - x0) / 2 as step_n / step_d
+        step_n = (f0_n * f1_d + f1_n * f0_d) * (x1_n * x0_d - x0_n * x1_d)
+        step_d = 2 * f0_d * f1_d * x0_d * x1_d
+        acc = Fraction(acc_n * step_d + step_n * acc_d, acc_d * step_d)
+        out.append(acc)
+        acc_n, acc_d = acc.as_integer_ratio()
+        x0_n, x0_d, f0_n, f0_d = x1_n, x1_d, f1_n, f1_d
+    return tuple(out)
 
 
 def _require_nondecreasing(model: FunctionModel, who: str):
@@ -102,9 +143,10 @@ def monotone_density(model: FunctionModel, grid=None, h=None) -> DensityGrid:
     """Difference quotient of the induced measure: at x the value is
     nu([x, x+h]) / h with nu(E) = lambda(F(E)) = F(x+h) - F(x), as the
     model is checked continuous and non-decreasing; the window clips at b
-    and the last point looks left.  A float model may fall by up to its
+    and the last point looks left.  In rational mode an int difference over
+    an int width is a Fraction.  A float model may fall by up to its
     ``grace`` (as ``is_nondecreasing`` allows), so a value may dip below 0
-    by that."""
+    by that.  An empty grid raises :class:`SpecFormatError`."""
     _require_nondecreasing(model, "monotone density recovery")
     if grid is None:
         grid, h = density_grid(model, h=h)
@@ -112,9 +154,12 @@ def monotone_density(model: FunctionModel, grid=None, h=None) -> DensityGrid:
         raise SpecFormatError("an explicit grid needs an explicit window h")
     if not h > 0:
         raise SpecFormatError("window h must be positive")
+    if len(grid) == 0:
+        raise SpecFormatError("the density grid is empty")
     if not model.exact:
         h = float(h)
-    return DensityGrid(tuple(grid), _window_quotients(model, grid, h), h, MONOTONE)
+    divide = _fraction_quotient if model.exact else operator.truediv
+    return DensityGrid(tuple(grid), _window_quotients(model, grid, h, divide), h, MONOTONE)
 
 
 def _window_quotients(model: FunctionModel, grid, h, divide=operator.truediv) -> tuple:
@@ -131,6 +176,38 @@ def _window_quotients(model: FunctionModel, grid, h, divide=operator.truediv) ->
     for i, lo, hi, f_lo, f_hi in zip(order, los, his, model.evaluate_many(los),
                                      model.evaluate_many(his)):
         values[i] = divide(f_hi - f_lo, hi - lo)
+    return tuple(values)
+
+
+def _pair_window_quotients(model: FunctionModel, grid, h) -> tuple:
+    """``_window_quotients(model, grid, h, _fraction_quotient)`` on integer
+    pairs, for a model with a pair table and the inputs
+    :func:`_exact_windows` takes: each window end min(x + h, b), its width
+    and F's values at both ends (from the model's pair walk) are integer
+    pairs, and each value is one Fraction."""
+    b = model.b
+    b_n, b_d = b.as_integer_ratio()
+    h_n, h_d = h.as_integer_ratio()
+    order = sorted(range(len(grid)), key=grid.__getitem__)
+    los = [grid[i] for i in order if grid[i] != b]
+    his, widths = [], []
+    for x in los:
+        x_n, x_d = x.as_integer_ratio()
+        # x + h = end_n / end_d; past b the window clips to b - x
+        end_n, end_d = x_n * h_d + h_n * x_d, x_d * h_d
+        if end_n * b_d < b_n * end_d:
+            his.append((end_n, end_d))
+            widths.append((h_n, h_d))
+        else:
+            his.append((b_n, b_d))
+            widths.append((b_n * x_d - x_n * b_d, b_d * x_d))
+    left = max(b - h, model.a)
+    values = [_fraction_quotient(model.evaluate(b) - model.evaluate(left), h)] * len(grid)
+    for i, (w_n, w_d), (lo_n, lo_d), (hi_n, hi_d) in zip(
+            order, widths, model._pair_many(los, pairs=True),
+            model._pair_many(his, pairs=True)):
+        # (F(hi) - F(lo)) / width
+        values[i] = Fraction((hi_n * lo_d - lo_n * hi_d) * w_d, hi_d * lo_d * w_n)
     return tuple(values)
 
 
@@ -172,7 +249,10 @@ def bv_density(model: FunctionModel, grid=None, h=None) -> DensityGrid:
         grid, h = density_grid(model, h=h)
     if _exact_windows(model, grid, h):
         _check_parts(model, decomposition)
-        values = _window_quotients(model, grid, h, _fraction_quotient)
+        if model._table is not None:
+            values = _pair_window_quotients(model, grid, h)
+        else:
+            values = _window_quotients(model, grid, h, _fraction_quotient)
     else:
         rising = shifted_monotone_density(decomposition.p, grid, h)
         falling = shifted_monotone_density(decomposition.n, grid, h)
@@ -256,15 +336,35 @@ class ReconstructionReport:
 
 
 def reconstruction_error(model: FunctionModel, density: DensityGrid) -> ReconstructionReport:
-    """Sup over the recovery grid of |F(x) - F(a) - integral of the density|."""
+    """Sup over the recovery grid of |F(x) - F(a) - integral of the density|,
+    at the first grid point that attains it.
+
+    When the model has a pair table and every cumulative value is a
+    Fraction (:meth:`DensityGrid.cumulative`'s pair route), each error is an
+    integer pair from F's pair walk, errors compare by cross-multiplication
+    and the sup is one Fraction.  Other inputs keep the loop over their own
+    arithmetic."""
     f_a = model.evaluate(model.a)
     cum = density.cumulative()
-    worst = None
     arg = density.grid[0]
-    for x, fx, acc in zip(density.grid, model.evaluate_many(density.grid), cum):
-        err = abs(fx - f_a - acc)
-        if worst is None or err > worst:
-            worst, arg = err, x
+    if model._table is not None and all(type(c) is Fraction for c in cum):
+        a_n, a_d = f_a.as_integer_ratio()
+        worst_n, worst_d = -1, 1
+        for x, (f_n, f_d), acc in zip(density.grid,
+                                      model._pair_many(density.grid, pairs=True), cum):
+            c_n, c_d = acc.as_integer_ratio()
+            # F(x) - F(a) - acc over f_d * a_d * c_d
+            err_n = abs((f_n * a_d - a_n * f_d) * c_d - c_n * f_d * a_d)
+            err_d = f_d * a_d * c_d
+            if err_n * worst_d > worst_n * err_d:
+                worst_n, worst_d, arg = err_n, err_d, x
+        worst = Fraction(worst_n, worst_d)
+    else:
+        worst = None
+        for x, fx, acc in zip(density.grid, model.evaluate_many(density.grid), cum):
+            err = abs(fx - f_a - acc)
+            if worst is None or err > worst:
+                worst, arg = err, x
     return ReconstructionReport(worst, arg, len(density.grid), density.window)
 
 

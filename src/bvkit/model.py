@@ -631,14 +631,15 @@ class FunctionModel:
         as (numerator, denominator), ``slope*x + intercept`` at ``x = n/d``
         as ``(A*n + C*d) / (B*d)`` with integers A, C, B, and each constant
         piece's ``const`` as is.  None when a piece is not linear or
-        constant, or a start or coefficient is not an int or Fraction."""
+        constant, or a start, coefficient or constant is not an int or
+        Fraction."""
         start_num, start_den, coeffs, consts = [], [], [], []
         for p in self._expanded:
             if type(p.lo) not in _EXACT:
                 return None
             start_num.append(p.lo.numerator)
             start_den.append(p.lo.denominator)
-            if type(p) is ConstantPiece:
+            if type(p) is ConstantPiece and type(p.const) in _EXACT:
                 coeffs.append(None)
                 consts.append(p.const)
             elif (type(p) is LinearPiece and type(p.slope) in _EXACT
@@ -734,14 +735,19 @@ class FunctionModel:
             out.append(pieces[i].value(x))
         return out
 
-    def _pair_many(self, xs) -> list:
+    def _pair_many(self, xs, pairs=False) -> list:
         """The rational kernel: each point becomes an integer pair ``n/d``
         (a float exactly, through ``as_integer_ratio``, as ``Fraction(x)``
         does), so the order, domain and piece tests are integer
         cross-multiplications over positive denominators, and a linear
         value is one Fraction built from integers.  Values and types are
         those of ``piece.value``: an ``int`` point on a piece with ``int``
-        slope and intercept gives an ``int``."""
+        slope and intercept gives an ``int``.
+
+        With ``pairs`` set, for callers that do their own arithmetic on
+        integers, each value comes back as an unreduced pair ``(num, den)``
+        with ``den > 0``, and a point may be given as such a pair; the
+        checks and their messages are the same."""
         start_num, start_den, coeffs, consts, (b_num, b_den) = self._table
         a_num, a_den = start_num[0], start_den[0]
         last = len(start_num) - 1
@@ -759,6 +765,8 @@ class FunctionModel:
                         raise _unsorted(x, prev)
                     raise self._outside(x)
                 (n, d), whole = x.as_integer_ratio(), False
+            elif type(x) is tuple:
+                (n, d), whole = x, False
             else:
                 n, d, whole = x.numerator, x.denominator, isinstance(x, int)
             if prev is not None and n * p_den < p_num * d:
@@ -772,11 +780,14 @@ class FunctionModel:
                 i += 1
             co = coeffs[i]
             if co is None:
-                out.append(consts[i])
+                out.append(consts[i].as_integer_ratio() if pairs else consts[i])
             else:
                 slope_num, icpt_num, den, whole_co = co
                 num = slope_num * n + icpt_num * d
-                out.append(num if whole and whole_co else Fraction(num, den * d))
+                if pairs:
+                    out.append((num, den * d))
+                else:
+                    out.append(num if whole and whole_co else Fraction(num, den * d))
         return out
 
     def __call__(self, x):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import os
 
-from ._num import sig15, uniform_grid
+from ._num import sig15_row, uniform_grid
 from .errors import BVKitError
 from .specio import dump_json
 from .variation import jordan_decomposition
@@ -61,8 +61,7 @@ def _svg_document(series, title):
     ]
     for idx, (label, sx, sy) in enumerate(series):
         color = _COLORS.get(label, "#333")
-        points = " ".join("%s,%s" % tuple(map(_fmt, to_px(x, y)))
-                          for x, y in zip(sx, sy))
+        points = " ".join(["%.4f,%.4f" % to_px(x, y) for x, y in zip(sx, sy)])
         lines.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.4" '
                      f'points="{points}"/>')
         lines.append(f'<text x="{CANVAS_W - MARGIN - 60}" '
@@ -78,10 +77,9 @@ def _write(path, text):
 
 
 def _write_csv(path, header, rows):
-    out = [",".join(header)]
-    for row in rows:
-        out.append(",".join(sig15(v) for v in row))
-    _write(path, "\n".join(out) + "\n")
+    """One line per row tuple, as wide as the header."""
+    row_format = sig15_row(len(header))
+    _write(path, "\n".join([",".join(header)] + [row_format % row for row in rows]) + "\n")
 
 
 def emit_plots(table, outdir) -> list:

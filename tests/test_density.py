@@ -21,6 +21,7 @@ from bvkit.intervals import IntervalSet
 from bvkit.measure import image_measure
 from bvkit.model import (
     FunctionModel,
+    LinearPiece,
     build_cantor_iterate,
     build_zigzag,
     piecewise_linear,
@@ -58,6 +59,23 @@ class TestMonotoneDensity:
     def test_explicit_grid_needs_window(self, identity):
         with pytest.raises(SpecFormatError):
             monotone_density(identity, grid=[F(1, 2)])
+
+    def test_int_valued_model_gives_fractions(self):
+        # int / int would round to a float
+        model = FunctionModel([LinearPiece(0, 1, 1, 0)])
+        values = monotone_density(model, [0], 1).values
+        assert values == (F(1),) and type(values[0]) is Fraction
+        values = monotone_density(model, [0, 1], 1).values
+        assert values == (F(1), F(1)) and all(type(v) is Fraction for v in values)
+
+    @pytest.mark.parametrize("recover", [monotone_density, shifted_monotone_density,
+                                         bv_density])
+    @pytest.mark.parametrize("arithmetic", ["rational", "float"])
+    def test_an_empty_grid_is_refused(self, recover, arithmetic, identity):
+        model = identity if arithmetic == "rational" else model_from_dict(
+            {**model_to_dict(identity), "arithmetic": "float"})
+        with pytest.raises(SpecFormatError, match="^the density grid is empty$"):
+            recover(model, [], F(1, 64))
 
 
 class TestShiftedDensity:

@@ -19,10 +19,16 @@ bit-equal floats in float mode.
 * When every window quotient is exact, ``bv_density`` is F's own window
   quotient; the oracle recovers p and n through their shifts, four
   monotone passes, and checks each against its direct quotient.
+* On a model with a pair table, the window quotients run on integer pairs;
+  the oracle is the loop over Fractions.  Exact cumulative sums and the
+  reconstruction error run on integer pairs too; the oracles are the loops
+  over the values' own arithmetic.  The report and CLI writers format a row
+  with one ``%``; the oracle formats each number with ``sig15``.
 """
 
 import json
 import random
+import re
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -33,18 +39,22 @@ from hypothesis import given, settings
 import bvkit.cli as cli_mod
 import bvkit.density as density_mod
 import bvkit.measure as measure_mod
+import bvkit.plots as plots_mod
 from bvkit.certificate import variation_certificate
-from bvkit._num import uniform_grid
+from bvkit._num import sig15, uniform_grid
 from bvkit.cli import main
 from bvkit.corpus import default_corpus
 from bvkit.density import (
     BV_DIFFERENCE,
     DensityGrid,
+    ReconstructionReport,
     bv_density,
     density_grid,
+    integrate,
+    reconstruction_error,
     shifted_monotone_density,
 )
-from bvkit.errors import InfiniteSegmentationError, PreconditionError
+from bvkit.errors import InfiniteSegmentationError, OutOfDomainError, PreconditionError
 from bvkit.intervals import Interval, IntervalSet
 from bvkit.measure import cantor_family, image_measure, image_set, shrinking_family
 from bvkit.model import (
@@ -689,3 +699,280 @@ class TestBVDensityWindowQuotient:
                             (out / "recon.json").read_bytes(),
                             capsys.readouterr().out.replace(str(out), "")))
         assert outputs[0] == outputs[1]
+
+
+# ---------------------------------------------------------------------------
+# window quotients, cumulative sums and reconstruction on integer pairs
+# ---------------------------------------------------------------------------
+
+
+def old_window_quotients(model, grid, h):
+    """The window quotients as the loop over Fractions gives them."""
+    return density_mod._window_quotients(model, grid, h, density_mod._fraction_quotient)
+
+
+def old_cumulative(density):
+    """``DensityGrid.cumulative`` as it was: the trapezoid sum in the
+    values' own arithmetic."""
+    acc = [density.values[0] * 0]
+    for (x0, f0), (x1, f1) in zip(zip(density.grid, density.values),
+                                  zip(density.grid[1:], density.values[1:])):
+        acc.append(acc[-1] + (f0 + f1) * (x1 - x0) / 2)
+    return tuple(acc)
+
+
+def old_reconstruction_error(model, density):
+    """``reconstruction_error`` as it was, on the old cumulative sum."""
+    f_a = model.evaluate(model.a)
+    cum = old_cumulative(density)
+    worst = None
+    arg = density.grid[0]
+    for x, fx, acc in zip(density.grid, model.evaluate_many(density.grid), cum):
+        err = abs(fx - f_a - acc)
+        if worst is None or err > worst:
+            worst, arg = err, x
+    return ReconstructionReport(worst, arg, len(density.grid), density.window)
+
+
+def _outcome(compute, *args):
+    """Values by type and bits (a report field by field), or the error's
+    class and message."""
+    try:
+        got = compute(*args)
+    except Exception as exc:  # the oracle's errors are part of its answer
+        return type(exc), str(exc)
+    if isinstance(got, ReconstructionReport):
+        got = (got.sup_error, got.argmax, got.grid_points, got.window)
+    return _keys(got)
+
+
+def _fresh(density):
+    """A copy with no cumulative sum cached yet."""
+    return DensityGrid(density.grid, density.values, density.window, density.method)
+
+
+def assert_pair_routes_match(model, grid, h):
+    """Window quotients, the cumulative sum, the reconstruction error and
+    integrals at and between the grid points, by both routes."""
+    if density_mod._exact_windows(model, grid, h) and model._table is not None:
+        assert _outcome(density_mod._pair_window_quotients, model, grid, h) == \
+            _outcome(old_window_quotients, model, grid, h)
+    density = bv_density(model, grid, h)
+    assert _keys(density.cumulative()) == _keys(old_cumulative(density))
+    assert _outcome(reconstruction_error, model, _fresh(density)) == \
+        _outcome(old_reconstruction_error, model, density)
+    if list(density.grid) != sorted(density.grid):
+        return
+    oracle = _fresh(density)
+    oracle._cumulative = old_cumulative(density)
+    between = [(x0 + x1) / 2 for x0, x1 in zip(density.grid, density.grid[1:])]
+    for x in list(density.grid) + between[::3]:
+        assert _key(integrate(density, x)) == _key(integrate(oracle, x))
+
+
+def assert_pair_grids_match(model, sizes, explicit=True):
+    """The default grids of each size, and explicit grids with a window h
+    and h/2, with and without b, reversed with b twice."""
+    for n in sizes:
+        assert_pair_routes_match(model, *density_grid(model, n))
+    if not explicit:
+        return
+    grid, h = density_grid(model, 64)
+    for window in (h, h / 2):
+        assert_pair_routes_match(model, grid, window)
+        assert_pair_routes_match(model, grid[:-1], window)
+        assert_pair_routes_match(model, grid[::-1] + [model.b], window)
+
+
+class _CountPairRoutes:
+    """Counts the pair routes' calls; the pair walk counts only the calls
+    that ask for pairs."""
+
+    def __init__(self, monkeypatch):
+        self.calls = {"windows": 0, "cumulative": 0, "walk": 0}
+        self._count(monkeypatch, density_mod, "_pair_window_quotients", "windows")
+        self._count(monkeypatch, density_mod, "_pair_cumulative", "cumulative")
+        real = FunctionModel._pair_many
+
+        def walk(model, xs, pairs=False):
+            self.calls["walk"] += bool(pairs)
+            return real(model, xs, pairs)
+
+        monkeypatch.setattr(FunctionModel, "_pair_many", walk)
+
+    def _count(self, monkeypatch, owner, name, key):
+        real = getattr(owner, name)
+
+        def counting(*args):
+            self.calls[key] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+
+
+def _offset():
+    """F(a) = 1/3: the reconstruction error's F(a) has a denominator."""
+    return piecewise_linear([(0, F(1, 3)), (F(1, 2), F(4, 3)), (1, F(2, 7))])
+
+
+class TestDensityPairRoutes:
+    """The pair routes give the loops' values, by type and bits, the same
+    argmax, and the loops' errors, by class and message."""
+
+    @pytest.mark.parametrize("model", RATIONAL_CORPUS + CANTOR_RATIONAL,
+                             ids=RATIONAL_CORPUS_IDS + CANTOR_RATIONAL_IDS)
+    def test_rational_models(self, model):
+        assert_pair_grids_match(model, (2, 192, 1024, 4096))
+
+    @pytest.mark.parametrize("model", RATIONAL_CORPUS + CANTOR_RATIONAL,
+                             ids=RATIONAL_CORPUS_IDS + CANTOR_RATIONAL_IDS)
+    def test_jordan_parts(self, model):
+        jordan = jordan_decomposition(model)
+        for part in (jordan.p, jordan.n):
+            assert_pair_grids_match(part, (2, 192), explicit=False)
+
+    @given(rise_fall_plateau())
+    @settings(max_examples=25, deadline=None)
+    def test_random_models(self, knots):
+        assert_pair_grids_match(piecewise_linear(knots), (2, 48))
+
+    @pytest.mark.parametrize("build", [_int_valued, _reflected, _offset],
+                             ids=["int-valued", "reflected", "offset"])
+    def test_hand_built(self, build):
+        # int bounds make the default window a float, so the windows here
+        # are Fractions
+        model = build()
+        for n in (2, 64, 192):
+            grid, h = density_grid(model, n, F(model.b - model.a, 4 * (n - 1)))
+            for window in (h, h / 2):
+                assert_pair_routes_match(model, grid, window)
+                assert_pair_routes_match(model, grid[:-1], window)
+                assert_pair_routes_match(model, grid[::-1] + [model.b], window)
+        for h in (1, 2, F(1, 3)):
+            if h <= model.b - model.a:
+                assert_pair_routes_match(model, list(range(int(model.b) + 1)), h)
+
+    @pytest.mark.parametrize("model", RATIONAL_CORPUS, ids=RATIONAL_CORPUS_IDS)
+    def test_rational_models_take_the_pair_routes(self, model, monkeypatch):
+        counter = _CountPairRoutes(monkeypatch)
+        reconstruction_error(model, bv_density(model, *density_grid(model, 64)))
+        # F's pair walk over the window starts, the window ends and the grid
+        assert counter.calls == {"windows": 1, "cumulative": 1, "walk": 3}
+
+    def test_a_model_without_a_pair_table_keeps_the_loops(self, monkeypatch):
+        model = _reflected()
+        counter = _CountPairRoutes(monkeypatch)
+        reconstruction_error(model, bv_density(model, *density_grid(model, 64, F(1, 126))))
+        assert counter.calls == {"windows": 0, "cumulative": 1, "walk": 0}
+
+    @pytest.mark.parametrize("model", FLOAT_CORPUS, ids=FLOAT_CORPUS_IDS)
+    def test_float_models_keep_the_loops(self, model, monkeypatch):
+        counter = _CountPairRoutes(monkeypatch)
+        assert_pair_grids_match(model, (2, 192))
+        assert counter.calls == {"windows": 0, "cumulative": 0, "walk": 0}
+
+    @pytest.mark.parametrize("grid", [
+        [F(-1), F(1, 2)], [F(1, 2), F(3, 2)], [-1, F(1, 2), 2],
+    ], ids=["below-a", "above-b", "both"])
+    def test_window_errors(self, grid):
+        model = build_zigzag()
+        got = _outcome(density_mod._pair_window_quotients, model, grid, F(1, 64))
+        assert got[0] is OutOfDomainError
+        assert got == _outcome(old_window_quotients, model, grid, F(1, 64))
+
+    @pytest.mark.parametrize("values, grid", [
+        ((F(2), F(2), F(2)), (0, F(1, 4), F(1, 2))),            # every error 0
+        ((F(0), F(0), F(4)), (0, F(1, 4), F(1, 2))),            # 1/2 at 1/4 and 1/2
+        ((1, 2, 3, 4), (0, F(1, 3), F(2, 3), 1)),               # int values
+        ((1, 2, 3, 4), (0, 1, 2, 3)),                           # and int points
+        ((F(1), F(1, 2), F(1, 3), F(1, 4)), (0, 0.25, 0.5, 1)),  # a float point
+        ((F(1), 0.5, F(1, 3), F(1, 4)), (0, F(1, 3), F(2, 3), 1)),  # a float value
+        ((F(3, 2),), (F(1, 2),)),
+        ((F(3, 2),), (0.5,)),
+    ], ids=["zero-errors", "tie", "int-values", "int-grid", "float-point", "float-value",
+            "one-point", "one-float-point"])
+    def test_hand_built_densities(self, values, grid):
+        # the first maximal point stays the argmax
+        model = _offset()
+        density = DensityGrid(grid, values, F(1, 64), BV_DIFFERENCE)
+        assert _keys(density.cumulative()) == _keys(old_cumulative(density))
+        assert _outcome(reconstruction_error, model, _fresh(density)) == \
+            _outcome(old_reconstruction_error, model, density)
+
+    @pytest.mark.parametrize("model", RATIONAL_CORPUS + CANTOR_RATIONAL[:5]
+                             + [_int_valued()],
+                             ids=RATIONAL_CORPUS_IDS + CANTOR_RATIONAL_IDS[:5]
+                             + ["int-valued"])
+    def test_the_pair_walk_hands_out_pairs(self, model):
+        grid = model.verification_grid(65) + [model.b]
+        pairs = model._pair_many(grid, pairs=True)
+        assert all(d > 0 for _, d in pairs)
+        assert [F(n, d) for n, d in pairs] == model.evaluate_many(grid)
+        assert model._pair_many([x.as_integer_ratio() for x in grid], pairs=True) == pairs
+        below, above = model.a - 1, model.b + 1
+        for xs in ([grid[5], grid[4]], [below], [above], [grid[3], above, grid[1]]):
+            with pytest.raises(Exception) as want:
+                model.evaluate_many(xs)
+            with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+                model._pair_many(xs, pairs=True)
+
+    def test_a_float_constant_leaves_no_pair_table(self):
+        # a float constant cannot give an integer pair of its own value
+        model = FunctionModel([LinearPiece(0, 1, 1, 0), ConstantPiece(1, 2, 1.0)],
+                              arithmetic="rational")
+        assert model.exact and model._table is None
+        assert _keys(model.evaluate_many([F(1, 2), F(3, 2)])) == _keys([F(1, 2), 1.0])
+
+
+# CSV rows: floats (signed zeros, subnormal, huge, non-finite), ints (one
+# past float precision) and Fractions
+WRITER_ROWS = [
+    (0.0, -0.0, 5e-324, 1.7976931348623157e308),
+    (float("inf"), float("-inf"), float("nan"), 0.1),
+    (0, -7, 10 ** 17 + 1, 2 ** 60),
+    (F(1, 3), F(-22, 7), F(10 ** 20, 3), F(0)),
+    (1, F(1, 3), 0.25, -2),
+]
+_rng = random.Random(7)
+WRITER_ROWS += [tuple(F(_rng.randint(-10 ** 9, 10 ** 9), _rng.randint(1, 10 ** 6))
+                      for _ in range(4)) for _ in range(40)]
+
+
+class TestOneFormatPerRow:
+    """The writers emit the bytes of one ``sig15`` or ``%.4f`` per number."""
+
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_csv_rows(self, tmp_path, width):
+        header = ["x", "F", "p", "n"][:width]
+        rows = [row[:width] for row in WRITER_ROWS]
+        plots_mod._write_csv(tmp_path / "rows.csv", header, rows)
+        want = "\n".join([",".join(header)]
+                         + [",".join(sig15(v) for v in row) for row in rows]) + "\n"
+        assert (tmp_path / "rows.csv").read_text() == want
+
+    def test_svg_points(self):
+        xs = [0.0, 0.125, 1 / 3, 0.5, 1.0]
+        ys = [0.0, -0.0, 2.5e-9, 7 / 3, -1.0]
+        doc = plots_mod._svg_document([("F", xs, ys), ("f", xs, ys[::-1])], "t")
+        to_px, _ = plots_mod._scale(xs + xs, ys + ys[::-1])
+        for sx, sy in ((xs, ys), (xs, ys[::-1])):
+            want = " ".join("%s,%s" % tuple(map(plots_mod._fmt, to_px(x, y)))
+                            for x, y in zip(sx, sy))
+            assert f'points="{want}"' in doc
+
+    @pytest.mark.parametrize("model", [build_zigzag(), _int_valued(), CANTOR_MODELS[4],
+                                       CANTOR_MODELS[14]],
+                             ids=["zigzag", "int-valued", "cantor_4", "cantor_4-float"])
+    def test_decompose_rows(self, model, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(model_to_dict(model)))
+        paths = [tmp_path / "p.csv", tmp_path / "n.csv"]
+        assert main(["decompose", str(spec), "--grid", "257",
+                     "--emit", *map(str, paths)]) == 0
+        capsys.readouterr()
+        grid = model.verification_grid(257)
+        jordan = jordan_decomposition(model)
+        for path, part in zip(paths, (jordan.p, jordan.n)):
+            want = "x,value\n" + "".join(f"{sig15(x)},{sig15(v)}\n"
+                                         for x, v in zip(grid, part.evaluate_many(grid)))
+            assert path.read_text() == want
