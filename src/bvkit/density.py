@@ -66,10 +66,16 @@ BV_DIFFERENCE = "bv_difference"
 def density_grid(model: FunctionModel, n: int = 4096, h=None):
     """Default recovery grid: ``model.verification_grid(n)`` (n uniform
     points and every knot) plus each point one window before a knot (so
-    windowed quotients stay piecewise smooth between grid points)."""
+    windowed quotients stay piecewise smooth between grid points).  The
+    default window is a quarter of the uniform spacing; in rational mode
+    it divides exactly, so int bounds give a Fraction."""
     pts = model.verification_grid(n)  # raises on n < 2 before h divides
     if h is None:
-        h = (model.b - model.a) / (n - 1) / 4
+        width = model.b - model.a
+        if model.exact:
+            h = _fraction_quotient(width, n - 1) / 4
+        else:
+            h = width / (n - 1) / 4
     if not model.exact:
         h = float(h)
     # a float h makes every k - h a float, whatever the knot's type

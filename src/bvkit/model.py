@@ -13,6 +13,13 @@ the order, domain and piece tests are integer cross-multiplications.  A
 float model walks its pieces and lets each evaluate the point; so does a
 rational model built by hand from pieces the table cannot hold.
 
+Rational construction runs on integers as well.  The level-L Cantor
+iterate is generated from integer knots over 3^L and values over 2^L, a
+model with a pair table checks continuity by cross-multiplying the two
+values at each junction, and the companion F + x maps each tabled piece
+directly, as :func:`make_transformed` would.  Float models and rational
+models without a table keep the loops over their pieces.
+
 The monotone segmentation (maximal alternating runs of increasing /
 decreasing / constant behaviour) is the workhorse every downstream module
 consumes: it makes variation, image measures and preimages exact for the
@@ -22,12 +29,9 @@ finite-segmentation class.
 from __future__ import annotations
 
 import math
-import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
 
 from ._num import DEFAULT_FLOAT_TOL, FLOAT, RATIONAL, bisect_solve, frac, uniform_grid
 from .errors import (
@@ -197,6 +201,8 @@ class PolynomialPiece(Piece):
         dcoeffs = [k * c for k, c in enumerate(self.coefficients)][1:]
         if len(dcoeffs) <= 1:
             return []
+        import numpy as np  # only here, so importing bvkit does not load numpy
+
         # numpy wants descending float coefficients
         desc = [float(c) for c in reversed(dcoeffs)]
         roots = np.roots(desc)
@@ -274,10 +280,12 @@ class CantorPiece(Piece):
         return _cantor_value(self.level, x)
 
     def expand(self) -> list:
-        pieces = [p.restrict(max(p.lo, self.lo), min(p.hi, self.hi))
-                  for p in _cantor_pieces(self.level)
-                  if p.lo < self.hi and p.hi > self.lo]
-        return pieces
+        pieces = _cantor_pieces(self.level)
+        if self.lo == 0 and self.hi == 1:
+            # restricting to [0, 1] would rebuild every piece as it is
+            return pieces
+        return [p.restrict(max(p.lo, self.lo), min(p.hi, self.hi))
+                for p in pieces if p.lo < self.hi and p.hi > self.lo]
 
     def derivative(self, x):
         raise NotImplementedError("cantor pieces are handled via expand()")
@@ -296,25 +304,30 @@ class CantorPiece(Piece):
 
 
 def _cantor_pieces(level: int) -> list:
-    """Piecewise-linear expansion of c_level on [0, 1], exact knots."""
-    rising = [(Fraction(0), Fraction(0), Fraction(1), Fraction(1))]
-    plateaus = []
+    """Piecewise-linear expansion of c_level on [0, 1], in order, from
+    integer knots over 3^level and values over 2^level.
+
+    Rise k starts at X_k / 3^level, where X_k reads the binary digits of k
+    as the ternary digits 0 and 2, and climbs from k / 2^level to
+    (k + 1) / 2^level over one 1 / 3^level; the plateau after it holds
+    (k + 1) / 2^level until rise k + 1 starts.  Every knot, slope,
+    intercept and constant is one Fraction."""
+    width, height = 3 ** level, 2 ** level
+    starts = [0]
     for _ in range(level):
-        next_rising = []
-        for x0, y0, x1, y1 in rising:
-            w = (x1 - x0) / 3
-            ym = (y0 + y1) / 2
-            next_rising.append((x0, y0, x0 + w, ym))
-            plateaus.append((x0 + w, x1 - w, ym))
-            next_rising.append((x1 - w, ym, x1, y1))
-        rising = next_rising
+        starts = [3 * x + digit for x in starts for digit in (0, 2)]
+    slope = Fraction(width, height)
     pieces = []
-    for x0, y0, x1, y1 in rising:
-        slope = (y1 - y0) / (x1 - x0)
-        pieces.append(LinearPiece(x0, x1, slope, y0 - slope * x0))
-    for x0, x1, ym in plateaus:
-        pieces.append(ConstantPiece(x0, x1, ym))
-    pieces.sort(key=lambda p: p.lo)
+    lo = Fraction(0)
+    for k, x in enumerate(starts):
+        if k:
+            rise = Fraction(x, width)
+            pieces.append(ConstantPiece(lo, rise, Fraction(k, height)))
+            lo = rise
+        hi = Fraction(x + 1, width)
+        # k / 2^level - slope * x / 3^level
+        pieces.append(LinearPiece(lo, hi, slope, Fraction(k - x, height)))
+        lo = hi
     return pieces
 
 
@@ -574,10 +587,9 @@ class MonotoneSegmentation:
 class FunctionModel:
     """Contiguous piecewise model of a continuous-by-default function.
 
-    Immutable after construction; every operation is pure, so instances can
-    be shared freely across threads.  ``continuity_flag`` records whether
-    all junction values match (exactly in rational mode, within ``tol``
-    otherwise).
+    Immutable after construction; every operation is pure.
+    ``continuity_flag`` records whether all junction values match (exactly
+    in rational mode, within ``tol`` otherwise).
     """
 
     def __init__(self, pieces, arithmetic=None, tol=DEFAULT_FLOAT_TOL, name=None):
@@ -608,7 +620,6 @@ class FunctionModel:
         self.name = name
         self.a = pieces[0].lo
         self.b = pieces[-1].hi
-        self._lock = threading.RLock()  # cached builders may nest
         self._cache: dict = {}
         self._expanded = self._expand_pieces()
         self._starts = [p.lo for p in self._expanded]
@@ -656,6 +667,8 @@ class FunctionModel:
         return start_num, start_den, coeffs, consts, (self.b.numerator, self.b.denominator)
 
     def _verify_continuity(self) -> bool:
+        if self._table is not None:
+            return _pair_continuous(self._table)
         for left, right in zip(self._expanded, self._expanded[1:]):
             lv = left.value(left.hi)
             rv = right.value(right.lo)
@@ -682,11 +695,11 @@ class FunctionModel:
                 and all(c is None or type(c) is Fraction for c in consts))
 
     def cached(self, key, build):
-        """Internally synchronized memo for derived immutable structures."""
-        with self._lock:
-            if key not in self._cache:
-                self._cache[key] = build()
-            return self._cache[key]
+        """Memo for derived immutable structures; builders may nest."""
+        cache = self._cache
+        if key not in cache:
+            cache[key] = build()
+        return cache[key]
 
     # -- evaluation ---------------------------------------------------------
 
@@ -838,12 +851,23 @@ class FunctionModel:
     # -- derived models ---------------------------------------------------------
 
     def shift_add_identity(self) -> "FunctionModel":
-        """The strictly-increasing companion G(x) = F(x) + x.
+        """The strictly-increasing companion G(x) = F(x) + x, built once per
+        model, under the model's cache.
 
         For a non-decreasing continuous model the result is strictly
         increasing and continuous; both facts are checked, not assumed.
         """
-        pieces = [make_transformed(p, 1, 1, 0) for p in self._expanded]
+        return self.cached("shift", self._build_shift)
+
+    def _build_shift(self) -> "FunctionModel":
+        if self._table is not None:
+            # make_transformed(p, 1, 1, 0) on a tabled piece: slope + 1 with
+            # the same intercept, or slope 1 with the constant as intercept
+            pieces = [LinearPiece(p.lo, p.hi, 1, p.const) if co is None
+                      else LinearPiece(p.lo, p.hi, p.slope + 1, p.intercept)
+                      for p, co in zip(self._expanded, self._table[2])]
+        else:
+            pieces = [make_transformed(p, 1, 1, 0) for p in self._expanded]
         shifted = FunctionModel(pieces, arithmetic=self.arithmetic, tol=self.tol,
                                 name=None if self.name is None else f"{self.name}+x")
         if self.is_nondecreasing():
@@ -1017,6 +1041,28 @@ class FunctionModel:
 def _unsorted(x, prev) -> PreconditionError:
     return PreconditionError(
         f"evaluate_many needs non-decreasing points; {x} follows {prev}")
+
+
+def _pair_continuous(table) -> bool:
+    """True when every piece of a pair table meets the one before it: the
+    two values at its start ``n/d``, ``(A*n + C*d) / (B*d)`` or the
+    constant, agree by cross-multiplication."""
+    start_num, start_den, coeffs, consts, _ = table
+    for i in range(1, len(start_num)):
+        n, d = start_num[i], start_den[i]
+        l_num, l_den = _pair_value(coeffs[i - 1], consts[i - 1], n, d)
+        r_num, r_den = _pair_value(coeffs[i], consts[i], n, d)
+        if l_num * r_den != r_num * l_den:
+            return False
+    return True
+
+
+def _pair_value(co, const, n, d) -> tuple:
+    """A tabled piece's value at ``n/d`` as an unreduced pair, ``den > 0``."""
+    if co is None:
+        return const.as_integer_ratio()
+    slope_num, icpt_num, den, _ = co
+    return slope_num * n + icpt_num * d, den * d
 
 
 def _pair_bisect_right(num, den, n, d) -> int:

@@ -82,6 +82,16 @@ def _write_csv(path, header, rows):
     _write(path, "\n".join([",".join(header)] + [row_format % row for row in rows]) + "\n")
 
 
+def _float_values(model, xs) -> list:
+    """The model at the sorted points xs, as floats.  A model with a pair
+    table gives each value as ``num / den`` from its pair walk: int true
+    division rounds correctly, as ``float(Fraction)`` does, so the floats
+    are the same with no Fraction built."""
+    if model._table is None:
+        return [float(v) for v in model.evaluate_many(xs)]
+    return [num / den for num, den in model._pair_many(xs, pairs=True)]
+
+
 def emit_plots(table, outdir) -> list:
     """Write per-entry SVG plots and CSV sidecars; returns the file list."""
     os.makedirs(outdir, exist_ok=True)
@@ -91,13 +101,13 @@ def emit_plots(table, outdir) -> list:
             continue
         model = row.entry.model
         xs = uniform_grid(model.a, model.b, SAMPLES, exact=False)
-        f_vals = [float(v) for v in model.evaluate_many(xs)]
+        f_vals = _float_values(model, xs)
         series = [("F", xs, f_vals)]
         csv_rows = None
         try:
             decomposition = jordan_decomposition(model)
-            p_vals = [float(v) for v in decomposition.p.evaluate_many(xs)]
-            n_vals = [float(v) for v in decomposition.n.evaluate_many(xs)]
+            p_vals = _float_values(decomposition.p, xs)
+            n_vals = _float_values(decomposition.n, xs)
             series += [("p", xs, p_vals), ("n", xs, n_vals)]
             csv_rows = list(zip(xs, f_vals, p_vals, n_vals))
         except BVKitError:

@@ -12,11 +12,20 @@ the pieces with ``piece.hi > seg.lo`` and ``piece.lo < seg.hi``.  Those are
 the pairs whose clip ``[max(lo), min(hi)]`` is non-empty, so the walk emits
 the same pieces, in the same order, as clipping every piece against every
 segment would.
+
+On a model with a pair table the walk runs on integers.  Every segment
+knot is then a piece start or b, so each piece lies in one segment and
+keeps its own ends.  p = c + s*F and n = c + (s - 1)*F map the piece's
+table coefficients with c as an integer pair, and each new intercept or
+constant is one Fraction: the same classes, values and types as
+:func:`make_transformed` gives.  Both parts then check their monotonicity
+on integer pairs from the pair walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from ._num import locate_cell
 from .errors import (
@@ -30,7 +39,9 @@ from .model import (
     CONSTANT,
     DECREASING,
     INCREASING,
+    ConstantPiece,
     FunctionModel,
+    LinearPiece,
     make_transformed,
 )
 
@@ -196,26 +207,78 @@ def _monotone_envelope_models(pf: VariationFunction) -> tuple:
     c = prefix - s*F(segment start); n replaces s by s - 1.
     """
     model = pf.model
-    expanded = model._expanded
-    p_pieces, n_pieces = [], []
-    j = 0
-    for idx, seg in enumerate(model.monotone_segments()):
-        s = _SIGN[seg.direction]
-        c = pf.prefix[idx] - s * pf.values[idx]
-        # both tile [a, b] in order, so j only moves forward
-        while expanded[j].hi <= seg.lo:
-            j += 1
-        k = j
-        while k < len(expanded) and expanded[k].lo < seg.hi:
-            piece = expanded[k]
-            lo, hi = max(piece.lo, seg.lo), min(piece.hi, seg.hi)
-            p_pieces.append(make_transformed(piece, s, 0, c, lo, hi))
-            n_pieces.append(make_transformed(piece, s - 1, 0, c, lo, hi))
-            k += 1
+    if model._table is not None:
+        p_pieces, n_pieces = _pair_envelope_pieces(pf)
+    else:
+        expanded = model._expanded
+        p_pieces, n_pieces = [], []
+        j = 0
+        for idx, seg in enumerate(model.monotone_segments()):
+            s = _SIGN[seg.direction]
+            c = pf.prefix[idx] - s * pf.values[idx]
+            # both tile [a, b] in order, so j only moves forward
+            while expanded[j].hi <= seg.lo:
+                j += 1
+            k = j
+            while k < len(expanded) and expanded[k].lo < seg.hi:
+                piece = expanded[k]
+                lo, hi = max(piece.lo, seg.lo), min(piece.hi, seg.hi)
+                p_pieces.append(make_transformed(piece, s, 0, c, lo, hi))
+                n_pieces.append(make_transformed(piece, s - 1, 0, c, lo, hi))
+                k += 1
     base = model.name or "F"
     return tuple(FunctionModel(pieces, arithmetic=model.arithmetic, tol=model.tol,
                                name=f"{suffix}[{base}]")
                  for suffix, pieces in (("p", p_pieces), ("n", n_pieces)))
+
+
+def _pair_envelope_pieces(pf: VariationFunction) -> tuple:
+    """p's and n's pieces for a model with a pair table.  Each piece lies
+    in one segment; the walk leaves a segment at the piece that ends where
+    the segment ends, compared as integer pairs."""
+    model = pf.model
+    start_num, start_den, coeffs, _, (b_num, b_den) = model._table
+    ends = list(zip(start_num[1:], start_den[1:]))
+    ends.append((b_num, b_den))
+    expanded = model._expanded
+    p_pieces, n_pieces = [], []
+    i = 0
+    for seg, prefix, value in zip(model.monotone_segments(), pf.prefix, pf.values):
+        s = _SIGN[seg.direction]
+        # c = prefix - s * F(seg.lo), as a pair, and as a Fraction for the
+        # part whose scale is 0
+        r_num, r_den = prefix.as_integer_ratio()
+        v_num, v_den = value.as_integer_ratio()
+        c_num, c_den = r_num * v_den - s * v_num * r_den, r_den * v_den
+        c = Fraction(c_num, c_den) if s >= 0 else None
+        h_num, h_den = seg.hi.as_integer_ratio()
+        while True:
+            piece, co = expanded[i], coeffs[i]
+            p_pieces.append(_pair_transformed(piece, co, s, c, c_num, c_den))
+            n_pieces.append(_pair_transformed(piece, co, s - 1, c, c_num, c_den))
+            e_num, e_den = ends[i]
+            i += 1
+            if e_num * h_den == h_num * e_den:
+                break
+    return p_pieces, n_pieces
+
+
+def _pair_transformed(piece, co, scale, c, c_num, c_den):
+    """``make_transformed(piece, scale, 0, c)`` for a piece of a pair table
+    with table coefficients ``co``, where ``c = c_num / c_den``: the Fraction
+    c itself at scale 0, else one Fraction for the new intercept or
+    constant."""
+    if scale == 0:
+        return ConstantPiece(piece.lo, piece.hi, c)
+    if co is None:
+        k_num, k_den = piece.const.as_integer_ratio()
+        return ConstantPiece(piece.lo, piece.hi,
+                             Fraction(c_num * k_den + scale * k_num * c_den, c_den * k_den))
+    _, icpt_num, den, _ = co
+    # slope' = scale * slope; intercept' = c + scale * icpt_num / den
+    return LinearPiece(piece.lo, piece.hi,
+                       piece.slope if scale == 1 else scale * piece.slope,
+                       Fraction(c_num * den + scale * icpt_num * c_den, c_den * den))
 
 
 def variation_function(model: FunctionModel) -> VariationFunction:
@@ -252,14 +315,25 @@ def jordan_decomposition(model: FunctionModel) -> Decomposition:
                 from err
         p_model, n_model = _monotone_envelope_models(pf)
         grid = model.verification_grid(JORDAN_VERIFY_POINTS)
-        p_values = p_model.evaluate_many(grid)
-        n_values = n_model.evaluate_many(grid)
-        grace = model.grace
+        if p_model._table is not None and n_model._table is not None:
+            # rational, so grace is 0: a fall is v1 < v0 on integer pairs
+            p_values = p_model._pair_many(grid, pairs=True)
+            n_values = n_model._pair_many(grid, pairs=True)
+
+            def falls(v0, v1):
+                return v1[0] * v0[1] < v0[0] * v1[1]
+        else:
+            p_values = p_model.evaluate_many(grid)
+            n_values = n_model.evaluate_many(grid)
+            grace = model.grace
+
+            def falls(v0, v1):
+                return v1 - v0 < -grace
         for g0, g1, p0, p1, n0, n1 in zip(grid, grid[1:], p_values, p_values[1:],
                                           n_values, n_values[1:]):
-            if p1 - p0 < -grace:
+            if falls(p0, p1):
                 raise NotBVError(f"p not non-decreasing between {g0} and {g1}")
-            if n1 - n0 < -grace:
+            if falls(n0, n1):
                 raise NotBVError(f"n not non-decreasing between {g0} and {g1}")
         return Decomposition(p_model, n_model, model, pf)
 

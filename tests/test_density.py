@@ -20,6 +20,7 @@ from bvkit.errors import PreconditionError, SpecFormatError
 from bvkit.intervals import IntervalSet
 from bvkit.measure import image_measure
 from bvkit.model import (
+    ConstantPiece,
     FunctionModel,
     LinearPiece,
     build_cantor_iterate,
@@ -173,6 +174,25 @@ class TestBVDensity:
     def test_cubic_approximates_derivative(self, cubic):
         d = bv_density(cubic, grid=[0.5], h=2.0 ** -12)
         assert abs(d.values[0] - 0.75) < 1e-2
+
+    def test_int_bounds_give_an_exact_default_window(self):
+        # (b - a) / (n - 1) / 4 on int bounds was a float window, and the
+        # shift route then refused a quotient 3.0 against 3.0000000000000004
+        model = FunctionModel([LinearPiece(0, 2, 3, 1), LinearPiece(2, 5, -1, 9),
+                               ConstantPiece(5, 8, 4)])
+        grid, h = density_grid(model, 192)
+        assert type(h) is Fraction and h == F(8, 191 * 4)
+        assert all(type(x) in (int, Fraction) for x in grid)
+        d = bv_density(model, grid, h)
+        assert all(type(v) is Fraction for v in d.values)
+        slopes = dict(zip(grid, d.values))
+        # forward windows from the knots 0, 2 and 5
+        assert (slopes[0], slopes[2], slopes[5]) == (3, -1, 0)
+        assert bv_density(model).window == F(8, 4095 * 4)
+
+    def test_float_default_window_is_unchanged(self):
+        model = FunctionModel([LinearPiece(0.0, 2.0, 3.0, 1.0)], arithmetic="float")
+        assert density_grid(model, 192)[1].hex() == (2.0 / 191 / 4).hex()
 
 
 class TestIntegrate:

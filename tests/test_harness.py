@@ -2,6 +2,7 @@ import ast
 import importlib
 import json
 import os
+import subprocess
 import sys
 import types
 from dataclasses import replace
@@ -21,8 +22,8 @@ from bvkit.corpus import (
 from bvkit.errors import BVKitError, SpecFormatError
 from bvkit.intervals import IntervalSet
 from bvkit.measure import shrinking_family
-from bvkit.model import FunctionModel, LinearPiece, build_identity
-from bvkit.plots import SAMPLES, emit_plots, write_report
+from bvkit.model import FunctionModel, LinearPiece, build_cantor_iterate, build_identity
+from bvkit.plots import SAMPLES, _float_values, emit_plots, write_report
 from bvkit.specio import (
     intervals_from_dict,
     intervals_to_dict,
@@ -30,7 +31,7 @@ from bvkit.specio import (
     model_from_dict,
     model_to_dict,
 )
-from bvkit.variation import total_variation
+from bvkit.variation import jordan_decomposition, total_variation
 
 F = Fraction
 
@@ -165,6 +166,21 @@ class TestReportsAndPlots:
         with open(tmp_path / "jump_curves.csv") as fh:
             assert fh.readline().strip() == "x,F"
             assert len(fh.readline().strip().split(",")) == 2
+
+    @pytest.mark.parametrize("model", [e.model for e in default_corpus()]
+                             + [build_cantor_iterate(level) for level in (1, 3, 9)],
+                             ids=[e.name for e in default_corpus()]
+                             + ["cantor_1", "cantor_3", "cantor_9"])
+    def test_curve_floats_match_the_fraction_route(self, model):
+        # pair-walk floats are float(v) of the evaluated values, bit for bit
+        xs = uniform_grid(model.a, model.b, SAMPLES, exact=False)
+        models = [model]
+        if model.continuity_flag:
+            decomposition = jordan_decomposition(model)
+            models += [decomposition.p, decomposition.n]
+        for m in models:
+            want = [float(v).hex() for v in m.evaluate_many(xs)]
+            assert [v.hex() for v in _float_values(m, xs)] == want
 
     def test_unexpected_errors_surface(self, small_table, tmp_path, monkeypatch):
         def broken(model, *args, **kwargs):
@@ -441,6 +457,15 @@ class TestPackageSurface:
             for part in attr.split("."):
                 owner = getattr(owner, part)
             assert callable(owner), f"{module}.{attr}"
+
+    def test_importing_bvkit_does_not_load_numpy(self):
+        # numpy is imported only where a polynomial's criticals are found
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        code = ("import sys, bvkit, bvkit.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), check=True)
+        assert done.stdout.strip() == "[]"
 
     @pytest.mark.parametrize("entry", default_corpus(), ids=lambda e: e.name)
     def test_curve_abscissae_match_the_old_sampler(self, entry):
