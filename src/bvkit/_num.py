@@ -34,6 +34,12 @@ def frac(value) -> Fraction:
     raise SpecFormatError(f"not a rational value: {value!r}")
 
 
+def fraction_quotient(d, w):
+    """d / w, exact for ints: int / int would round to a float, so it is a
+    Fraction; any other operands divide as they are."""
+    return Fraction(d, w) if type(d) is int and type(w) is int else d / w
+
+
 def as_number(value, arithmetic: str):
     """Coerce a parsed JSON value into the model's arithmetic."""
     if arithmetic == RATIONAL:

@@ -13,14 +13,14 @@ relies on ``_require_nondecreasing`` to make this theorem apply.
 A BV model's density is p's recovered density less n's, for the Jordan
 decomposition F = p - n.  It takes one of two routes:
 
-* the window quotient, when every quotient is exact (a rational model with
-  exact values, an int or Fraction window no wider than the domain, and
-  int or Fraction points): p's quotient less n's is then F's own,
+* the window quotient, when every quotient is exact (a rational model, an
+  int or Fraction window no wider than the domain, and int or Fraction
+  points): p's quotient less n's is then F's own,
   (F(hi) - F(lo)) / (hi - lo), so one sweep of F gives every value.  The
   checks of the shift route are made once, on the tables at p's knots.
-  On a model with a pair table (linear and constant pieces) the window
-  ends, widths and F's values are integer (numerator, denominator) pairs
-  from the model's pair walk, and each value is one Fraction;
+  The window ends, widths and F's values are integer (numerator,
+  denominator) pairs from the model's pair walk, and each value is one
+  Fraction;
 * the shift route otherwise (float mode, a float window or point, a window
   wider than the domain): each part is recovered through its strictly
   increasing shift and checked against its direct quotient at every grid
@@ -30,8 +30,8 @@ decomposition F = p - n.  It takes one of two routes:
 Re-integration follows the grid's arithmetic.  When every density value is
 a Fraction and every grid point an int or Fraction, the trapezoid sum is
 carried as one reduced integer pair, and ``reconstruction_error`` on a
-model with a pair table compares its errors by cross-multiplication; each
-stored sum, and the sup, is one Fraction.  Other grids keep the loops over
+rational model compares its errors by cross-multiplication; each stored
+sum, and the sup, is one Fraction.  Other grids keep the loops over
 their own arithmetic, which give the same values and types.
 
 The modulus omega(delta) is the worst total image swing over disjoint
@@ -47,6 +47,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._num import fraction_quotient
 from .errors import PreconditionError, SpecFormatError
 from .intervals import Interval, IntervalSet
 from .model import (
@@ -73,7 +74,7 @@ def density_grid(model: FunctionModel, n: int = 4096, h=None):
     if h is None:
         width = model.b - model.a
         if model.exact:
-            h = _fraction_quotient(width, n - 1) / 4
+            h = fraction_quotient(width, n - 1) / 4
         else:
             h = width / (n - 1) / 4
     if not model.exact:
@@ -164,7 +165,7 @@ def monotone_density(model: FunctionModel, grid=None, h=None) -> DensityGrid:
         raise SpecFormatError("the density grid is empty")
     if not model.exact:
         h = float(h)
-    divide = _fraction_quotient if model.exact else operator.truediv
+    divide = fraction_quotient if model.exact else operator.truediv
     return DensityGrid(tuple(grid), _window_quotients(model, grid, h, divide), h, MONOTONE)
 
 
@@ -186,11 +187,10 @@ def _window_quotients(model: FunctionModel, grid, h, divide=operator.truediv) ->
 
 
 def _pair_window_quotients(model: FunctionModel, grid, h) -> tuple:
-    """``_window_quotients(model, grid, h, _fraction_quotient)`` on integer
-    pairs, for a model with a pair table and the inputs
-    :func:`_exact_windows` takes: each window end min(x + h, b), its width
-    and F's values at both ends (from the model's pair walk) are integer
-    pairs, and each value is one Fraction."""
+    """``_window_quotients(model, grid, h, fraction_quotient)`` on integer
+    pairs, for the inputs :func:`_exact_windows` takes: each window end
+    min(x + h, b), its width and F's values at both ends (from the model's
+    pair walk) are integer pairs, and each value is one Fraction."""
     b = model.b
     b_n, b_d = b.as_integer_ratio()
     h_n, h_d = h.as_integer_ratio()
@@ -208,7 +208,7 @@ def _pair_window_quotients(model: FunctionModel, grid, h) -> tuple:
             his.append((b_n, b_d))
             widths.append((b_n * x_d - x_n * b_d, b_d * x_d))
     left = max(b - h, model.a)
-    values = [_fraction_quotient(model.evaluate(b) - model.evaluate(left), h)] * len(grid)
+    values = [fraction_quotient(model.evaluate(b) - model.evaluate(left), h)] * len(grid)
     for i, (w_n, w_d), (lo_n, lo_d), (hi_n, hi_d) in zip(
             order, widths, model._pair_many(los, pairs=True),
             model._pair_many(his, pairs=True)):
@@ -255,10 +255,7 @@ def bv_density(model: FunctionModel, grid=None, h=None) -> DensityGrid:
         grid, h = density_grid(model, h=h)
     if _exact_windows(model, grid, h):
         _check_parts(model, decomposition)
-        if model._table is not None:
-            values = _pair_window_quotients(model, grid, h)
-        else:
-            values = _window_quotients(model, grid, h, _fraction_quotient)
+        values = _pair_window_quotients(model, grid, h)
     else:
         rising = shifted_monotone_density(decomposition.p, grid, h)
         falling = shifted_monotone_density(decomposition.n, grid, h)
@@ -268,19 +265,13 @@ def bv_density(model: FunctionModel, grid=None, h=None) -> DensityGrid:
 
 def _exact_windows(model: FunctionModel, grid, h) -> bool:
     """True when F's window quotient is the shift route's answer exactly:
-    a rational model whose knots and values there are ints or Fractions
-    (a float coefficient would make the value at its knot a float), an int
-    or Fraction window 0 < h <= b - a, and a non-empty grid of int or
+    a rational model (whose knots and values are ints or Fractions), an
+    int or Fraction window 0 < h <= b - a, and a non-empty grid of int or
     Fraction points, so every width hi - lo is exact.  Past b - a the
     point at b has no full left window, which the shift route refuses; an
     empty grid, a missing or non-positive h keep that route's errors."""
-    if not (model.exact and type(h) in _EXACT and 0 < h <= model.b - model.a
-            and len(grid) > 0):
-        return False
-    knots = model.knots()
-    return (all(type(x) in _EXACT for x in grid)
-            and all(type(k) in _EXACT for k in knots)
-            and all(type(v) in _EXACT for v in model.evaluate_many(knots)))
+    return (model.exact and type(h) in _EXACT and 0 < h <= model.b - model.a
+            and len(grid) > 0 and all(type(x) in _EXACT for x in grid))
 
 
 def _check_parts(model: FunctionModel, decomposition) -> None:
@@ -288,9 +279,9 @@ def _check_parts(model: FunctionModel, decomposition) -> None:
     non-decreasing and has a shift G = part + x (whose build checks G
     continuous and strictly increasing), G(k) - k == part(k) and
     p(k) - n(k) == F(k) at every knot k of p.  n and both shifts have p's
-    pieces, and every piece of a rational model is affine (linear, constant,
-    or a reflection or transform of one), so all five are affine between
-    consecutive knots and equality at the knots is equality at every x:
+    pieces, and every piece of a rational model is linear or constant, so
+    all five are affine between consecutive knots and equality at the
+    knots is equality at every x:
     each shifted quotient less 1 is the direct one, and p's direct quotient
     less n's is F's."""
     knots = decomposition.p.knots()
@@ -306,12 +297,6 @@ def _check_parts(model: FunctionModel, decomposition) -> None:
     for k, p, n, f in zip(knots, *at_knots, model.evaluate_many(knots)):
         if p - n != f:
             raise PreconditionError(f"p - n = {p - n} at {k}, not F = {f}")
-
-
-def _fraction_quotient(d, w):
-    """d / w as a Fraction, as the shift route gives it: int / int would
-    round to a float."""
-    return Fraction(d, w) if type(d) is int and type(w) is int else d / w
 
 
 def integrate(density: DensityGrid, x):
@@ -345,15 +330,15 @@ def reconstruction_error(model: FunctionModel, density: DensityGrid) -> Reconstr
     """Sup over the recovery grid of |F(x) - F(a) - integral of the density|,
     at the first grid point that attains it.
 
-    When the model has a pair table and every cumulative value is a
-    Fraction (:meth:`DensityGrid.cumulative`'s pair route), each error is an
-    integer pair from F's pair walk, errors compare by cross-multiplication
-    and the sup is one Fraction.  Other inputs keep the loop over their own
+    When the model is rational and every cumulative value is a Fraction
+    (:meth:`DensityGrid.cumulative`'s pair route), each error is an integer
+    pair from F's pair walk, errors compare by cross-multiplication and the
+    sup is one Fraction.  Other inputs keep the loop over their own
     arithmetic."""
     f_a = model.evaluate(model.a)
     cum = density.cumulative()
     arg = density.grid[0]
-    if model._table is not None and all(type(c) is Fraction for c in cum):
+    if model.exact and all(type(c) is Fraction for c in cum):
         a_n, a_d = f_a.as_integer_ratio()
         worst_n, worst_d = -1, 1
         for x, (f_n, f_d), acc in zip(density.grid,

@@ -8,17 +8,18 @@ of its argument, so rational-mode models stay rational end to end.
 
 Evaluation has one path per arithmetic mode, and ``evaluate`` is a batch
 of one.  A rational model evaluates on integer numerator/denominator
-pairs: its linear and constant pieces are tabulated at construction, and
-the order, domain and piece tests are integer cross-multiplications.  A
-float model walks its pieces and lets each evaluate the point; so does a
-rational model built by hand from pieces the table cannot hold.
+pairs: its pieces are tabulated at construction, and the order, domain
+and piece tests are integer cross-multiplications.  The table holds
+linear and constant pieces with int or Fraction knots and parameters
+(Cantor pieces expand into those), and a rational model refuses any other
+piece.  A float model walks its pieces and lets each evaluate the point.
 
 Rational construction runs on integers as well.  The level-L Cantor
 iterate is generated from integer knots over 3^L and values over 2^L, a
-model with a pair table checks continuity by cross-multiplying the two
-values at each junction, and the companion F + x maps each tabled piece
-directly, as :func:`make_transformed` would.  Float models and rational
-models without a table keep the loops over their pieces.
+rational model checks continuity by cross-multiplying the two values at
+each junction, and the companion F + x maps each tabled piece directly,
+as :func:`make_transformed` would.  Float models keep the loops over
+their pieces.
 
 The monotone segmentation (maximal alternating runs of increasing /
 decreasing / constant behaviour) is the workhorse every downstream module
@@ -33,7 +34,15 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ._num import DEFAULT_FLOAT_TOL, FLOAT, RATIONAL, bisect_solve, frac, uniform_grid
+from ._num import (
+    DEFAULT_FLOAT_TOL,
+    FLOAT,
+    RATIONAL,
+    bisect_solve,
+    frac,
+    fraction_quotient,
+    uniform_grid,
+)
 from .errors import (
     InfiniteSegmentationError,
     OutOfDomainError,
@@ -132,7 +141,7 @@ class LinearPiece(Piece):
     def solve(self, y, lo, hi):
         if self.slope == 0:
             raise ValueError("cannot invert a flat linear piece")
-        return (y - self.intercept) / self.slope
+        return fraction_quotient(y - self.intercept, self.slope)
 
     def params_dict(self):
         return {"slope": self.slope, "intercept": self.intercept}
@@ -603,11 +612,6 @@ class FunctionModel:
                 )
         if arithmetic is None:
             arithmetic = RATIONAL if all(p.exact for p in pieces) else FLOAT
-        if arithmetic == RATIONAL and not all(p.exact for p in pieces):
-            raise SpecFormatError(
-                "rational arithmetic requires exact pieces only "
-                "(linear / constant / cantor_iterate)"
-            )
         if arithmetic not in (RATIONAL, FLOAT):
             raise SpecFormatError(f"unknown arithmetic mode {arithmetic!r}")
         self.pieces = pieces
@@ -641,13 +645,13 @@ class FunctionModel:
         """The integer-pair table behind :meth:`_pair_many`: piece starts
         as (numerator, denominator), ``slope*x + intercept`` at ``x = n/d``
         as ``(A*n + C*d) / (B*d)`` with integers A, C, B, and each constant
-        piece's ``const`` as is.  None when a piece is not linear or
-        constant, or a start, coefficient or constant is not an int or
-        Fraction."""
+        piece's ``const`` as is.  A piece that is not linear or constant,
+        or whose ends, coefficients or constant are not ints or Fractions,
+        raises :class:`SpecFormatError` naming its class and domain."""
         start_num, start_den, coeffs, consts = [], [], [], []
         for p in self._expanded:
             if type(p.lo) not in _EXACT:
-                return None
+                raise _untabled(p)
             start_num.append(p.lo.numerator)
             start_den.append(p.lo.denominator)
             if type(p) is ConstantPiece and type(p.const) in _EXACT:
@@ -661,21 +665,16 @@ class FunctionModel:
                                type(p.slope) is int and type(p.intercept) is int))
                 consts.append(None)
             else:
-                return None
+                raise _untabled(p)
         if type(self.b) not in _EXACT:
-            return None
+            raise _untabled(self._expanded[-1])
         return start_num, start_den, coeffs, consts, (self.b.numerator, self.b.denominator)
 
     def _verify_continuity(self) -> bool:
-        if self._table is not None:
+        if self.exact:
             return _pair_continuous(self._table)
         for left, right in zip(self._expanded, self._expanded[1:]):
-            lv = left.value(left.hi)
-            rv = right.value(right.lo)
-            if self.arithmetic == RATIONAL:
-                if lv != rv:
-                    return False
-            elif not abs(float(lv) - float(rv)) <= self.tol:
+            if not abs(float(left.value(left.hi)) - float(right.value(right.lo))) <= self.tol:
                 return False
         return True
 
@@ -685,10 +684,10 @@ class FunctionModel:
 
     @property
     def fraction_valued(self) -> bool:
-        """True when F(x) is a Fraction at every point: the model has a pair
-        table, no linear piece with int slope and intercept (an int point
-        there gives an int), and no constant piece holding an int."""
-        if self._table is None:
+        """True when F(x) is a Fraction at every point: the model is
+        rational, with no linear piece with int slope and intercept (an int
+        point there gives an int) and no constant piece holding an int."""
+        if not self.exact:
             return False
         _, _, coeffs, consts, _ = self._table
         return (all(co is None or not co[3] for co in coeffs)
@@ -704,18 +703,12 @@ class FunctionModel:
     # -- evaluation ---------------------------------------------------------
 
     def _coerce(self, x):
-        """Domain check, then the model's arithmetic rather than the
-        caller's: floats convert exactly into rationals, rationals round
-        once into floats (a monotone map, so sorted input stays sorted).
-        NaN is in no domain."""
+        """Domain check, then the float model's arithmetic rather than the
+        caller's: rationals round once into floats (a monotone map, so
+        sorted input stays sorted).  NaN is in no domain."""
         if not self.a <= x <= self.b:
             raise self._outside(x)
-        if self.arithmetic == FLOAT:
-            if not isinstance(x, float):
-                x = float(x)
-        elif isinstance(x, float):
-            x = Fraction(x)
-        return x
+        return x if isinstance(x, float) else float(x)
 
     def _outside(self, x) -> OutOfDomainError:
         return OutOfDomainError(f"{x} outside [{self.a}, {self.b}]")
@@ -726,11 +719,10 @@ class FunctionModel:
     def evaluate_many(self, xs) -> list:
         """``F`` at each of the non-decreasing points ``xs``.
 
-        Rational models of linear and constant pieces run on their pair
-        table (:meth:`_pair_many`); every other model runs this loop: one
-        bisection for the first point, then one merge walk over the piece
-        starts."""
-        if self._table is not None:
+        Rational models run on their pair table (:meth:`_pair_many`); float
+        models run this loop: one bisection for the first point, then one
+        merge walk over the piece starts."""
+        if self.exact:
             return self._pair_many(xs)
         starts, pieces = self._starts, self._expanded
         last = len(starts) - 1
@@ -860,7 +852,7 @@ class FunctionModel:
         return self.cached("shift", self._build_shift)
 
     def _build_shift(self) -> "FunctionModel":
-        if self._table is not None:
+        if self.exact:
             # make_transformed(p, 1, 1, 0) on a tabled piece: slope + 1 with
             # the same intercept, or slope 1 with the constant as intercept
             pieces = [LinearPiece(p.lo, p.hi, 1, p.const) if co is None
@@ -1036,6 +1028,13 @@ class FunctionModel:
     def __repr__(self):
         label = self.name or f"{len(self.pieces)} pieces"
         return f"FunctionModel({label} on [{self.a}, {self.b}], {self.arithmetic})"
+
+
+def _untabled(piece) -> SpecFormatError:
+    return SpecFormatError(
+        "rational arithmetic holds linear, constant and cantor_iterate pieces "
+        "with int or Fraction knots and parameters only; got "
+        f"{type(piece).__name__} on [{piece.lo}, {piece.hi}]")
 
 
 def _unsorted(x, prev) -> PreconditionError:

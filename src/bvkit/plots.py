@@ -83,11 +83,11 @@ def _write_csv(path, header, rows):
 
 
 def _float_values(model, xs) -> list:
-    """The model at the sorted points xs, as floats.  A model with a pair
-    table gives each value as ``num / den`` from its pair walk: int true
-    division rounds correctly, as ``float(Fraction)`` does, so the floats
-    are the same with no Fraction built."""
-    if model._table is None:
+    """The model at the sorted points xs, as floats.  A rational model gives
+    each value as ``num / den`` from its pair walk: int true division rounds
+    correctly, as ``float(Fraction)`` does, so the floats are the same with
+    no Fraction built."""
+    if not model.exact:
         return [float(v) for v in model.evaluate_many(xs)]
     return [num / den for num, den in model._pair_many(xs, pairs=True)]
 

@@ -13,13 +13,13 @@ the pairs whose clip ``[max(lo), min(hi)]`` is non-empty, so the walk emits
 the same pieces, in the same order, as clipping every piece against every
 segment would.
 
-On a model with a pair table the walk runs on integers.  Every segment
-knot is then a piece start or b, so each piece lies in one segment and
-keeps its own ends.  p = c + s*F and n = c + (s - 1)*F map the piece's
-table coefficients with c as an integer pair, and each new intercept or
-constant is one Fraction: the same classes, values and types as
-:func:`make_transformed` gives.  Both parts then check their monotonicity
-on integer pairs from the pair walk.
+On a rational model the walk runs on integers, over the pair table.
+Every segment knot is then a piece start or b, so each piece lies in one
+segment and keeps its own ends.  p = c + s*F and n = c + (s - 1)*F map
+the piece's table coefficients with c as an integer pair, and each new
+intercept or constant is one Fraction: the same classes, values and
+types as :func:`make_transformed` gives.  Both parts then check their
+monotonicity on integer pairs from the pair walk.
 """
 
 from __future__ import annotations
@@ -207,7 +207,7 @@ def _monotone_envelope_models(pf: VariationFunction) -> tuple:
     c = prefix - s*F(segment start); n replaces s by s - 1.
     """
     model = pf.model
-    if model._table is not None:
+    if model.exact:
         p_pieces, n_pieces = _pair_envelope_pieces(pf)
     else:
         expanded = model._expanded
@@ -233,9 +233,9 @@ def _monotone_envelope_models(pf: VariationFunction) -> tuple:
 
 
 def _pair_envelope_pieces(pf: VariationFunction) -> tuple:
-    """p's and n's pieces for a model with a pair table.  Each piece lies
-    in one segment; the walk leaves a segment at the piece that ends where
-    the segment ends, compared as integer pairs."""
+    """p's and n's pieces for a rational model.  Each piece lies in one
+    segment; the walk leaves a segment at the piece that ends where the
+    segment ends, compared as integer pairs."""
     model = pf.model
     start_num, start_den, coeffs, _, (b_num, b_den) = model._table
     ends = list(zip(start_num[1:], start_den[1:]))
@@ -315,8 +315,8 @@ def jordan_decomposition(model: FunctionModel) -> Decomposition:
                 from err
         p_model, n_model = _monotone_envelope_models(pf)
         grid = model.verification_grid(JORDAN_VERIFY_POINTS)
-        if p_model._table is not None and n_model._table is not None:
-            # rational, so grace is 0: a fall is v1 < v0 on integer pairs
+        if model.exact:
+            # grace is 0: a fall is v1 < v0 on integer pairs
             p_values = p_model._pair_many(grid, pairs=True)
             n_values = n_model._pair_many(grid, pairs=True)
 

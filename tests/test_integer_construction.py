@@ -24,7 +24,6 @@ from bvkit.model import (
     ConstantPiece,
     FunctionModel,
     LinearPiece,
-    ReflectedPiece,
     XSinPiece,
     _cantor_pieces,
     build_cantor_iterate,
@@ -367,11 +366,11 @@ class TestConstruction:
                       piecewise_linear([(0, 1), (1, 1), (2, 0), (F(5, 2), 0), (3, 2)])):
             assert_construction_matches(model)
 
-    def test_models_without_a_table_keep_the_piece_loop(self):
-        # a reflected piece has no table; its parts go through make_transformed
-        model = FunctionModel([ReflectedPiece(LinearPiece(0, 1, F(1, 3), 1), 1),
+    def test_a_reflected_linear_piece(self):
+        # a falling piece, reflected into a linear piece of the table
+        model = FunctionModel([LinearPiece(0, 1, F(1, 3), 1).reflected(1),
                                LinearPiece(1, 2, F(2), F(-1))])
-        assert model._table is None
+        assert model._table is not None
         assert_construction_matches(model)
 
 

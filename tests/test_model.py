@@ -15,6 +15,7 @@ from bvkit.model import (
     CONSTANT,
     DECREASING,
     INCREASING,
+    ConstantPiece,
     FunctionModel,
     LinearPiece,
     PolynomialPiece,
@@ -159,6 +160,12 @@ class TestValidation:
 
     def test_discontinuous_flagged(self):
         model = FunctionModel([LinearPiece(0, 1, 1, 0), LinearPiece(1, 2, 1, 5)])
+        assert not model.continuity_flag
+
+    def test_rational_jump_below_the_float_tolerance_is_flagged(self):
+        # rational continuity is ==, not agreement within tol
+        model = FunctionModel([LinearPiece(0, 1, 1, 0),
+                               ConstantPiece(1, 2, 1 + F(1, 10 ** 15))])
         assert not model.continuity_flag
 
     def test_mode_zero_and_grace(self, zigzag):
@@ -394,6 +401,38 @@ class TestPreimage:
         else:
             v = zz.evaluate(x)
             assert not (c < v < d)
+
+    def test_int_valued_model_solves_exactly(self):
+        # int slopes, intercepts and targets: a solved end is a Fraction,
+        # not the float that int / int rounds to
+        model = FunctionModel([LinearPiece(0, 2, 3, 1), LinearPiece(2, 5, -1, 9),
+                               ConstantPiece(5, 8, 4)])
+        got = model.preimage(2, 5)
+        assert [(c.lo, c.hi, c.lo_open, c.hi_open) for c in got] == [
+            (F(1, 3), F(4, 3), True, True), (4, 8, True, False)]
+        assert [(type(c.lo), type(c.hi)) for c in got] == [(F, F), (F, int)]
+        assert [(type(x), x) for x in model.level_points(2, 0, 8)] == [(F, F(1, 3))]
+
+    def test_float_model_solves_by_float_division(self):
+        model = FunctionModel([LinearPiece(0.0, 2.0, 3.0, 1.0),
+                               LinearPiece(2.0, 5.0, -1.0, 9.0),
+                               ConstantPiece(5.0, 8.0, 4.0)], arithmetic="float")
+        got = model.preimage(2.0, 5.0)
+        assert [(c.lo.hex(), c.hi.hex()) for c in got] == [
+            (((2.0 - 1.0) / 3.0).hex(), ((5.0 - 1.0) / 3.0).hex()),
+            (((5.0 - 9.0) / -1.0).hex(), (8.0).hex())]
+
+    @given(st.integers(-50, 50).filter(bool), st.integers(-50, 50), st.integers(-50, 50))
+    @settings(max_examples=40, deadline=None)
+    def test_linear_solve_divides_ints_exactly(self, slope, intercept, y):
+        got = LinearPiece(0, 1, slope, intercept).solve(y, 0, 1)
+        assert type(got) is F and got == F(y - intercept, slope)
+
+    @given(st.floats(-1e6, 1e6).filter(bool), st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
+    @settings(max_examples=40, deadline=None)
+    def test_linear_solve_keeps_the_float_quotient(self, slope, intercept, y):
+        got = LinearPiece(0.0, 1.0, slope, intercept).solve(y, 0.0, 1.0)
+        assert got.hex() == ((y - intercept) / slope).hex()
 
 
 class TestReflect:

@@ -4,6 +4,7 @@ kept here as the oracle: the same values with ``==`` and the same types
 (floats by their bits), and the same first error on bad input."""
 
 import math
+import re
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -12,12 +13,15 @@ from hypothesis import given, settings
 
 from bvkit._num import FLOAT
 from bvkit.corpus import default_corpus
-from bvkit.errors import OutOfDomainError, PreconditionError
+from bvkit.errors import OutOfDomainError, PreconditionError, SpecFormatError
 from bvkit.model import (
+    CantorPiece,
     ConstantPiece,
     FunctionModel,
     LinearPiece,
+    PolynomialPiece,
     ReflectedPiece,
+    TransformedPiece,
     build_cantor_iterate,
     piecewise_linear,
 )
@@ -142,9 +146,38 @@ HAND_BUILT = {
     "jumps": lambda: FunctionModel([
         LinearPiece(0, 1, 1, 0), ConstantPiece(1, 2, Fraction(7, 3)),
         LinearPiece(2, Fraction(5, 2), Fraction(-2, 5), Fraction(1, 3))]),
-    # a reflected piece leaves no pair table, so the model keeps the loop
+    # a falling piece, reflected into a linear piece of the table
     "reflected": lambda: FunctionModel([
-        ReflectedPiece(LinearPiece(0, 1, Fraction(1, 3), 1), 1)]),
+        LinearPiece(0, 1, Fraction(1, 3), 1).reflected(1)]),
+}
+
+
+# pieces a rational model refuses, with the piece each refusal names
+UNTABLED = {
+    "float-slope": (lambda: FunctionModel([LinearPiece(0, 1, 0.5, 0)]),
+                    "LinearPiece on [0, 1]"),
+    "float-constant": (lambda: FunctionModel(
+        [LinearPiece(0, 1, 1, 0), ConstantPiece(1, 2, 1.0)], arithmetic="rational"),
+        "ConstantPiece on [1, 2]"),
+    "float-knot": (lambda: FunctionModel(
+        [LinearPiece(0, 0.1, 2, 0), ConstantPiece(0.1, 1, 2 * Fraction(0.1))],
+        arithmetic="rational"),
+        "ConstantPiece on [0.1, 1]"),
+    "float-end": (lambda: FunctionModel([LinearPiece(0, 1.0, 1, 0)]),
+                  "LinearPiece on [0, 1.0]"),
+    "reflected-linear": (lambda: FunctionModel(
+        [ReflectedPiece(LinearPiece(0, 1, Fraction(1, 3), 1), 1),
+         LinearPiece(1, 2, Fraction(2), Fraction(-1))]),
+        "ReflectedPiece on [0, 1]"),
+    "transformed-linear": (lambda: FunctionModel(
+        [TransformedPiece(LinearPiece(0, 1, Fraction(1, 3), 0), 0, 1, 0)]),
+        "TransformedPiece on [0, 1]"),
+    "polynomial": (lambda: FunctionModel(
+        [PolynomialPiece(0, 1, [0, 0, 1])], arithmetic="rational"),
+        "PolynomialPiece on [0, 1]"),
+    # the wrapper hides its Cantor piece from the expansion
+    "reflected-cantor": (lambda: FunctionModel([ReflectedPiece(CantorPiece(0, 1, 2), 1)]),
+                         "ReflectedPiece on [0, 1]"),
 }
 
 
@@ -184,13 +217,13 @@ class TestPairTable:
             assert (model._table is not None) == model.exact, (name, part)
         assert all(build_cantor_iterate(level)._table is not None for level in range(10))
 
-    def test_pieces_it_cannot_hold(self):
-        reflected = HAND_BUILT["reflected"]()
-        assert reflected.exact and reflected._table is None
-        # a float parameter in an exact piece keeps the loop too
-        model = FunctionModel([LinearPiece(0, 1, 0.5, 0)])
-        assert model.exact and model._table is None
-        assert model.evaluate(Fraction(1, 2)) == 0.25
+    @pytest.mark.parametrize("name", UNTABLED)
+    def test_a_rational_model_refuses_what_it_cannot_hold(self, name):
+        build, piece = UNTABLED[name]
+        message = ("rational arithmetic holds linear, constant and cantor_iterate "
+                   "pieces with int or Fraction knots and parameters only; got " + piece)
+        with pytest.raises(SpecFormatError, match=f"^{re.escape(message)}$"):
+            build()
 
     def test_int_values_at_int_points(self):
         model = HAND_BUILT["int-identity"]()

@@ -41,7 +41,7 @@ import bvkit.density as density_mod
 import bvkit.measure as measure_mod
 import bvkit.plots as plots_mod
 from bvkit.certificate import variation_certificate
-from bvkit._num import sig15, uniform_grid
+from bvkit._num import fraction_quotient, sig15, uniform_grid
 from bvkit.cli import main
 from bvkit.corpus import default_corpus
 from bvkit.density import (
@@ -61,7 +61,6 @@ from bvkit.model import (
     ConstantPiece,
     FunctionModel,
     LinearPiece,
-    ReflectedPiece,
     XSinPiece,
     _sorted_unique,
     build_zigzag,
@@ -489,8 +488,8 @@ def _int_valued():
 
 
 def _reflected():
-    """A falling reflected piece, then a rise: no pair table."""
-    return FunctionModel([ReflectedPiece(LinearPiece(0, 1, F(1, 3), 1), 1),
+    """A falling piece reflected into a linear piece, then a rise."""
+    return FunctionModel([LinearPiece(0, 1, F(1, 3), 1).reflected(1),
                           LinearPiece(1, 2, F(2), F(-1))])
 
 
@@ -565,28 +564,11 @@ class TestBVDensityWindowQuotient:
         values = bv_density(model, [0, 1], 1).values
         assert all(type(v) is Fraction for v in values)
 
-    def test_float_coefficient_keeps_the_shift_route(self, monkeypatch):
-        # exact pieces with a float slope: a rational model whose values
-        # are floats, so no quotient is exact
-        model = FunctionModel([LinearPiece(0, 1, 0.5, 0)], arithmetic="rational")
-        assert_density_matches(model, [F(0), F(1, 2), F(1)], F(1, 4))
-        counter = _CountMonotonePasses(monkeypatch)
-        bv_density(model, [F(0), F(1, 2), F(1)], F(1, 4))
-        assert counter.calls == 4
-
     def test_float_points_keep_the_shift_route(self):
         # slopes of 1/3 round differently through the shifts than directly
         model = piecewise_linear([(0, 0), (F(1, 3), 1), (1, F(1, 7))])
         assert_density_matches(model, [F(0), 0.3, F(1, 2)], F(1, 64))
         assert_density_matches(model, [0.1, 0.3, 0.7], F(1, 64))
-
-    def test_float_knots_keep_the_shift_route(self):
-        # exact values at the float knot 0.1, where G(k) - k rounds
-        model = FunctionModel([LinearPiece(0, 0.1, 2, 0),
-                               ConstantPiece(0.1, 1, 2 * F(0.1))],
-                              arithmetic="rational")
-        assert model.continuity_flag
-        assert_density_matches(model, [F(0), F(1, 2), F(1)], F(1, 64))
 
     @pytest.mark.parametrize("grid, h", [
         ([F(0), F(1, 2), F(1)], F(3, 2)),     # h > b - a, b in the grid
@@ -708,7 +690,7 @@ class TestBVDensityWindowQuotient:
 
 def old_window_quotients(model, grid, h):
     """The window quotients as the loop over Fractions gives them."""
-    return density_mod._window_quotients(model, grid, h, density_mod._fraction_quotient)
+    return density_mod._window_quotients(model, grid, h, fraction_quotient)
 
 
 def old_cumulative(density):
@@ -754,7 +736,7 @@ def _fresh(density):
 def assert_pair_routes_match(model, grid, h):
     """Window quotients, the cumulative sum, the reconstruction error and
     integrals at and between the grid points, by both routes."""
-    if density_mod._exact_windows(model, grid, h) and model._table is not None:
+    if density_mod._exact_windows(model, grid, h):
         assert _outcome(density_mod._pair_window_quotients, model, grid, h) == \
             _outcome(old_window_quotients, model, grid, h)
     density = bv_density(model, grid, h)
@@ -859,12 +841,6 @@ class TestDensityPairRoutes:
         # F's pair walk over the window starts, the window ends and the grid
         assert counter.calls == {"windows": 1, "cumulative": 1, "walk": 3}
 
-    def test_a_model_without_a_pair_table_keeps_the_loops(self, monkeypatch):
-        model = _reflected()
-        counter = _CountPairRoutes(monkeypatch)
-        reconstruction_error(model, bv_density(model, *density_grid(model, 64, F(1, 126))))
-        assert counter.calls == {"windows": 0, "cumulative": 1, "walk": 0}
-
     @pytest.mark.parametrize("model", FLOAT_CORPUS, ids=FLOAT_CORPUS_IDS)
     def test_float_models_keep_the_loops(self, model, monkeypatch):
         counter = _CountPairRoutes(monkeypatch)
@@ -915,13 +891,6 @@ class TestDensityPairRoutes:
                 model.evaluate_many(xs)
             with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
                 model._pair_many(xs, pairs=True)
-
-    def test_a_float_constant_leaves_no_pair_table(self):
-        # a float constant cannot give an integer pair of its own value
-        model = FunctionModel([LinearPiece(0, 1, 1, 0), ConstantPiece(1, 2, 1.0)],
-                              arithmetic="rational")
-        assert model.exact and model._table is None
-        assert _keys(model.evaluate_many([F(1, 2), F(3, 2)])) == _keys([F(1, 2), 1.0])
 
 
 # CSV rows: floats (signed zeros, subnormal, huge, non-finite), ints (one
