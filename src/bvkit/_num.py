@@ -27,8 +27,16 @@ def frac(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        text = value.strip()
+        num, slash, den = text.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
         try:
-            return Fraction(value.strip())
+            # "-n/d" in ASCII digits is two int parses; Fraction(str) takes
+            # every other spelling it accepts (signs, "_", decimals, exponents)
+            if (digits.isascii() and digits.isdigit()
+                    and (not slash or (den.isascii() and den.isdigit()))):
+                return Fraction(int(num), int(den) if slash else 1)
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise SpecFormatError(f"cannot parse rational {value!r}") from exc
     raise SpecFormatError(f"not a rational value: {value!r}")

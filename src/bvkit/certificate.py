@@ -19,6 +19,7 @@ in rational mode.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -166,10 +167,17 @@ def shift_certificate(model: FunctionModel, N: IntervalSet, epsilon,
                             for comp in model.preimage(piece.lo, piece.hi))
         core = u_prime.intersect(pre_u)
 
+        # the plateaus are disjoint and in order: at most one holds each end
+        plateau_ivs = [iv for iv, _ in plateaus]
+        plateau_starts = [iv.lo for iv in plateau_ivs]
         trimmed_list = []
         for comp in core:
-            cut = [iv for iv, _ in plateaus
-                   if iv.contains(comp.lo) or iv.contains(comp.hi)]
+            held = set()
+            for x in (comp.lo, comp.hi):
+                i = bisect_right(plateau_starts, x) - 1
+                if i >= 0 and plateau_ivs[i].contains(x):
+                    held.add(i)
+            cut = [plateau_ivs[i] for i in sorted(held)]
             rest = IntervalSet((comp,)).difference(IntervalSet(cut))
             trimmed_list.extend(rest.components)
         trimmed = tuple(trimmed_list)

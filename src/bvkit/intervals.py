@@ -11,15 +11,56 @@ Lexicographic comparison of keys linearises all endpoint positions, so
 union, intersection, difference and emptiness checks become ordinary
 sweeps with no case analysis.  Degenerate intervals behave correctly:
 ``[x, x]`` is the singleton {x} and any half-open ``[x, x)`` is empty.
+
+When every endpoint is an int or a Fraction, the constructor sorts and
+merges on integers instead: each value ``n/d`` becomes the position
+``n * (D // d)`` over one common denominator ``D`` per call, and a key is
+``(position, eps)``.  The components keep the original endpoint objects
+and flags, and the merged spans sum to the measure on the same scale.
+Floats, the infinite edges of a complement, and sets whose ``D`` passes
+``POSITION_BITS`` bits keep the ``(value, eps)`` keys.  The outputs of
+intersect, complement and clip are sorted, non-empty and separated by
+construction, so they skip the sort and the merge.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import itemgetter
 
 _NEG_INF = float("-inf")
 _POS_INF = float("inf")
+
+# past this many bits in the common denominator, integer positions cost
+# more than comparing the values: with random denominators below 10**6,
+# 200 intervals (D of 4.5k bits) built in 0.5-0.7x the time of Fraction
+# keys, 500 (10k bits) in 0.9-1.2x and 1,000 (18k bits) in 1.5-2.3x
+POSITION_BITS = 4096
+
+_FOUR = itemgetter(0, 1, 2, 3)
+
+
+def positions(values):
+    """``(D, [n * (D // d) for each value n/d])``: every value on one
+    integer scale over the common denominator ``D``, so the positions order
+    as the values do, and equal values share a position.  None when a value
+    is not an int or a Fraction, or ``D`` would pass ``POSITION_BITS``
+    bits."""
+    den = 1
+    ratios = []
+    for v in values:
+        if type(v) is not int and type(v) is not Fraction:
+            return None
+        n, d = v.as_integer_ratio()
+        if den % d:
+            den = math.lcm(den, d)
+            if den.bit_length() > POSITION_BITS:
+                return None
+        ratios.append((n, d))
+    return den, [n * (den // d) for n, d in ratios]
 
 
 @dataclass(frozen=True)
@@ -81,26 +122,76 @@ def _gap_between(end_key, start_key) -> bool:
     return v == w and ee == -1 and se == 1
 
 
+def _merge_on_keys(intervals) -> list:
+    """The components of the union, sorted and merged on (value, eps) keys."""
+    comps = sorted(
+        (iv for iv in intervals if not iv.empty),
+        key=lambda iv: (iv.start_key, iv.end_key),
+    )
+    merged: list[Interval] = []
+    for iv in comps:
+        if merged and not _gap_between(merged[-1].end_key, iv.start_key):
+            last = merged[-1]
+            if iv.end_key > last.end_key:
+                merged[-1] = _from_keys(last.start_key, iv.end_key)
+        else:
+            merged.append(iv)
+    return merged
+
+
+def _merge_on_positions(intervals, den, at):
+    """:func:`_merge_on_keys` with ``at[2i]``, ``at[2i + 1]`` the integer
+    positions of interval i's ends over ``den``, and the total length of
+    the components on that scale.  The stable sort keeps the order of
+    equal keys, so the same objects end up in the components."""
+    rows = []
+    for i, iv in enumerate(intervals):
+        s, e = at[2 * i], at[2 * i + 1]
+        if s < e or (s == e and not (iv.lo_open or iv.hi_open)):
+            rows.append((s, 1 if iv.lo_open else 0, e, -1 if iv.hi_open else 0, iv))
+    rows.sort(key=_FOUR)
+    merged: list[Interval] = []
+    total = 0
+    for s, se, e, ee, iv in rows:
+        # not _gap_between((end, end_eps), (s, se))
+        if merged and (end > s or (end == s and not (end_eps == -1 and se == 1))):
+            if e > end or (e == end and ee > end_eps):
+                last = merged[-1]
+                merged[-1] = Interval(last.lo, iv.hi, last.lo_open, iv.hi_open)
+                total += e - end
+                end, end_eps = e, ee
+        else:
+            merged.append(iv)
+            total += e - s
+            end, end_eps = e, ee
+    return merged, (total, den)
+
+
 class IntervalSet:
     """Sorted disjoint union of intervals, closed under set algebra."""
 
-    __slots__ = ("components", "_starts")
+    __slots__ = ("components", "_starts", "_span")
 
     def __init__(self, intervals=()):
-        comps = sorted(
-            (iv for iv in intervals if not iv.empty),
-            key=lambda iv: (iv.start_key, iv.end_key),
-        )
-        merged: list[Interval] = []
-        for iv in comps:
-            if merged and not _gap_between(merged[-1].end_key, iv.start_key):
-                last = merged[-1]
-                if iv.end_key > last.end_key:
-                    merged[-1] = _from_keys(last.start_key, iv.end_key)
-            else:
-                merged.append(iv)
-        object.__setattr__(self, "components", tuple(merged))
-        object.__setattr__(self, "_starts", [iv.lo for iv in merged])
+        intervals = tuple(intervals)
+        spots = positions(x for iv in intervals for x in (iv.lo, iv.hi))
+        if spots is None:
+            self._set(_merge_on_keys(intervals))
+        else:
+            self._set(*_merge_on_positions(intervals, *spots))
+
+    def _set(self, comps, span=None):
+        object.__setattr__(self, "components", tuple(comps))
+        object.__setattr__(self, "_starts", [iv.lo for iv in comps])
+        object.__setattr__(self, "_span", span)
+
+    @classmethod
+    def _normal(cls, comps) -> "IntervalSet":
+        """A set of components that are already sorted, non-empty and
+        separated, as the outputs of intersect, complement and clip are."""
+        out = cls.__new__(cls)
+        out._set(comps)
+        return out
 
     # -- constructors ----------------------------------------------------
 
@@ -132,7 +223,14 @@ class IntervalSet:
 
     @property
     def measure(self):
-        """Total length; exact when endpoints are exact."""
+        """Total length; exact when endpoints are exact.  A set built on
+        integer positions summed its spans while merging: the total is an
+        int when every endpoint is an int, as the sum of ``hi - lo`` is."""
+        if self._span is not None:
+            total, den = self._span
+            if all(type(iv.lo) is int and type(iv.hi) is int for iv in self.components):
+                return total // den
+            return Fraction(total, den)
         total = 0
         for iv in self.components:
             total += iv.length
@@ -173,7 +271,7 @@ class IntervalSet:
                 i += 1
             else:
                 j += 1
-        return IntervalSet(out)
+        return IntervalSet._normal(out)
 
     def complement(self) -> "IntervalSet":
         """Complement within (-inf, inf); infinite edges use open floats."""
@@ -189,16 +287,20 @@ class IntervalSet:
         tail = (_POS_INF, -1)
         if prev_end <= tail:
             out.append(_from_keys(prev_end, tail))
-        return IntervalSet(out)
+        return IntervalSet._normal(out)
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":
         return self.intersect(other.complement())
 
     def clip(self, lo, hi, lo_open=False, hi_open=False) -> "IntervalSet":
-        """Intersection with one interval: a bisection finds the first
-        component that can meet it, and the walk stops past ``hi``."""
+        """Intersection with one interval: the set itself when it lies
+        inside the window, else a bisection finds the first component that
+        can meet it, and the walk stops past ``hi``."""
         window = Interval(lo, hi, lo_open, hi_open)
         comps = self.components
+        if not comps or (comps[0].start_key >= window.start_key
+                         and comps[-1].end_key <= window.end_key):
+            return self
         out = []
         for i in range(max(bisect_right(self._starts, lo) - 1, 0), len(comps)):
             comp = comps[i]
@@ -207,7 +309,7 @@ class IntervalSet:
             piece = comp.intersect(window)
             if not piece.empty:
                 out.append(piece)
-        return IntervalSet(out)
+        return IntervalSet._normal(out)
 
     def affine(self, scale, offset) -> "IntervalSet":
         """Image under x -> scale*x + offset (scale may be negative)."""

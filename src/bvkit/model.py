@@ -49,7 +49,7 @@ from .errors import (
     PreconditionError,
     SpecFormatError,
 )
-from .intervals import Interval, IntervalSet
+from .intervals import Interval, IntervalSet, positions
 
 INCREASING = "increasing"
 DECREASING = "decreasing"
@@ -633,11 +633,18 @@ class FunctionModel:
     # -- construction helpers ---------------------------------------------
 
     def _expand_pieces(self):
+        """The pieces with each Cantor piece expanded.  Only a bare Cantor
+        piece expands, so a float model refuses a wrapper around one (a
+        rational model refuses every wrapper in :meth:`_pair_table`)."""
         out = []
         for p in self.pieces:
             if isinstance(p, CantorPiece):
                 out.extend(p.expand())
             else:
+                if not self.exact and _wraps_cantor(p):
+                    raise SpecFormatError(
+                        f"a cantor_iterate piece expands only when bare; got "
+                        f"{type(p).__name__} on [{p.lo}, {p.hi}] around one")
                 out.append(p)
         return tuple(out)
 
@@ -1030,6 +1037,12 @@ class FunctionModel:
         return f"FunctionModel({label} on [{self.a}, {self.b}], {self.arithmetic})"
 
 
+def _wraps_cantor(piece) -> bool:
+    while isinstance(piece, (ReflectedPiece, TransformedPiece)):
+        piece = piece.base
+    return isinstance(piece, CantorPiece)
+
+
 def _untabled(piece) -> SpecFormatError:
     return SpecFormatError(
         "rational arithmetic holds linear, constant and cantor_iterate pieces "
@@ -1077,10 +1090,23 @@ def _pair_bisect_right(num, den, n, d) -> int:
 
 
 def _sorted_unique(values) -> list:
+    """The values in order, keeping the first of equal values; ints and
+    Fractions sort on their integer positions (see :func:`positions`)."""
+    values = list(values)
+    spots = positions(values)
     out = []
-    for v in sorted(values):
-        if not out or v != out[-1]:
-            out.append(v)
+    if spots is None:
+        for v in sorted(values):
+            if not out or v != out[-1]:
+                out.append(v)
+        return out
+    at = spots[1]
+    last = None
+    # a stable sort keeps equal values in their input order
+    for i in sorted(range(len(at)), key=at.__getitem__):
+        if at[i] != last:
+            last = at[i]
+            out.append(values[i])
     return out
 
 
