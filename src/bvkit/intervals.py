@@ -12,13 +12,14 @@ union, intersection, difference and emptiness checks become ordinary
 sweeps with no case analysis.  Degenerate intervals behave correctly:
 ``[x, x]`` is the singleton {x} and any half-open ``[x, x)`` is empty.
 
-When every endpoint is an int or a Fraction, the constructor sorts and
-merges on integers instead: each value ``n/d`` becomes the position
-``n * (D // d)`` over one common denominator ``D`` per call, and a key is
-``(position, eps)``.  The components keep the original endpoint objects
-and flags, and the merged spans sum to the measure on the same scale.
+The constructor sorts and merges one kind of key, ``(at, eps)``, where
+``at`` is the endpoint value itself or, when every endpoint is an int or
+a Fraction, an integer: each value ``n/d`` becomes the position
+``n * (D // d)`` over one common denominator ``D`` per call.  The
+components keep the original endpoint objects and flags either way, and
+on positions the merged spans also sum to the measure on the same scale.
 Floats, the infinite edges of a complement, and sets whose ``D`` passes
-``POSITION_BITS`` bits keep the ``(value, eps)`` keys.  The outputs of
+``POSITION_BITS`` bits use the values.  The outputs of
 intersect, complement and clip are sorted, non-empty and separated by
 construction, so they skip the sort and the merge.
 """
@@ -113,37 +114,13 @@ def _from_keys(start_key, end_key) -> Interval:
     return Interval(lo, hi, lo_open=(se == 1), hi_open=(ee == -1))
 
 
-def _gap_between(end_key, start_key) -> bool:
-    """True when a set ending at end_key and one starting at start_key
-    neither overlap nor touch (so their union is disconnected)."""
-    (v, ee), (w, se) = end_key, start_key
-    if v < w:
-        return True
-    return v == w and ee == -1 and se == 1
-
-
-def _merge_on_keys(intervals) -> list:
-    """The components of the union, sorted and merged on (value, eps) keys."""
-    comps = sorted(
-        (iv for iv in intervals if not iv.empty),
-        key=lambda iv: (iv.start_key, iv.end_key),
-    )
-    merged: list[Interval] = []
-    for iv in comps:
-        if merged and not _gap_between(merged[-1].end_key, iv.start_key):
-            last = merged[-1]
-            if iv.end_key > last.end_key:
-                merged[-1] = _from_keys(last.start_key, iv.end_key)
-        else:
-            merged.append(iv)
-    return merged
-
-
-def _merge_on_positions(intervals, den, at):
-    """:func:`_merge_on_keys` with ``at[2i]``, ``at[2i + 1]`` the integer
-    positions of interval i's ends over ``den``, and the total length of
-    the components on that scale.  The stable sort keeps the order of
-    equal keys, so the same objects end up in the components."""
+def _merge(intervals, at, den=None):
+    """The components of the union, sorted and merged on the keys
+    ``(at[2i], eps)`` and ``(at[2i + 1], eps)`` of interval i's ends.
+    ``at`` holds the ends themselves or, with ``den``, their integer
+    positions over ``den`` (see :func:`positions`), and then also the total
+    length of the components on that scale.  The stable sort keeps the
+    order of equal keys, so the first of equal ends is the one kept."""
     rows = []
     for i, iv in enumerate(intervals):
         s, e = at[2 * i], at[2 * i + 1]
@@ -153,18 +130,21 @@ def _merge_on_positions(intervals, den, at):
     merged: list[Interval] = []
     total = 0
     for s, se, e, ee, iv in rows:
-        # not _gap_between((end, end_eps), (s, se))
+        # overlaps or touches the last component: no gap unless both the
+        # last end and this start are open at the same point
         if merged and (end > s or (end == s and not (end_eps == -1 and se == 1))):
             if e > end or (e == end and ee > end_eps):
                 last = merged[-1]
                 merged[-1] = Interval(last.lo, iv.hi, last.lo_open, iv.hi_open)
-                total += e - end
+                if den:
+                    total += e - end
                 end, end_eps = e, ee
         else:
             merged.append(iv)
-            total += e - s
+            if den:
+                total += e - s
             end, end_eps = e, ee
-    return merged, (total, den)
+    return merged, total
 
 
 class IntervalSet:
@@ -174,11 +154,16 @@ class IntervalSet:
 
     def __init__(self, intervals=()):
         intervals = tuple(intervals)
-        spots = positions(x for iv in intervals for x in (iv.lo, iv.hi))
+        ends = [x for iv in intervals for x in (iv.lo, iv.hi)]
+        spots = positions(ends)
         if spots is None:
-            self._set(_merge_on_keys(intervals))
-        else:
-            self._set(*_merge_on_positions(intervals, *spots))
+            self._set(_merge(intervals, ends)[0])
+            return
+        den, at = spots
+        comps, total = _merge(intervals, at, den)
+        # the sum of hi - lo is an int when every kept end is one
+        ints = all(type(iv.lo) is int and type(iv.hi) is int for iv in comps)
+        self._set(comps, (total, den, ints))
 
     def _set(self, comps, span=None):
         object.__setattr__(self, "components", tuple(comps))
@@ -224,13 +209,11 @@ class IntervalSet:
     @property
     def measure(self):
         """Total length; exact when endpoints are exact.  A set built on
-        integer positions summed its spans while merging: the total is an
-        int when every endpoint is an int, as the sum of ``hi - lo`` is."""
+        integer positions summed its spans while merging, and noted whether
+        every kept end is an int, when the sum of ``hi - lo`` is one too."""
         if self._span is not None:
-            total, den = self._span
-            if all(type(iv.lo) is int and type(iv.hi) is int for iv in self.components):
-                return total // den
-            return Fraction(total, den)
+            total, den, ints = self._span
+            return total // den if ints else Fraction(total, den)
         total = 0
         for iv in self.components:
             total += iv.length

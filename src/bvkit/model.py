@@ -1094,17 +1094,11 @@ def _sorted_unique(values) -> list:
     Fractions sort on their integer positions (see :func:`positions`)."""
     values = list(values)
     spots = positions(values)
+    at = spots[1] if spots else values
     out = []
-    if spots is None:
-        for v in sorted(values):
-            if not out or v != out[-1]:
-                out.append(v)
-        return out
-    at = spots[1]
-    last = None
     # a stable sort keeps equal values in their input order
     for i in sorted(range(len(at)), key=at.__getitem__):
-        if at[i] != last:
+        if not out or at[i] != last:
             last = at[i]
             out.append(values[i])
     return out
