@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import CertificateFailure, PreconditionError, SpecFormatError
 from .intervals import Interval, IntervalSet
@@ -153,7 +152,7 @@ def shift_certificate(model: FunctionModel, N: IntervalSet, epsilon,
         u = u_prime = core = IntervalSet.empty()
         trimmed: tuple = ()
         images: tuple = ()
-        g_n2 = 0 if not model.exact else Fraction(0)
+        g_n2 = model.zero
         bound = g_n2
         ledger.append(LedgerEntry("shift_cover_budget", bound, 2 * epsilon))
     else:

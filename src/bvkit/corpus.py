@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._num import fmt_number
 from .density import (
     AC_AT_RESOLUTION,
     ModulusReport,
@@ -201,11 +202,7 @@ class EquivalenceTable:
 def _num(value):
     if value is None:
         return None
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
-    return float(value)
+    return fmt_number(value) if isinstance(value, Fraction) else float(value)
 
 
 def run_entry(entry: CorpusEntry, config: CorpusConfig) -> EquivalenceRow:

@@ -2,30 +2,25 @@
 
 The recovered density is a finite-resolution surrogate: at each grid
 point it is the forward difference quotient of the induced length measure
-over a window of width h (clipped at the right edge of the domain, with a
-left window at b itself).  All reconstruction claims are h-dependent
-bounds, checked against the model by re-integration.
+over a window of width h, clipped at the right edge of the domain; at b
+itself the window [max(b - h, a), b] looks left, over its own width.  All
+reconstruction claims are h-dependent bounds, checked against the model
+by re-integration.
 
 No image set is built: for a continuous non-decreasing G the image of
 [u, v] is [G(u), G(v)], so lambda(G([u, v])) = G(v) - G(u).  Recovery
 relies on ``_require_nondecreasing`` to make this theorem apply.
 
-A BV model's density is p's recovered density less n's, for the Jordan
-decomposition F = p - n.  It takes one of two routes:
-
-* the window quotient, when every quotient is exact (a rational model, an
-  int or Fraction window no wider than the domain, and int or Fraction
-  points): p's quotient less n's is then F's own,
-  (F(hi) - F(lo)) / (hi - lo), so one sweep of F gives every value.  The
-  checks of the shift route are made once, on the tables at p's knots.
-  The window ends, widths and F's values are integer (numerator,
-  denominator) pairs from the model's pair walk, and each value is one
-  Fraction;
-* the shift route otherwise (float mode, a float window or point, a window
-  wider than the domain): each part is recovered through its strictly
-  increasing shift and checked against its direct quotient at every grid
-  point, four monotone passes in all.  Float twins of the two routes
-  differ by up to about 1e-11, so float mode keeps this one.
+The arithmetic mode alone picks the route.  A rational model reads a
+float window or point exactly, as ``Fraction(x)``, and divides on the
+integer pairs of its pair walk, so every value is a Fraction.  Its BV
+density, p's quotient less n's for the Jordan decomposition F = p - n, is
+F's own quotient: one sweep of F gives every value, after the shift
+route's checks are made once on the tables at p's knots.  A float model
+recovers each part through its strictly increasing shift, checked against
+its direct quotient at every grid point, four monotone passes in all;
+float twins of the two routes differ by up to about 1e-11, so float mode
+keeps this one.
 
 Re-integration follows the grid's arithmetic.  When every density value is
 a Fraction and every grid point an int or Fraction, the trapezoid sum is
@@ -42,7 +37,7 @@ exact greedy fill for piecewise-linear models and by a discretized greedy
 
 from __future__ import annotations
 
-import operator
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -68,15 +63,11 @@ def density_grid(model: FunctionModel, n: int = 4096, h=None):
     """Default recovery grid: ``model.verification_grid(n)`` (n uniform
     points and every knot) plus each point one window before a knot (so
     windowed quotients stay piecewise smooth between grid points).  The
-    default window is a quarter of the uniform spacing; in rational mode
-    it divides exactly, so int bounds give a Fraction."""
+    default window is a quarter of the uniform spacing, divided exactly
+    (int bounds give a Fraction), then rounded once in float mode."""
     pts = model.verification_grid(n)  # raises on n < 2 before h divides
     if h is None:
-        width = model.b - model.a
-        if model.exact:
-            h = fraction_quotient(width, n - 1) / 4
-        else:
-            h = width / (n - 1) / 4
+        h = fraction_quotient(model.b - model.a, n - 1) / 4
     if not model.exact:
         h = float(h)
     # a float h makes every k - h a float, whatever the knot's type
@@ -146,51 +137,77 @@ def _require_nondecreasing(model: FunctionModel, who: str):
         raise PreconditionError(f"{who} requires a non-decreasing model")
 
 
-def monotone_density(model: FunctionModel, grid=None, h=None) -> DensityGrid:
-    """Difference quotient of the induced measure: at x the value is
-    nu([x, x+h]) / h with nu(E) = lambda(F(E)) = F(x+h) - F(x), as the
-    model is checked continuous and non-decreasing; the window clips at b
-    and the last point looks left.  In rational mode an int difference over
-    an int width is a Fraction.  A float model may fall by up to its
-    ``grace`` (as ``is_nondecreasing`` allows), so a value may dip below 0
-    by that.  An empty grid raises :class:`SpecFormatError`."""
-    _require_nondecreasing(model, "monotone density recovery")
+def _recovery_grid(model: FunctionModel, grid, h):
+    """The grid, as a tuple, and window of a recovery: ``density_grid``'s
+    when no grid is given.  h must be given with a grid, positive and
+    finite, and the grid non-empty.  A float model takes h as a float; a
+    rational model reads each float exactly (:func:`_read_exactly`)."""
     if grid is None:
         grid, h = density_grid(model, h=h)
     elif h is None:
         raise SpecFormatError("an explicit grid needs an explicit window h")
-    if not h > 0:
-        raise SpecFormatError("window h must be positive")
+    if not 0 < h < math.inf:
+        raise SpecFormatError("window h must be positive and finite")
     if len(grid) == 0:
         raise SpecFormatError("the density grid is empty")
     if not model.exact:
-        h = float(h)
-    divide = fraction_quotient if model.exact else operator.truediv
-    return DensityGrid(tuple(grid), _window_quotients(model, grid, h, divide), h, MONOTONE)
+        return tuple(grid), float(h)
+    return tuple(_read_exactly(model, x) for x in grid), _read_exactly(model, h)
 
 
-def _window_quotients(model: FunctionModel, grid, h, divide=operator.truediv) -> tuple:
-    """``divide(F(hi) - F(lo), hi - lo)`` over the forward window
-    [x, min(x + h, b)] of each grid point x, and ``divide(F(b) - F(left), h)``
-    with left = max(b - h, a) at b itself."""
+def _read_exactly(model: FunctionModel, x):
+    """A float as ``Fraction(x)``, its exact value, and any other number as
+    it is; a NaN or infinite float has none and lies outside the domain."""
+    if not isinstance(x, float):
+        return x
+    if not math.isfinite(x):
+        raise model._outside(x)
+    return Fraction(x)
+
+
+def monotone_density(model: FunctionModel, grid=None, h=None) -> DensityGrid:
+    """Difference quotient of the induced measure: at x the value is
+    nu([x, x+h]) / h with nu(E) = lambda(F(E)) = F(x+h) - F(x), as the
+    model is checked continuous and non-decreasing; the window clips at b
+    and the last point looks left.  A rational model gives Fractions
+    (:func:`_pair_window_quotients`).  A float model may fall by up to its
+    ``grace`` (as ``is_nondecreasing`` allows), so a value may dip below 0
+    by that."""
+    _require_nondecreasing(model, "monotone density recovery")
+    grid, h = _recovery_grid(model, grid, h)
+    quotients = _pair_window_quotients if model.exact else _window_quotients
+    return DensityGrid(grid, quotients(model, grid, h), h, MONOTONE)
+
+
+def _quotient_at_b(model: FunctionModel, h):
+    """F's quotient over the left window [max(b - h, a), b]: over h, which
+    is that window's width whenever h <= b - a, and over b - a past it."""
+    b = model.b
+    left = max(b - h, model.a)
+    width = h if h <= b - model.a else b - left
+    return fraction_quotient(model.evaluate(b) - model.evaluate(left), width)
+
+
+def _window_quotients(model: FunctionModel, grid, h) -> tuple:
+    """The float kernel: ``(F(hi) - F(lo)) / (hi - lo)`` over the forward
+    window [x, min(x + h, b)] of each grid point x, and
+    :func:`_quotient_at_b` at b itself."""
     # in sorted order both ends of the forward windows run left to right, so
     # each end takes one sweep; points at b come last and keep the left window
     order = sorted(range(len(grid)), key=grid.__getitem__)
     los = [grid[i] for i in order if grid[i] != model.b]
     his = [min(x + h, model.b) for x in los]
-    left = max(model.b - h, model.a)
-    values = [divide(model.evaluate(model.b) - model.evaluate(left), h)] * len(grid)
+    values = [_quotient_at_b(model, h)] * len(grid)
     for i, lo, hi, f_lo, f_hi in zip(order, los, his, model.evaluate_many(los),
                                      model.evaluate_many(his)):
-        values[i] = divide(f_hi - f_lo, hi - lo)
+        values[i] = (f_hi - f_lo) / (hi - lo)
     return tuple(values)
 
 
 def _pair_window_quotients(model: FunctionModel, grid, h) -> tuple:
-    """``_window_quotients(model, grid, h, fraction_quotient)`` on integer
-    pairs, for the inputs :func:`_exact_windows` takes: each window end
-    min(x + h, b), its width and F's values at both ends (from the model's
-    pair walk) are integer pairs, and each value is one Fraction."""
+    """The rational kernel: :func:`_window_quotients` divided exactly.  The
+    window ends, their widths and F's values there (from the model's pair
+    walk) are integer pairs, and each value is one Fraction."""
     b = model.b
     b_n, b_d = b.as_integer_ratio()
     h_n, h_d = h.as_integer_ratio()
@@ -207,8 +224,7 @@ def _pair_window_quotients(model: FunctionModel, grid, h) -> tuple:
         else:
             his.append((b_n, b_d))
             widths.append((b_n * x_d - x_n * b_d, b_d * x_d))
-    left = max(b - h, model.a)
-    values = [fraction_quotient(model.evaluate(b) - model.evaluate(left), h)] * len(grid)
+    values = [_quotient_at_b(model, h)] * len(grid)
     for i, (w_n, w_d), (lo_n, lo_d), (hi_n, hi_d) in zip(
             order, widths, model._pair_many(los, pairs=True),
             model._pair_many(his, pairs=True)):
@@ -222,56 +238,40 @@ def shifted_monotone_density(model: FunctionModel, grid=None, h=None) -> Density
     subtract the unit density afterwards; agrees with the direct monotone
     quotient up to the window bias, which is asserted."""
     _require_nondecreasing(model, "shifted density recovery")
-    shifted = model.shift_add_identity()
-    if grid is None:
-        grid, h = density_grid(model, h=h)
-    base = monotone_density(shifted, grid, h)
+    grid, h = _recovery_grid(model, grid, h)
+    base = monotone_density(model.shift_add_identity(), grid, h)
     values = tuple(v - 1 for v in base.values)
     direct = monotone_density(model, grid, h)
     scale = max(abs(v) for v in direct.values) + 1
-    tolerance = 0 if model.exact else 2 * float(h) * scale + 1e-9
+    tolerance = 0 if model.exact else 2 * h * scale + 1e-9
     for got, want in zip(values, direct.values):
         if abs(got - want) > tolerance:
             raise PreconditionError(
                 f"shifted quotient {got} strays from direct quotient {want}")
-    return DensityGrid(tuple(grid), values, h, SHIFTED)
+    return DensityGrid(grid, values, h, SHIFTED)
 
 
 def bv_density(model: FunctionModel, grid=None, h=None) -> DensityGrid:
     """Density of a continuous BV model as the difference of the recovered
     densities of p and n from its Jordan decomposition.
 
-    When every window quotient is exact (:func:`_exact_windows`), p's
-    quotient less n's is F's own, so the values come from one sweep of F,
-    after :func:`_check_parts` has made the shift route's checks on the
-    tables.  Otherwise each part goes through
-    :func:`shifted_monotone_density`.  Both routes give the same values, of
-    the same type; an input the window route does not take keeps the shift
-    route's error."""
+    On a rational model p's quotient less n's is F's own, so the values
+    come from one sweep of F (:func:`_pair_window_quotients`), after
+    :func:`_check_parts` has made the shift route's checks on the tables.
+    On a float model each part goes through
+    :func:`shifted_monotone_density`."""
     if not model.continuity_flag:
         raise PreconditionError("density recovery requires a continuous model")
     decomposition = jordan_decomposition(model)
-    if grid is None:
-        grid, h = density_grid(model, h=h)
-    if _exact_windows(model, grid, h):
+    grid, h = _recovery_grid(model, grid, h)
+    if model.exact:
         _check_parts(model, decomposition)
         values = _pair_window_quotients(model, grid, h)
     else:
         rising = shifted_monotone_density(decomposition.p, grid, h)
         falling = shifted_monotone_density(decomposition.n, grid, h)
         values = tuple(g - r for g, r in zip(rising.values, falling.values))
-    return DensityGrid(tuple(grid), values, h, BV_DIFFERENCE)
-
-
-def _exact_windows(model: FunctionModel, grid, h) -> bool:
-    """True when F's window quotient is the shift route's answer exactly:
-    a rational model (whose knots and values are ints or Fractions), an
-    int or Fraction window 0 < h <= b - a, and a non-empty grid of int or
-    Fraction points, so every width hi - lo is exact.  Past b - a the
-    point at b has no full left window, which the shift route refuses; an
-    empty grid, a missing or non-positive h keep that route's errors."""
-    return (model.exact and type(h) in _EXACT and 0 < h <= model.b - model.a
-            and len(grid) > 0 and all(type(x) in _EXACT for x in grid))
+    return DensityGrid(grid, values, h, BV_DIFFERENCE)
 
 
 def _check_parts(model: FunctionModel, decomposition) -> None:

@@ -91,6 +91,8 @@ def _piece_fields(entry: dict, arithmetic: str) -> tuple:
 def model_to_dict(model: FunctionModel) -> dict:
     pieces = []
     for p in model.pieces:
+        if p.kind not in _PIECE_KINDS:  # a wrapper the reader cannot read back
+            raise SpecFormatError(f"cannot write a {p.kind} piece on [{p.lo}, {p.hi}]")
         pieces.append({
             "kind": p.kind,
             "domain": [fmt_number(p.lo), fmt_number(p.hi)],

@@ -48,6 +48,23 @@ class TestShiftCertificate:
         assert trace.shift_bound == 0
         assert trace.ok
 
+    @pytest.mark.parametrize("arithmetic", ["rational", "float"])
+    def test_empty_off_plateau_part_is_the_mode_zero(self, arithmetic):
+        # a ramp to 1/2, then a plateau holding all of N = {5/8}
+        model = piecewise_linear([(0, 0), (F(1, 2), F(1, 2)), (1, F(1, 2))])
+        eps, point = F(1, 100), F(5, 8)
+        if arithmetic == "float":
+            model = model_from_dict(dict(model_to_dict(model), arithmetic="float"))
+            eps, point = float(eps), float(point)
+        trace = shift_certificate(model, IntervalSet.closed(point, point), eps)
+        assert trace.n2.is_empty and trace.ok
+        doc = jsonable(trace)
+        for key in ("g_n2_measure", "shift_bound"):
+            value = getattr(trace, key)
+            assert value == 0 and type(value) is type(model.zero)
+            assert doc[key] == ("0" if model.exact else 0.0)
+            assert type(doc[key]) is type(doc["g_n1_measure"])
+
     def test_square_image_lengths(self, square01):
         trace = shift_certificate(square01, IntervalSet.closed(0, 0.001), 0.01)
         # lambda(G(N)) = 1e-3 + 1e-6 exactly for G = x^2 + x on [0, 1e-3]

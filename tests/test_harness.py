@@ -2,6 +2,7 @@ import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import types
@@ -15,6 +16,7 @@ from bvkit.cli import main
 from bvkit.corpus import (
     CorpusConfig,
     CorpusEntry,
+    build_oscillation,
     corpus_by_name,
     default_corpus,
     run_corpus,
@@ -211,6 +213,18 @@ class TestSpecIO:
         model = model_from_dict(doc)
         assert model.evaluate(F(1, 2)) == F(1, 2)
         assert model_to_dict(model)["pieces"][0]["kind"] == "cantor_iterate"
+
+    def test_wrapper_pieces_are_refused(self):
+        # the spec reader has no kind for a reflected or transformed piece,
+        # so writing one would make a spec that cannot be read back
+        model = build_oscillation(1)
+        for wrapped, kind in [(model.reflect(), "reflected"),
+                              (jordan_decomposition(model).p, "transformed")]:
+            piece = wrapped.pieces[0]
+            assert piece.kind == kind
+            message = f"cannot write a {kind} piece on [{piece.lo}, {piece.hi}]"
+            with pytest.raises(SpecFormatError, match=f"^{re.escape(message)}$"):
+                model_to_dict(wrapped)
 
     def test_rational_strings(self, zigzag):
         doc = model_to_dict(zigzag)

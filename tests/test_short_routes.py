@@ -16,13 +16,15 @@ bit-equal floats in float mode.
   x, and sums the swings.
 * ``density_grid`` builds on the verification grid; the oracle builds the
   uniform grid, knots and window points itself.
-* When every window quotient is exact, ``bv_density`` is F's own window
-  quotient; the oracle recovers p and n through their shifts, four
-  monotone passes, and checks each against its direct quotient.
-* On a model with a pair table, the window quotients run on integer pairs;
-  the oracle is the loop over Fractions.  Exact cumulative sums and the
-  reconstruction error run on integer pairs too; the oracles are the loops
-  over the values' own arithmetic.  The report and CLI writers format a row
+* On a rational model ``bv_density`` is F's own window quotient; the
+  oracle recovers p and n through their shifts, four monotone passes of
+  the loop below, and checks each against its direct quotient.  A float
+  window or point on a rational model is read as ``Fraction(x)``.
+* On a rational model the window quotients run on integer pairs; the
+  oracle is the loop over the values' own arithmetic, which divides
+  exactly.  Exact cumulative sums and the reconstruction error run on
+  integer pairs too; the oracles are the loops over the values' own
+  arithmetic.  The report and CLI writers format a row
   with one ``%``; the oracle formats each number with ``sig15``.
 """
 
@@ -54,7 +56,12 @@ from bvkit.density import (
     reconstruction_error,
     shifted_monotone_density,
 )
-from bvkit.errors import InfiniteSegmentationError, OutOfDomainError, PreconditionError
+from bvkit.errors import (
+    InfiniteSegmentationError,
+    OutOfDomainError,
+    PreconditionError,
+    SpecFormatError,
+)
 from bvkit.intervals import Interval, IntervalSet
 from bvkit.measure import cantor_family, image_measure, image_set, shrinking_family
 from bvkit.model import (
@@ -438,18 +445,55 @@ class TestDensityGrid:
 # ---------------------------------------------------------------------------
 
 
+def loop_window_quotients(model, grid, h):
+    """The window quotients as the loop over the values' own arithmetic
+    gives them, each divided by ``fraction_quotient`` (exact for ints):
+    over the forward window [x, min(x + h, b)] of each grid point x, and
+    over the left window [max(b - h, a), b] at b, whose width is h
+    whenever h <= b - a."""
+    b = model.b
+    order = sorted(range(len(grid)), key=grid.__getitem__)
+    los = [grid[i] for i in order if grid[i] != b]
+    his = [min(x + h, b) for x in los]
+    left = max(b - h, model.a)
+    width = h if h <= b - model.a else b - left
+    values = [fraction_quotient(model.evaluate(b) - model.evaluate(left), width)] * len(grid)
+    for i, lo, hi, f_lo, f_hi in zip(order, los, his, model.evaluate_many(los),
+                                     model.evaluate_many(his)):
+        values[i] = fraction_quotient(f_hi - f_lo, hi - lo)
+    return tuple(values)
+
+
 def four_pass_bv_density(model, grid=None, h=None):
-    """``bv_density`` as it was: p and n each recovered through its shift
-    and checked against its direct quotient."""
+    """``bv_density`` by the shift route: p and n each recovered through
+    its shift and checked against its direct quotient, on the loop above.
+    The window and points are taken as given."""
     if not model.continuity_flag:
         raise PreconditionError("density recovery requires a continuous model")
     decomposition = jordan_decomposition(model)
     if grid is None:
         grid, h = density_grid(model, h=h)
-    rising = shifted_monotone_density(decomposition.p, grid, h)
-    falling = shifted_monotone_density(decomposition.n, grid, h)
-    values = tuple(g - r for g, r in zip(rising.values, falling.values))
+    if not model.exact:
+        h = float(h)
+    parts = []
+    for part in (decomposition.p, decomposition.n):
+        density_mod._require_nondecreasing(part, "shifted density recovery")
+        values = [v - 1 for v in loop_window_quotients(part.shift_add_identity(), grid, h)]
+        direct = loop_window_quotients(part, grid, h)
+        tolerance = 0 if model.exact else 2 * h * (max(map(abs, direct)) + 1) + 1e-9
+        for got, want in zip(values, direct):
+            if abs(got - want) > tolerance:
+                raise PreconditionError(
+                    f"shifted quotient {got} strays from direct quotient {want}")
+        parts.append(values)
+    values = tuple(g - r for g, r in zip(*parts))
     return DensityGrid(tuple(grid), values, h, BV_DIFFERENCE)
+
+
+def _read_exactly(x):
+    """A float as the Fraction of its exact value, any other number as it
+    is: how a rational model reads its window and points."""
+    return F(x) if isinstance(x, float) else x
 
 
 def _density_outcome(recover, model, grid, h):
@@ -463,7 +507,12 @@ def _density_outcome(recover, model, grid, h):
 
 
 def assert_density_matches(model, grid=None, h=None):
-    want = _density_outcome(four_pass_bv_density, model, grid, h)
+    """``bv_density`` against the oracle; on a rational model the oracle
+    gets each float read exactly."""
+    want_grid, want_h = grid, h
+    if model.exact and grid is not None:
+        want_grid, want_h = [_read_exactly(x) for x in grid], _read_exactly(h)
+    want = _density_outcome(four_pass_bv_density, model, want_grid, want_h)
     assert _density_outcome(bv_density, model, grid, h) == want
 
 
@@ -564,32 +613,94 @@ class TestBVDensityWindowQuotient:
         values = bv_density(model, [0, 1], 1).values
         assert all(type(v) is Fraction for v in values)
 
-    def test_float_points_keep_the_shift_route(self):
-        # slopes of 1/3 round differently through the shifts than directly
-        model = piecewise_linear([(0, 0), (F(1, 3), 1), (1, F(1, 7))])
-        assert_density_matches(model, [F(0), 0.3, F(1, 2)], F(1, 64))
-        assert_density_matches(model, [0.1, 0.3, 0.7], F(1, 64))
+    def test_float_inputs_are_read_exactly(self):
+        # slopes of 1/3: a float point is a long binary fraction, and the
+        # quotients over it are still exact
+        thirds = piecewise_linear([(0, 0), (F(1, 3), 1), (1, F(1, 7))])
+        zigzag = build_zigzag()
+        default, window = density_grid(zigzag, 64)
+        for model, grid, h in [
+                (thirds, [F(0), 0.3, F(1, 2)], F(1, 64)),
+                (thirds, [0.1, 0.3, 0.7, 1.0], 1 / 64),
+                (zigzag, default, float(window)),
+                (zigzag, [float(x) for x in default], window)]:
+            assert_density_matches(model, grid, h)
+            density = bv_density(model, grid, h)
+            assert all(type(x) in (int, Fraction) for x in density.grid)
+            assert all(type(v) is Fraction for v in density.values)
+            assert type(density.window) in (int, Fraction)
+
+    def test_float_inputs_of_the_monotone_routes_are_read_exactly(self):
+        p = jordan_decomposition(piecewise_linear([(0, 0), (F(1, 3), 1),
+                                                   (1, F(1, 7))])).p
+        grid = [0.1, 0.3, 0.7, 1.0]
+        exact = [F(x) for x in grid]
+        for recover in (density_mod.monotone_density, shifted_monotone_density):
+            got = recover(p, grid, 1 / 64)
+            want = recover(p, exact, F(1 / 64))
+            assert _keys(got.grid) == _keys(exact)
+            assert _keys(got.values) == _keys(want.values)
+            assert all(type(v) is Fraction for v in got.values)
+            assert _key(got.window) == _key(F(1 / 64))
 
     @pytest.mark.parametrize("grid, h", [
         ([F(0), F(1, 2), F(1)], F(3, 2)),     # h > b - a, b in the grid
+        ([0, F(1, 2), 1], F(3, 2)),
         ([F(0), F(1, 2)], F(3, 2)),           # h > b - a, b not in the grid
+        ([F(0), F(1)], F(2)),
         ([F(0), F(1)], F(1)),                 # h = b - a
-        ([F(1, 2)], F(0)),
-        ([F(1, 2)], F(-1, 64)),
-        ([F(1, 2)], None),
-        ([], F(1, 64)),
-        ([F(-1), F(1, 2)], F(1, 64)),
-        ([F(1, 2), F(3, 2)], F(1, 64)),
-        ([0.5, F(3, 4)], F(1, 64)),
-        ([F(1, 2)], 1 / 64),
-    ], ids=["wide-h-with-b", "wide-h-without-b", "full-h", "zero-h", "negative-h",
-            "no-h", "empty-grid", "below-a", "above-b", "float-point", "float-h"])
-    def test_windows_and_errors(self, grid, h):
+        ([0.5, F(3, 4), 1], F(1, 64)),
+        ([F(1, 2), 1], 1 / 64),
+        ([F(1, 4), 1], 1.5),
+    ], ids=["wide-h-with-b", "wide-h-int-points", "wide-h-without-b", "twice-b-a",
+            "full-h", "float-point", "float-h", "wide-float-h"])
+    def test_windows(self, grid, h):
         assert_density_matches(build_zigzag(), grid, h)
+        assert_density_matches(_offset(), grid, h)
 
-    def test_wide_window_keeps_its_error(self):
-        got = _density_outcome(bv_density, build_zigzag(), [F(0), F(1)], F(2))
-        assert got[0] is PreconditionError and got[1].startswith("shifted quotient")
+    @pytest.mark.parametrize("grid, h, error, message", [
+        ([F(1, 2)], F(0), SpecFormatError, "window h must be positive and finite"),
+        ([F(1, 2)], F(-1, 64), SpecFormatError, "window h must be positive and finite"),
+        ([F(1, 2)], float("inf"), SpecFormatError, "window h must be positive and finite"),
+        ([F(1, 2)], float("nan"), SpecFormatError, "window h must be positive and finite"),
+        ([F(1, 2)], None, SpecFormatError, "an explicit grid needs an explicit window h"),
+        ([], F(1, 64), SpecFormatError, "the density grid is empty"),
+        ([F(-1), F(1, 2)], F(1, 64), OutOfDomainError, "-1 outside [0, 1]"),
+        ([F(1, 2), F(3, 2)], F(1, 64), OutOfDomainError, "3/2 outside [0, 1]"),
+        ([0.5, float("nan")], F(1, 64), OutOfDomainError, "nan outside [0, 1]"),
+        ([0.5, float("inf")], F(1, 64), OutOfDomainError, "inf outside [0, 1]"),
+    ], ids=["zero-h", "negative-h", "infinite-h", "nan-h", "no-h", "empty-grid",
+            "below-a", "above-b", "nan-point", "infinite-point"])
+    def test_errors(self, grid, h, error, message):
+        model = build_zigzag()
+        p = jordan_decomposition(model).p
+        for recover, on in [(bv_density, model), (shifted_monotone_density, p),
+                            (density_mod.monotone_density, p)]:
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                recover(on, grid, h)
+
+    @pytest.mark.parametrize("arithmetic", ["rational", "float"])
+    def test_the_value_at_b_is_over_its_own_width(self, arithmetic):
+        # F(b) - F(a) = -1/21 on [0, 1]: over h = 3/2 it would be -2/63
+        model = _offset() if arithmetic == "rational" else _float_twin(_offset())
+        p = jordan_decomposition(model).p
+        a, b = model.a, model.b
+        for h in (F(3, 2), F(1), F(1, 3)):
+            h = h if model.exact else float(h)
+            left = max(b - h, a)
+            for recover, on in [(bv_density, model), (shifted_monotone_density, p),
+                                (density_mod.monotone_density, p)]:
+                got = recover(on, [a, (a + b) / 2, b], h).values[-1]
+                want = (on.evaluate(b) - on.evaluate(left)) / (b - left)
+                # float mode's shift route rounds through G = part + x
+                assert got == want if model.exact else abs(got - want) < 1e-12
+        # inside the domain the float quotient at b keeps dividing by h: at
+        # h = 1/3 the rounded width b - (b - h) is not h
+        h = 1 / 3
+        twin = _float_twin(p)
+        assert b - (b - h) != h
+        got = density_mod._window_quotients(twin, (1.0,), h)[0]
+        assert got == (twin.evaluate(1.0) - twin.evaluate(1.0 - h)) / h
 
     def test_discontinuous_model(self):
         model = FunctionModel([LinearPiece(0, 1, 1, 0), ConstantPiece(1, 2, 3)])
@@ -688,11 +799,6 @@ class TestBVDensityWindowQuotient:
 # ---------------------------------------------------------------------------
 
 
-def old_window_quotients(model, grid, h):
-    """The window quotients as the loop over Fractions gives them."""
-    return density_mod._window_quotients(model, grid, h, fraction_quotient)
-
-
 def old_cumulative(density):
     """``DensityGrid.cumulative`` as it was: the trapezoid sum in the
     values' own arithmetic."""
@@ -734,11 +840,12 @@ def _fresh(density):
 
 
 def assert_pair_routes_match(model, grid, h):
-    """Window quotients, the cumulative sum, the reconstruction error and
-    integrals at and between the grid points, by both routes."""
-    if density_mod._exact_windows(model, grid, h):
-        assert _outcome(density_mod._pair_window_quotients, model, grid, h) == \
-            _outcome(old_window_quotients, model, grid, h)
+    """Window quotients (the mode's kernel against the loop), the
+    cumulative sum, the reconstruction error and integrals at and between
+    the grid points, by both routes."""
+    kernel = (density_mod._pair_window_quotients if model.exact
+              else density_mod._window_quotients)
+    assert _outcome(kernel, model, grid, h) == _outcome(loop_window_quotients, model, grid, h)
     density = bv_density(model, grid, h)
     assert _keys(density.cumulative()) == _keys(old_cumulative(density))
     assert _outcome(reconstruction_error, model, _fresh(density)) == \
@@ -821,18 +928,17 @@ class TestDensityPairRoutes:
     @pytest.mark.parametrize("build", [_int_valued, _reflected, _offset],
                              ids=["int-valued", "reflected", "offset"])
     def test_hand_built(self, build):
-        # int bounds make the default window a float, so the windows here
-        # are Fractions
+        # int bounds give a Fraction default window; the int windows reach
+        # past b - a on [0, 1]
         model = build()
         for n in (2, 64, 192):
-            grid, h = density_grid(model, n, F(model.b - model.a, 4 * (n - 1)))
+            grid, h = density_grid(model, n)
             for window in (h, h / 2):
                 assert_pair_routes_match(model, grid, window)
                 assert_pair_routes_match(model, grid[:-1], window)
                 assert_pair_routes_match(model, grid[::-1] + [model.b], window)
         for h in (1, 2, F(1, 3)):
-            if h <= model.b - model.a:
-                assert_pair_routes_match(model, list(range(int(model.b) + 1)), h)
+            assert_pair_routes_match(model, list(range(int(model.b) + 1)), h)
 
     @pytest.mark.parametrize("model", RATIONAL_CORPUS, ids=RATIONAL_CORPUS_IDS)
     def test_rational_models_take_the_pair_routes(self, model, monkeypatch):
@@ -854,7 +960,7 @@ class TestDensityPairRoutes:
         model = build_zigzag()
         got = _outcome(density_mod._pair_window_quotients, model, grid, F(1, 64))
         assert got[0] is OutOfDomainError
-        assert got == _outcome(old_window_quotients, model, grid, F(1, 64))
+        assert got == _outcome(loop_window_quotients, model, grid, F(1, 64))
 
     @pytest.mark.parametrize("values, grid", [
         ((F(2), F(2), F(2)), (0, F(1, 4), F(1, 2))),            # every error 0
