@@ -19,6 +19,7 @@ in rational mode.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -33,7 +34,7 @@ from .measure import (
     lusin_probe,
     split_cover_at,
 )
-from .model import CONSTANT, FunctionModel, _sorted_unique
+from .model import CONSTANT, FunctionModel, _read_exactly, _sorted_unique
 from .variation import (
     jordan_decomposition,
     partition_sum,
@@ -66,6 +67,24 @@ class LedgerEntry:
     @property
     def margin(self):
         return self.rhs - self.lhs
+
+
+def _checked_epsilon(model: FunctionModel, epsilon):
+    """epsilon, which must be positive and finite, read exactly on a
+    rational model (:func:`_read_exactly`): its ledgers sum exact values,
+    and a float bound beside them would be a value no step computed."""
+    if not 0 < epsilon < math.inf:
+        raise SpecFormatError("epsilon must be positive and finite")
+    return _read_exactly(model, epsilon) if model.exact else epsilon
+
+
+def _clipped(model: FunctionModel, N: IntervalSet) -> IntervalSet:
+    """N inside [a, b]; on a rational model each float end read exactly."""
+    N = N.clip(model.a, model.b)
+    if model.exact and any(isinstance(e, float) for iv in N for e in (iv.lo, iv.hi)):
+        N = IntervalSet(Interval(_read_exactly(model, iv.lo), _read_exactly(model, iv.hi),
+                                 iv.lo_open, iv.hi_open) for iv in N)
+    return N
 
 
 def _check(entries, grace, context) -> None:
@@ -123,10 +142,10 @@ def shift_certificate(model: FunctionModel, N: IntervalSet, epsilon,
     segmentation; measure(N) < epsilon; the image of the off-plateau part
     of N must leave room for an open cover inside the epsilon budget.  A
     family may be supplied to insist the model probes clean on it first
-    (at ``probe_levels`` resolution).
+    (at ``probe_levels`` resolution).  A rational model reads a float
+    epsilon and the float ends of N exactly.
     """
-    if epsilon <= 0:
-        raise SpecFormatError("epsilon must be positive")
+    epsilon = _checked_epsilon(model, epsilon)
     if not model.continuity_flag:
         raise PreconditionError("shift certificate requires a continuous model")
     if not model.is_nondecreasing():
@@ -134,7 +153,7 @@ def shift_certificate(model: FunctionModel, N: IntervalSet, epsilon,
     if family is not None:
         if lusin_probe(model, family, probe_levels).verdict == FAILS:
             raise PreconditionError("model fails its null-family probe")
-    N = N.clip(model.a, model.b)
+    N = _clipped(model, N)
     if not N.measure < epsilon:
         raise PreconditionError(
             f"measure(N) = {N.measure} is not below epsilon = {epsilon}")
@@ -312,10 +331,10 @@ def variation_certificate(model: FunctionModel, N: IntervalSet, epsilon,
     the default segment-knot partition achieves it exactly.  Per cell, the
     image of N inside the cell must leave positive cover slack within the
     epsilon budget, otherwise the operation refuses rather than fabricate
-    a cover.
+    a cover.  A rational model reads a float epsilon and the float ends of
+    N exactly.
     """
-    if epsilon <= 0:
-        raise SpecFormatError("epsilon must be positive")
+    epsilon = _checked_epsilon(model, epsilon)
     if not model.continuity_flag:
         raise PreconditionError("variation certificate requires continuity")
     decomposition = jordan_decomposition(model)  # raises NotBVError if unbounded
@@ -335,7 +354,7 @@ def variation_certificate(model: FunctionModel, N: IntervalSet, epsilon,
         raise PreconditionError(
             f"partition defect {defect} is not below epsilon {epsilon}")
 
-    N = N.clip(model.a, model.b)
+    N = _clipped(model, N)
     cells = []
     for i, (xl, xr) in enumerate(zip(partition, partition[1:])):
         cells.append(_cell_record(model, decomposition, i, xl, xr, N, epsilon))

@@ -50,6 +50,7 @@ from .model import (
     ConstantPiece,
     FunctionModel,
     LinearPiece,
+    _read_exactly,
     _sorted_unique,
 )
 from .variation import jordan_decomposition
@@ -153,16 +154,6 @@ def _recovery_grid(model: FunctionModel, grid, h):
     if not model.exact:
         return tuple(grid), float(h)
     return tuple(_read_exactly(model, x) for x in grid), _read_exactly(model, h)
-
-
-def _read_exactly(model: FunctionModel, x):
-    """A float as ``Fraction(x)``, its exact value, and any other number as
-    it is; a NaN or infinite float has none and lies outside the domain."""
-    if not isinstance(x, float):
-        return x
-    if not math.isfinite(x):
-        raise model._outside(x)
-    return Fraction(x)
 
 
 def monotone_density(model: FunctionModel, grid=None, h=None) -> DensityGrid:

@@ -83,7 +83,11 @@ class Interval:
 
     @property
     def empty(self) -> bool:
-        return self.start_key > self.end_key
+        # the keys' order, with the flags looked at only when lo == hi
+        lo, hi = self.lo, self.hi
+        if lo < hi:
+            return False
+        return lo != hi or self.lo_open or self.hi_open
 
     @property
     def length(self):
@@ -96,12 +100,22 @@ class Interval:
         return not self.empty and self.lo == self.hi
 
     def contains(self, x) -> bool:
-        return self.start_key <= (x, 0) <= self.end_key
+        lo, hi = self.lo, self.hi
+        return ((lo < x or (not self.lo_open and lo == x))
+                and (x < hi or (not self.hi_open and x == hi)))
 
     def intersect(self, other: "Interval") -> "Interval":
-        sk = max(self.start_key, other.start_key)
-        ek = min(self.end_key, other.end_key)
-        return _from_keys(sk, ek)
+        """The larger start key and the smaller end key, compared as keys
+        are: by value, then on a tie an open end is inside a closed one.
+        On a full tie the ends of ``self`` are kept, as ``max`` and ``min``
+        keep their first argument (``1`` and ``Fraction(1)`` tie)."""
+        lo, lo_open = self.lo, self.lo_open
+        if other.lo > lo or (other.lo_open and not lo_open and other.lo == lo):
+            lo, lo_open = other.lo, other.lo_open
+        hi, hi_open = self.hi, self.hi_open
+        if other.hi < hi or (other.hi_open and not hi_open and other.hi == hi):
+            hi, hi_open = other.hi, other.hi_open
+        return Interval(lo, hi, lo_open, hi_open)
 
     def __str__(self) -> str:
         left = "(" if self.lo_open else "["

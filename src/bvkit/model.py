@@ -12,7 +12,11 @@ pairs: its pieces are tabulated at construction, and the order, domain
 and piece tests are integer cross-multiplications.  The table holds
 linear and constant pieces with int or Fraction knots and parameters
 (Cantor pieces expand into those), and a rational model refuses any other
-piece.  A float model walks its pieces and lets each evaluate the point.
+piece.  A float model evaluates on a float table built at construction:
+each piece start as the least float at or above it, so a float point is
+placed among int or Fraction knots without exact comparisons, and each
+linear piece as float slope and intercept.  Its other pieces evaluate the
+point themselves, and a constant piece gives its constant as it is.
 
 Rational construction runs on integers as well.  The level-L Cantor
 iterate is generated from integer knots over 3^L and values over 2^L, a
@@ -59,6 +63,7 @@ _ONE_THIRD = Fraction(1, 3)
 _TWO_THIRDS = Fraction(2, 3)
 _HALF = Fraction(1, 2)
 _EXACT = (int, Fraction)  # the types a pair table holds
+_REAL = (int, Fraction, float)  # the linear coefficients a float table rounds
 
 
 # ---------------------------------------------------------------------------
@@ -628,6 +633,7 @@ class FunctionModel:
         self._expanded = self._expand_pieces()
         self._starts = [p.lo for p in self._expanded]
         self._table = self._pair_table() if arithmetic == RATIONAL else None
+        self._float_table = None if arithmetic == RATIONAL else self._build_float_table()
         self.continuity_flag = self._verify_continuity()
 
     # -- construction helpers ---------------------------------------------
@@ -677,6 +683,16 @@ class FunctionModel:
             raise _untabled(self._expanded[-1])
         return start_num, start_den, coeffs, consts, (self.b.numerator, self.b.denominator)
 
+    def _build_float_table(self):
+        """The table behind the float loop of :meth:`evaluate_many`: each
+        piece start as the smallest float at or above it (so for a float x,
+        ``start <= x`` exactly when ``key <= x``), the domain as the floats
+        just inside ``[a, b]``, and per piece either ``(slope, intercept)``
+        as floats, for a linear piece, or the piece's ``value``."""
+        keys = [_float_key(s, math.inf) for s in self._starts]
+        return (keys, _float_key(self.a, math.inf), _float_key(self.b, -math.inf),
+                [_float_rule(p) for p in self._expanded])
+
     def _verify_continuity(self) -> bool:
         if self.exact:
             return _pair_continuous(self._table)
@@ -709,14 +725,6 @@ class FunctionModel:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _coerce(self, x):
-        """Domain check, then the float model's arithmetic rather than the
-        caller's: rationals round once into floats (a monotone map, so
-        sorted input stays sorted).  NaN is in no domain."""
-        if not self.a <= x <= self.b:
-            raise self._outside(x)
-        return x if isinstance(x, float) else float(x)
-
     def _outside(self, x) -> OutOfDomainError:
         return OutOfDomainError(f"{x} outside [{self.a}, {self.b}]")
 
@@ -726,25 +734,48 @@ class FunctionModel:
     def evaluate_many(self, xs) -> list:
         """``F`` at each of the non-decreasing points ``xs``.
 
-        Rational models run on their pair table (:meth:`_pair_many`); float
-        models run this loop: one bisection for the first point, then one
-        merge walk over the piece starts."""
+        Rational models run on their pair table (:meth:`_pair_many`).  A
+        float model rounds each point once into a float, the model's
+        arithmetic rather than the caller's, and runs on its float table
+        (:meth:`_build_float_table`): one bisection of the piece keys for
+        the first point, then one merge walk.  Rounding is monotone, so the
+        rounded points settle the order and domain tests, except on a tie
+        with the previous point or at the domain's ends, where the points
+        as given are compared.  NaN is in no domain."""
         if self.exact:
             return self._pair_many(xs)
-        starts, pieces = self._starts, self._expanded
-        last = len(starts) - 1
-        prev = None
+        keys, a_key, b_key, rules = self._float_table
+        a, b = self.a, self.b
+        last = len(keys) - 1
+        prev = px = None
+        i = -1
         out = []
         for raw in xs:
-            if prev is not None and raw < prev:
+            kind = type(raw)
+            if kind is float:
+                x = raw
+            elif kind is Fraction or kind is int:
+                try:
+                    x = float(raw)
+                except OverflowError:
+                    x = math.nan
+            else:
+                x = math.nan
+            # NaN passes no float test below, so a point of another type, or
+            # past the float range, is compared as given, as a NaN point is
+            if prev is not None and not x > px and (x < px or raw < prev):
                 raise _unsorted(raw, prev)
-            x = self._coerce(raw)
-            if prev is None:
-                i = max(bisect_right(starts, x) - 1, 0)
-            prev = raw
-            while i < last and starts[i + 1] <= x:
+            if not a_key < x < b_key and not a <= raw <= b:
+                raise self._outside(raw)
+            prev, px = raw, x
+            if x != x:
+                x = float(raw)
+            if i < 0:
+                i = max(bisect_right(keys, x) - 1, 0)
+            while i < last and keys[i + 1] <= x:
                 i += 1
-            out.append(pieces[i].value(x))
+            rule = rules[i]
+            out.append(rule(x) if type(rule) is not tuple else rule[0] * x + rule[1])
         return out
 
     def _pair_many(self, xs, pairs=False) -> list:
@@ -1048,6 +1079,53 @@ def _untabled(piece) -> SpecFormatError:
         "rational arithmetic holds linear, constant and cantor_iterate pieces "
         "with int or Fraction knots and parameters only; got "
         f"{type(piece).__name__} on [{piece.lo}, {piece.hi}]")
+
+
+def _read_exactly(model: FunctionModel, x):
+    """A float as ``Fraction(x)``, its exact value, and any other number as
+    it is; a NaN or infinite float has none and lies outside the domain.
+    Rational models read their float inputs through this."""
+    if not isinstance(x, float):
+        return x
+    if not math.isfinite(x):
+        raise model._outside(x)
+    return Fraction(x)
+
+
+def _float_key(q, toward) -> float:
+    """The float nearest q on the side of ``toward`` (``inf`` or ``-inf``),
+    q itself when it is a float: the least float >= q or the greatest
+    float <= q, so a float x compares with the key as with q.  The
+    rounding is ``n / d``, as ``float(q)`` rounds, and it is compared with
+    q on integers, which is cheaper than a float against a Fraction."""
+    if isinstance(q, float):
+        return q
+    n, d = q.as_integer_ratio()
+    try:
+        f = n / d
+    except OverflowError:
+        # past the largest float: one step in from the infinity on q's side
+        f = math.inf if n > 0 else -math.inf
+        return f if (f > 0) == (toward > 0) else math.nextafter(f, toward)
+    fn, fd = f.as_integer_ratio()
+    if (fn * d < n * fd) if toward > 0 else (fn * d > n * fd):
+        f = math.nextafter(f, toward)
+    return f
+
+
+def _float_rule(piece):
+    """How the float loop evaluates a piece at a float x: a linear piece
+    as its ``(slope, intercept)`` in floats, for ``slope * x + intercept``,
+    which is bit for bit its ``value`` (``Fraction * float`` and
+    ``float + Fraction`` round the Fraction first, as ``int`` operands
+    are); any other piece by its ``value``."""
+    if (type(piece) is LinearPiece and type(piece.slope) in _REAL
+            and type(piece.intercept) in _REAL):
+        try:
+            return float(piece.slope), float(piece.intercept)
+        except OverflowError:
+            pass  # the piece's own arithmetic raises at each point instead
+    return piece.value
 
 
 def _unsorted(x, prev) -> PreconditionError:

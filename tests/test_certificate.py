@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from bvkit.certificate import (
     shift_certificate,
     variation_certificate,
 )
-from bvkit.errors import PreconditionError
+from bvkit.errors import PreconditionError, SpecFormatError
 from bvkit.intervals import Interval, IntervalSet
 from bvkit.measure import cantor_family, measure, shrinking_family
 from bvkit.model import (
@@ -64,6 +65,15 @@ class TestShiftCertificate:
             assert value == 0 and type(value) is type(model.zero)
             assert doc[key] == ("0" if model.exact else 0.0)
             assert type(doc[key]) is type(doc["g_n1_measure"])
+
+    def test_rational_model_reads_float_inputs_exactly(self):
+        ramp = piecewise_linear([(0, 0), (F(1, 2), F(1, 2)), (1, F(1, 2))])
+        pairs = [(0.1, 0.1001), (0.6, 0.6001)]
+        got = shift_certificate(ramp, IntervalSet.from_pairs(pairs), 0.01)
+        exact = IntervalSet.from_pairs([(F(lo), F(hi)) for lo, hi in pairs])
+        want = shift_certificate(ramp, exact, F(0.01))
+        assert type(got.shift_bound) is Fraction
+        assert jsonable(got) == jsonable(want)
 
     def test_square_image_lengths(self, square01):
         trace = shift_certificate(square01, IntervalSet.closed(0, 0.001), 0.01)
@@ -314,7 +324,25 @@ class TestVariationCertificate:
         assert abs(got.max_p_sum - want.max_p_sum) < 1e-12
         assert abs(got.max_n_sum - want.max_n_sum) < 1e-12
 
+    def test_rational_model_reads_float_inputs_exactly(self, zigzag):
+        # the anchor swings are exact; a cover summed from a float N and a
+        # float eps fell below them by an ulp-scale amount and failed
+        # 'anchor_swings_vs_mid_cover'
+        pairs = [(0.1, 0.1001), (0.6, 0.6001)]
+        got = variation_certificate(zigzag, IntervalSet.from_pairs(pairs), 0.01)
+        exact = IntervalSet.from_pairs([(F(lo), F(hi)) for lo, hi in pairs])
+        want = variation_certificate(zigzag, exact, F(0.01))
+        assert got.ok and got.epsilon == F(0.01)
+        assert jsonable(got) == jsonable(want)
 
+
+
+
+@pytest.mark.parametrize("certify", [shift_certificate, variation_certificate])
+@pytest.mark.parametrize("epsilon", [0, -F(1, 8), 0.0, math.inf, math.nan])
+def test_epsilon_must_be_positive_and_finite(identity, certify, epsilon):
+    with pytest.raises(SpecFormatError, match="epsilon must be positive and finite"):
+        certify(identity, IntervalSet.closed(0, F(1, 1000)), epsilon)
 
 
 class TestMirrorSymmetry:

@@ -112,3 +112,42 @@ def test_components_disjoint_and_sorted(a):
         # no touching components survive normalization
         assert left.hi < right.lo or (left.hi == right.lo
                                       and left.hi_open and right.lo_open)
+
+
+# the (value, eps) key code that intersect, empty and contains replaced
+def _key_intersect(s, o):
+    (lo, se), (hi, ee) = max(s.start_key, o.start_key), min(s.end_key, o.end_key)
+    return Interval(lo, hi, lo_open=(se == 1), hi_open=(ee == -1))
+
+
+def _same(got, want):
+    """Equal ends of the same types, and the same flags."""
+    return ((type(got.lo), got.lo, type(got.hi), got.hi, got.lo_open, got.hi_open)
+            == (type(want.lo), want.lo, type(want.hi), want.hi, want.lo_open, want.hi_open))
+
+
+# a small pool, so ties are common, with an int and a Fraction of one value
+# and floats of the same values
+_ENDS = st.sampled_from([0, 1, Fraction(0), Fraction(1), Fraction(1, 2),
+                         Fraction(1, 3), 0.0, 0.5, 1.0, -1, 2])
+
+
+@st.composite
+def _intervals(draw):
+    return Interval(draw(_ENDS), draw(_ENDS), draw(st.booleans()), draw(st.booleans()))
+
+
+@given(_intervals(), _intervals(), _ENDS)
+def test_interval_methods_match_the_key_order(s, o, x):
+    assert _same(s.intersect(o), _key_intersect(s, o))
+    assert s.empty == (s.start_key > s.end_key)
+    assert s.contains(x) == (s.start_key <= (x, 0) <= s.end_key)
+
+
+def test_a_full_tie_keeps_the_first_ends():
+    got = Interval(1, Fraction(2)).intersect(Interval(Fraction(1), 2))
+    assert type(got.lo) is int and type(got.hi) is Fraction
+    # an open end is inside a closed one at the same value
+    got = Interval(1, Fraction(2)).intersect(Interval(Fraction(1), 2, True, True))
+    assert type(got.lo) is Fraction and type(got.hi) is int
+    assert (got.lo_open, got.hi_open) == (True, True)

@@ -1,3 +1,5 @@
+import math
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -5,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from bvkit._num import bisect_solve
 from bvkit.errors import (
+    BVKitError,
     InfiniteSegmentationError,
     OutOfDomainError,
     PreconditionError,
@@ -25,6 +28,8 @@ from bvkit.model import (
     piecewise_linear,
 )
 from bvkit.specio import model_from_dict, model_to_dict
+
+from test_evaluation_routes import _key
 
 F = Fraction
 
@@ -67,11 +72,143 @@ def _float_cantor(level):
         {"kind": "cantor_iterate", "domain": ["0", "1"], "params": {"level": level}}]})
 
 
+def old_float_evaluate_many(model, xs):
+    """The float loop before the float table, kept as the oracle: each
+    point is checked against the point before it and against the domain
+    as given, rounded once into a float (``_coerce``), and evaluated by the
+    piece whose start the walk over the exact piece starts reaches."""
+
+    def coerce(x):
+        if not model.a <= x <= model.b:
+            raise OutOfDomainError(f"{x} outside [{model.a}, {model.b}]")
+        return x if isinstance(x, float) else float(x)
+
+    pieces = model._expanded
+    starts = [p.lo for p in pieces]
+    last = len(starts) - 1
+    prev = None
+    out = []
+    for raw in xs:
+        if prev is not None and raw < prev:
+            raise PreconditionError(
+                f"evaluate_many needs non-decreasing points; {raw} follows {prev}")
+        x = coerce(raw)
+        if prev is None:
+            i = max(bisect_right(starts, x) - 1, 0)
+        prev = raw
+        while i < last and starts[i + 1] <= x:
+            i += 1
+        out.append(pieces[i].value(x))
+    return out
+
+
+def _outcome(route, *args):
+    """The values as keys, or the class and message of the error raised."""
+    try:
+        return "ok", [_key(v) for v in route(*args)]
+    except (BVKitError, ArithmeticError, TypeError) as err:
+        return "raised", type(err), str(err)
+
+
 def _assert_sweep_matches(model, xs):
-    got = model.evaluate_many(xs)
-    want = [model.evaluate(x) for x in xs]
-    assert got == want
-    assert [type(v) for v in got] == [type(v) for v in want]
+    """The batch against one point at a time and, on a float model, both
+    against the float loop they replaced: values by type and bits, or the
+    same error class and message."""
+    got = _outcome(model.evaluate_many, xs)
+    if not model.exact:
+        assert got == _outcome(old_float_evaluate_many, model, xs)
+        for x in xs:
+            assert _outcome(lambda: [model.evaluate(x)]) == \
+                _outcome(old_float_evaluate_many, model, [x])
+    if got[0] == "ok":
+        assert got[1] == [_key(model.evaluate(x)) for x in xs]
+
+
+# closer to a knot than any float step near it, on either side
+_TINY = (F(1, 2 ** 80), F(1, 3 * 10 ** 25))
+_FAR = (math.nan, math.inf, -math.inf, 10 ** 400, -10 ** 400, True, False)
+
+
+def _probe_points(model):
+    """Every knot (a and b included) as given, rounded, the floats on both
+    sides of its rounding, and Fractions just below and above it."""
+    pts = []
+    for k in model.knots():
+        pts.append(k)
+        if k in (-math.inf, math.inf):
+            continue
+        pts += [F(k) + s * t for t in _TINY for s in (-1, 1)]
+        if abs(k) < 2 ** 1023:
+            f = float(k)
+            pts += [f, math.nextafter(f, -math.inf), math.nextafter(f, math.inf)]
+    return pts
+
+
+def _sorted_batch(pts):
+    """The points in order, NaN left out (it has no place in one)."""
+    return sorted(x for x in pts if x == x)
+
+
+def _float_knot_model(pieces):
+    return FunctionModel(pieces, arithmetic="float")
+
+
+# float models whose starts and ends are not floats, nor dyadic, nor in
+# float range, beside polynomial and x*sin(1/x) pieces, which evaluate
+# through their ``value``
+FLOAT_MODELS = {
+    "thirds": lambda: _float_knot_model([
+        LinearPiece(0, F(1, 3), F(3, 2), 0), ConstantPiece(F(1, 3), F(2, 3), F(1, 2)),
+        LinearPiece(F(2, 3), 1, F(3, 2), F(-1, 2))]),
+    "sevenths-int-and-float-params": lambda: _float_knot_model([
+        LinearPiece(-1, F(-3, 7), 2, 1), ConstantPiece(F(-3, 7), F(1, 7), 0.25),
+        LinearPiece(F(1, 7), F(9, 10), 0.5, F(1, 3)), ConstantPiece(F(9, 10), 2, 3)]),
+    "poly-xsin-linear": lambda: _float_knot_model([
+        XSinPiece(F(1, 10), F(1, 3), 1), PolynomialPiece(F(1, 3), F(2, 3), [0, F(1, 3), 1]),
+        LinearPiece(F(2, 3), 1, F(1, 3), F(1, 7))]),
+    "float-knots": lambda: FunctionModel([
+        PolynomialPiece(-1.0, 0.1, [0, 0, 1]), LinearPiece(0.1, 0.7, 0.2, 0.0),
+        XSinPiece(0.7, 1.3, 2)]),
+    "past-float-range": lambda: _float_knot_model([
+        LinearPiece(-10 ** 400, 0, F(1, 3), 0), ConstantPiece(0, F(10 ** 400, 3), 1)]),
+    "slope-past-float-range": lambda: _float_knot_model([LinearPiece(0, 1, 10 ** 400, 1)]),
+    "infinite-end": lambda: _float_knot_model([
+        LinearPiece(-math.inf, F(-1, 3), 0.5, 1), ConstantPiece(F(-1, 3), math.inf, 2.5)]),
+}
+
+
+@st.composite
+def float_knot_models(draw):
+    """Float models of linear, constant and polynomial pieces on knots
+    over one denominator that is mostly not a power of 2, ints when whole."""
+    den = draw(st.sampled_from([1, 3, 5, 7, 10, 243]))
+    nums = draw(st.lists(st.integers(-30, 30), min_size=2, max_size=8, unique=True))
+    knots = [F(n, den) for n in sorted(nums)]
+    knots = [int(k) if k.denominator == 1 else k for k in knots]
+    number = st.one_of(st.integers(-5, 5), st.fractions(max_denominator=12),
+                       st.floats(-4, 4))
+    pieces = []
+    for lo, hi in zip(knots, knots[1:]):
+        kind = draw(st.sampled_from(["linear", "constant", "polynomial"]))
+        if kind == "linear":
+            pieces.append(LinearPiece(lo, hi, draw(number), draw(number)))
+        elif kind == "constant":
+            pieces.append(ConstantPiece(lo, hi, draw(number)))
+        else:
+            pieces.append(PolynomialPiece(lo, hi, [draw(number), draw(number), 1]))
+    return _float_knot_model(pieces)
+
+
+@st.composite
+def probe_batches(draw, model):
+    """A batch of probe points and far points; in order (NaN aside) or not."""
+    pool = _probe_points(model) + list(_FAR)
+    xs = draw(st.lists(st.sampled_from(pool), max_size=30))
+    if draw(st.booleans()):
+        xs = _sorted_batch(xs)
+        if draw(st.booleans()):
+            xs.insert(draw(st.integers(0, len(xs))), math.nan)
+    return xs
 
 
 class TestEvaluateMany:
@@ -136,6 +273,58 @@ class TestEvaluateMany:
             zigzag.evaluate(nan)
         with pytest.raises(OutOfDomainError):
             zigzag.evaluate_many([F(1, 4), nan])
+
+
+class TestFloatTable:
+    """A float model's table against the float loop it replaced, on points
+    at and next to every knot: the keys must pick the piece the exact
+    starts picked, and the order and domain tests must fall back to the
+    points as given wherever the rounded floats tie."""
+
+    @pytest.mark.parametrize("level", range(9))
+    def test_float_cantor_levels(self, level):
+        model = _float_cantor(level)
+        pts = _probe_points(model) + list(_FAR)
+        _assert_sweep_matches(model, _sorted_batch(pts))
+        _assert_sweep_matches(model, pts)
+
+    @pytest.mark.parametrize("name", FLOAT_MODELS)
+    def test_hand_built(self, name):
+        model = FLOAT_MODELS[name]()
+        pts = _probe_points(model) + list(_FAR)
+        _assert_sweep_matches(model, _sorted_batch(pts))
+        _assert_sweep_matches(model, pts)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_random_models_and_batches(self, data):
+        model = data.draw(st.one_of(
+            float_knot_models(),
+            st.sampled_from(sorted(FLOAT_MODELS)).map(lambda name: FLOAT_MODELS[name]()),
+            st.integers(0, 8).map(_float_cantor)))
+        _assert_sweep_matches(model, data.draw(probe_batches(model)))
+
+    def test_fractions_that_round_to_one_float(self):
+        model = _float_cantor(2)
+        below, above = F(1, 3) - _TINY[0], F(1, 3) + _TINY[0]
+        assert float(below) == float(above)
+        _assert_sweep_matches(model, [below, F(1, 3), above, above])
+        with pytest.raises(PreconditionError, match="non-decreasing"):
+            model.evaluate_many([above, below])
+        _assert_sweep_matches(model, [above, below])
+
+    def test_ends_of_the_domain(self):
+        # 1/3 rounds down and 2/3 up: the Fractions just inside the domain
+        # round outside it, and those just outside round onto its ends
+        model = _float_knot_model([LinearPiece(F(1, 3), F(2, 3), 1, 0)])
+        a, b = model.a, model.b
+        inside = [a, a + _TINY[0], b - _TINY[0], b]
+        assert model.evaluate_many(inside) == [float(x) for x in inside]
+        for x in (a - _TINY[0], b + _TINY[0], math.nextafter(float(a), -1),
+                  math.nextafter(float(b), 2)):
+            with pytest.raises(OutOfDomainError):
+                model.evaluate(x)
+        _assert_sweep_matches(model, _sorted_batch(_probe_points(model)))
 
 
 class TestBisectSolve:
