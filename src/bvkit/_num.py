@@ -12,13 +12,19 @@ FLOAT = "float"
 
 DEFAULT_FLOAT_TOL = 1e-12
 
+# the largest exponent a spec number may spell, the digit count int()
+# reads by default: Fraction(str) builds 10**exp in full, which took 0.4 s
+# at exp = 10**6 and 18 s at 10**7 on a 2-vCPU VM
+EXPONENT_LIMIT = 4300
+
 
 def frac(value) -> Fraction:
     """Parse a rational from an int, Fraction or string like ``"3/4"``.
 
-    Decimal strings ("0.25") are accepted and converted exactly.  Binary
-    floats are rejected: a float almost never means the literal binary
-    value, and silently exactifying it would poison rational models.
+    Decimal strings ("0.25") are accepted and converted exactly, with an
+    exponent of at most ``EXPONENT_LIMIT`` in magnitude.  Binary floats
+    are rejected: a float almost never means the literal binary value, and
+    silently exactifying it would poison rational models.
     """
     if isinstance(value, Fraction):
         return value
@@ -36,6 +42,12 @@ def frac(value) -> Fraction:
             if (digits.isascii() and digits.isdigit()
                     and (not slash or (den.isascii() and den.isdigit()))):
                 return Fraction(int(num), int(den) if slash else 1)
+            # an exponent Fraction reads is all the text after the one "e";
+            # where that text is no int, Fraction refuses the number too
+            _, e, exponent = text.lower().rpartition("e")
+            if e and abs(int(exponent)) > EXPONENT_LIMIT:
+                raise SpecFormatError(f"cannot parse rational {value!r}: "
+                                      f"its exponent is past {EXPONENT_LIMIT}")
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise SpecFormatError(f"cannot parse rational {value!r}") from exc

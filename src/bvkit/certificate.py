@@ -19,7 +19,6 @@ in rational mode.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -34,7 +33,13 @@ from .measure import (
     lusin_probe,
     split_cover_at,
 )
-from .model import CONSTANT, FunctionModel, _read_exactly, _sorted_unique
+from .model import (
+    CONSTANT,
+    FunctionModel,
+    _checked_epsilon,
+    _read_exactly,
+    _sorted_unique,
+)
 from .variation import (
     jordan_decomposition,
     partition_sum,
@@ -67,15 +72,6 @@ class LedgerEntry:
     @property
     def margin(self):
         return self.rhs - self.lhs
-
-
-def _checked_epsilon(model: FunctionModel, epsilon):
-    """epsilon, which must be positive and finite, read exactly on a
-    rational model (:func:`_read_exactly`): its ledgers sum exact values,
-    and a float bound beside them would be a value no step computed."""
-    if not 0 < epsilon < math.inf:
-        raise SpecFormatError("epsilon must be positive and finite")
-    return _read_exactly(model, epsilon) if model.exact else epsilon
 
 
 def _clipped(model: FunctionModel, N: IntervalSet) -> IntervalSet:

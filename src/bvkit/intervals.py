@@ -1,19 +1,16 @@
 """Finite unions of real intervals with exact endpoint bookkeeping.
 
 Endpoints may be :class:`fractions.Fraction` (exact mode) or ``float``.
-Each endpoint carries an open/closed flag, encoded internally as a key
-``(value, eps)`` where ``eps`` nudges the point by an infinitesimal:
+Each endpoint carries an open/closed flag.  Endpoints order by value, and
+on a tie an open start lies just after a closed one and an open end just
+before a closed one; the comparisons are written out, and look at the
+flags only on a tie.  Degenerate intervals behave correctly: ``[x, x]`` is
+the singleton {x} and any half-open ``[x, x)`` is empty.
 
-* interval start: ``eps = 0`` (closed) or ``+1`` (open, "just after"),
-* interval end:   ``eps = 0`` (closed) or ``-1`` (open, "just before").
-
-Lexicographic comparison of keys linearises all endpoint positions, so
-union, intersection, difference and emptiness checks become ordinary
-sweeps with no case analysis.  Degenerate intervals behave correctly:
-``[x, x]`` is the singleton {x} and any half-open ``[x, x)`` is empty.
-
-The constructor sorts and merges one kind of key, ``(at, eps)``, where
-``at`` is the endpoint value itself or, when every endpoint is an int or
+The constructor sorts and merges on one kind of key, ``(at, eps)``, where
+``eps`` is 0 for a closed end, +1 for an open start and -1 for an open end,
+so the keys' lexicographic order is that endpoint order, and ``at`` is the
+endpoint value itself or, when every endpoint is an int or
 a Fraction, an integer: each value ``n/d`` becomes the position
 ``n * (D // d)`` over one common denominator ``D`` per call.  The
 components keep the original endpoint objects and flags either way, and
@@ -74,16 +71,8 @@ class Interval:
     hi_open: bool = False
 
     @property
-    def start_key(self):
-        return (self.lo, 1 if self.lo_open else 0)
-
-    @property
-    def end_key(self):
-        return (self.hi, -1 if self.hi_open else 0)
-
-    @property
     def empty(self) -> bool:
-        # the keys' order, with the flags looked at only when lo == hi
+        # the endpoint order, with the flags looked at only when lo == hi
         lo, hi = self.lo, self.hi
         if lo < hi:
             return False
@@ -105,8 +94,8 @@ class Interval:
                 and (x < hi or (not self.hi_open and x == hi)))
 
     def intersect(self, other: "Interval") -> "Interval":
-        """The larger start key and the smaller end key, compared as keys
-        are: by value, then on a tie an open end is inside a closed one.
+        """The later start and the earlier end: by value, then on a tie
+        an open end is inside a closed one.
         On a full tie the ends of ``self`` are kept, as ``max`` and ``min``
         keep their first argument (``1`` and ``Fraction(1)`` tie)."""
         lo, lo_open = self.lo, self.lo_open
@@ -121,11 +110,6 @@ class Interval:
         left = "(" if self.lo_open else "["
         right = ")" if self.hi_open else "]"
         return f"{left}{self.lo}, {self.hi}{right}"
-
-
-def _from_keys(start_key, end_key) -> Interval:
-    (lo, se), (hi, ee) = start_key, end_key
-    return Interval(lo, hi, lo_open=(se == 1), hi_open=(ee == -1))
 
 
 def _merge(intervals, at, den=None):
@@ -264,7 +248,9 @@ class IntervalSet:
             piece = a[i].intersect(b[j])
             if not piece.empty:
                 out.append(piece)
-            if a[i].end_key < b[j].end_key:
+            # on a tie either side may step: the next component of each
+            # starts past the shared end, or open at it where that end is open
+            if a[i].hi < b[j].hi:
                 i += 1
             else:
                 j += 1
@@ -273,17 +259,16 @@ class IntervalSet:
     def complement(self) -> "IntervalSet":
         """Complement within (-inf, inf); infinite edges use open floats."""
         out = []
-        prev_end = (_NEG_INF, 1)  # open at -inf
+        lo, lo_open = _NEG_INF, True
         for iv in self.components:
-            sk = iv.start_key
-            end = (sk[0], sk[1] - 1)
-            if prev_end <= end:
-                out.append(_from_keys(prev_end, end))
-            ek = iv.end_key
-            prev_end = (ek[0], ek[1] + 1)
-        tail = (_POS_INF, -1)
-        if prev_end <= tail:
-            out.append(_from_keys(prev_end, tail))
+            # each gap holds the ends its neighbours leave open
+            gap = Interval(lo, iv.lo, lo_open, not iv.lo_open)
+            if not gap.empty:
+                out.append(gap)
+            lo, lo_open = iv.hi, not iv.hi_open
+        gap = Interval(lo, _POS_INF, lo_open, True)
+        if not gap.empty:
+            out.append(gap)
         return IntervalSet._normal(out)
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":
@@ -293,11 +278,16 @@ class IntervalSet:
         """Intersection with one interval: the set itself when it lies
         inside the window, else a bisection finds the first component that
         can meet it, and the walk stops past ``hi``."""
-        window = Interval(lo, hi, lo_open, hi_open)
         comps = self.components
-        if not comps or (comps[0].start_key >= window.start_key
-                         and comps[-1].end_key <= window.end_key):
+        if not comps:
             return self
+        first, last = comps[0], comps[-1]
+        # inside when the first start is not before lo, nor the last end
+        # past hi: on a tie, a closed end is outside an open one
+        if ((first.lo > lo or (first.lo == lo and (first.lo_open or not lo_open)))
+                and (last.hi < hi or (last.hi == hi and (last.hi_open or not hi_open)))):
+            return self
+        window = Interval(lo, hi, lo_open, hi_open)
         out = []
         for i in range(max(bisect_right(self._starts, lo) - 1, 0), len(comps)):
             comp = comps[i]

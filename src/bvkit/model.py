@@ -28,7 +28,9 @@ their pieces.
 The monotone segmentation (maximal alternating runs of increasing /
 decreasing / constant behaviour) is the workhorse every downstream module
 consumes: it makes variation, image measures and preimages exact for the
-finite-segmentation class.
+finite-segmentation class.  Its knots on a polynomial piece are the sign
+changes of the derivative, bisected on exact signs (the coefficients are
+rationals) to the float nearest each root.
 """
 
 from __future__ import annotations
@@ -212,27 +214,24 @@ class PolynomialPiece(Piece):
         return acc
 
     def interior_criticals(self):
-        dcoeffs = [k * c for k, c in enumerate(self.coefficients)][1:]
-        if len(dcoeffs) <= 1:
-            return []
-        import numpy as np  # only here, so importing bvkit does not load numpy
+        """The points where the derivative changes sign, each the float
+        nearest its exact root (:func:`_sign_change_floats`), sorted.
 
-        # numpy wants descending float coefficients
-        desc = [float(c) for c in reversed(dcoeffs)]
-        roots = np.roots(desc)
+        A root of even multiplicity changes no sign and is left out.  So is
+        a root within ``1e-12 * max(1, width)`` of either end, and a root
+        that close to the previous one, so no sliver segment appears."""
         lo, hi = float(self.lo), float(self.hi)
-        width = hi - lo
-        found = []
-        for r in roots:
-            if abs(r.imag) > 1e-9:
-                continue
-            x = float(r.real)
-            if lo + 1e-12 * max(1.0, width) < x < hi - 1e-12 * max(1.0, width):
-                found.append(x)
-        found.sort()
+        if not math.isfinite(lo) or not math.isfinite(hi):
+            raise SpecFormatError(
+                f"a polynomial piece segments on finite ends only; got [{self.lo}, {self.hi}]")
+        margin = 1e-12 * max(1.0, hi - lo)
+        exact = [Fraction(c) for c in self.coefficients]
+        den = math.lcm(*(c.denominator for c in exact))
+        # the derivative times the common denominator: integers, same signs
+        ints = [k * c.numerator * (den // c.denominator) for k, c in enumerate(exact)][1:]
         out = []
-        for x in found:
-            if not out or x - out[-1] > 1e-12 * max(1.0, width):
+        for x in _sign_change_floats(ints, lo, hi):
+            if lo + margin < x < hi - margin and (not out or x - out[-1] > margin):
                 out.append(x)
         return out
 
@@ -550,6 +549,54 @@ def _sign_change_roots(deriv, grid, lo, hi) -> list:
         if not out or r - out[-1] > 1e-11 * max(1.0, width):
             out.append(r)
     return out
+
+
+def _sign_at(ints, x) -> int:
+    """The exact sign of the polynomial with integer coefficients ``ints``
+    (ascending) at a float or Fraction x = n/d: the sign of
+    sum c_k n^k d^(deg - k), as d > 0."""
+    n, d = x.as_integer_ratio()
+    acc, dk = ints[-1], 1
+    for c in reversed(ints[:-1]):
+        dk *= d
+        acc = acc * n + c * dk
+    return (acc > 0) - (acc < 0)
+
+
+def _sign_change_floats(ints, lo, hi) -> list:
+    """The floats nearest the points of [lo, hi] (floats) where the
+    polynomial with integer coefficients ``ints`` changes sign, in order.
+
+    The polynomial is monotone between the sign changes of its derivative,
+    found by recursion, so each such cell holds one sign change at most.
+    An end where it is exactly zero is dropped: it changes sign there
+    exactly when the ends beside it differ in sign."""
+    if len(ints) < 2:
+        return []
+    ends = [lo, *_sign_change_floats([k * c for k, c in enumerate(ints)][1:], lo, hi), hi]
+    signed = [(x, s) for x in ends if (s := _sign_at(ints, x))]
+    return [_nearest_root(ints, a, b, sa)
+            for (a, sa), (b, sb) in zip(signed, signed[1:]) if sa != sb]
+
+
+def _nearest_root(ints, a, b, sa) -> float:
+    """The float nearest the sign change between the floats a < b, where
+    the sign is ``sa`` at a and ``-sa`` at b, by bisection on exact signs.
+    It probes 0 first, which halving reaches only through the subnormals,
+    and stops at once on an exact zero.  At adjacent floats the sign at
+    their exact midpoint picks the nearer one; a zero there is a tie,
+    which ``float`` rounds to even."""
+    while True:
+        m = 0.0 if a < 0 < b else a + (b - a) / 2  # a, b of one sign: no overflow
+        adjacent = m == a or m == b
+        if adjacent:
+            m = (Fraction(a) + Fraction(b)) / 2
+        s = _sign_at(ints, m)
+        if not s:
+            return float(m)
+        if adjacent:
+            return b if s == sa else a
+        a, b = (m, b) if s == sa else (a, m)
 
 
 # ---------------------------------------------------------------------------
@@ -1090,6 +1137,16 @@ def _read_exactly(model: FunctionModel, x):
     if not math.isfinite(x):
         raise model._outside(x)
     return Fraction(x)
+
+
+def _checked_epsilon(model: FunctionModel, epsilon):
+    """epsilon, which must be positive and finite, read exactly on a
+    rational model (:func:`_read_exactly`): its ledgers and bounds sum
+    exact values, and a float beside them would be a value no step
+    computed."""
+    if not 0 < epsilon < math.inf:
+        raise SpecFormatError("epsilon must be positive and finite")
+    return _read_exactly(model, epsilon) if model.exact else epsilon
 
 
 def _float_key(q, toward) -> float:

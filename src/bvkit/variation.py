@@ -42,6 +42,7 @@ from .model import (
     ConstantPiece,
     FunctionModel,
     LinearPiece,
+    _checked_epsilon,
     make_transformed,
 )
 
@@ -384,8 +385,7 @@ def uniform_approx(model: FunctionModel, epsilon, base_partition=None,
     is checked, and the bracket 0 <= p - u < epsilon is asserted on the
     verification grid.  ``verify_points=0`` skips verification.
     """
-    if epsilon <= 0:
-        raise SpecFormatError("epsilon must be positive")
+    epsilon = _checked_epsilon(model, epsilon)
     if not model.continuity_flag:
         raise PreconditionError("uniform approximation requires continuity")
     pf = variation_function(model)

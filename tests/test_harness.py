@@ -24,7 +24,13 @@ from bvkit.corpus import (
 from bvkit.errors import BVKitError, SpecFormatError
 from bvkit.intervals import IntervalSet
 from bvkit.measure import shrinking_family
-from bvkit.model import FunctionModel, LinearPiece, build_cantor_iterate, build_identity
+from bvkit.model import (
+    FunctionModel,
+    LinearPiece,
+    PolynomialPiece,
+    build_cantor_iterate,
+    build_identity,
+)
 from bvkit.plots import SAMPLES, _float_values, emit_plots, write_report
 from bvkit.specio import (
     intervals_from_dict,
@@ -473,13 +479,18 @@ class TestPackageSurface:
             assert callable(owner), f"{module}.{attr}"
 
     def test_importing_bvkit_does_not_load_numpy(self):
-        # numpy is imported only where a polynomial's criticals are found
+        # nothing in bvkit uses numpy, finding a polynomial's criticals included
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         code = ("import sys, bvkit, bvkit.cli; "
+                "from bvkit.model import FunctionModel, PolynomialPiece; "
+                "cubic = FunctionModel([PolynomialPiece(-1, 1, [0, -1, 0, 1])]); "
+                "print(cubic.monotone_segments().knots()); "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=dict(os.environ, PYTHONPATH=src), check=True)
-        assert done.stdout.strip() == "[]"
+        knots = FunctionModel([PolynomialPiece(-1, 1, [0, -1, 0, 1])]).monotone_segments().knots()
+        assert len(knots) == 4
+        assert done.stdout.split("\n")[:2] == [repr(knots), "[]"]
 
     @pytest.mark.parametrize("entry", default_corpus(), ids=lambda e: e.name)
     def test_curve_abscissae_match_the_old_sampler(self, entry):

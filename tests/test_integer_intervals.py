@@ -8,6 +8,7 @@ as oracles.  Every comparison is component by component: the ``lo`` and
 value and type of ``measure``.
 """
 
+import re
 from bisect import bisect_right
 from fractions import Fraction as F
 from unittest import mock
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bvkit import intervals
-from bvkit._num import frac, uniform_grid
+from bvkit._num import EXPONENT_LIMIT, frac, uniform_grid
 from bvkit.certificate import shift_certificate
 from bvkit.errors import SpecFormatError
 from bvkit.intervals import Interval, IntervalSet, positions
@@ -39,6 +40,14 @@ _NEG_INF = float("-inf")
 _POS_INF = float("inf")
 
 
+def ref_start_key(iv):
+    return (iv.lo, 1 if iv.lo_open else 0)
+
+
+def ref_end_key(iv):
+    return (iv.hi, -1 if iv.hi_open else 0)
+
+
 def ref_from_keys(start_key, end_key):
     (lo, se), (hi, ee) = start_key, end_key
     return Interval(lo, hi, lo_open=(se == 1), hi_open=(ee == -1))
@@ -54,14 +63,14 @@ def ref_gap_between(end_key, start_key):
 def ref_components(intervals):
     comps = sorted(
         (iv for iv in intervals if not iv.empty),
-        key=lambda iv: (iv.start_key, iv.end_key),
+        key=lambda iv: (ref_start_key(iv), ref_end_key(iv)),
     )
     merged = []
     for iv in comps:
-        if merged and not ref_gap_between(merged[-1].end_key, iv.start_key):
+        if merged and not ref_gap_between(ref_end_key(merged[-1]), ref_start_key(iv)):
             last = merged[-1]
-            if iv.end_key > last.end_key:
-                merged[-1] = ref_from_keys(last.start_key, iv.end_key)
+            if ref_end_key(iv) > ref_end_key(last):
+                merged[-1] = ref_from_keys(ref_start_key(last), ref_end_key(iv))
         else:
             merged.append(iv)
     return tuple(merged)
@@ -99,7 +108,7 @@ class RefSet:
             piece = a[i].intersect(b[j])
             if not piece.empty:
                 out.append(piece)
-            if a[i].end_key < b[j].end_key:
+            if ref_end_key(a[i]) < ref_end_key(b[j]):
                 i += 1
             else:
                 j += 1
@@ -109,11 +118,11 @@ class RefSet:
         out = []
         prev_end = (_NEG_INF, 1)
         for iv in self.components:
-            sk = iv.start_key
+            sk = ref_start_key(iv)
             end = (sk[0], sk[1] - 1)
             if prev_end <= end:
                 out.append(ref_from_keys(prev_end, end))
-            ek = iv.end_key
+            ek = ref_end_key(iv)
             prev_end = (ek[0], ek[1] + 1)
         tail = (_POS_INF, -1)
         if prev_end <= tail:
@@ -453,10 +462,24 @@ class TestPlateauCut:
 
 SPEC_NUMBERS = [" 3/4 ", "3/ 4", "1_0", "+1", "0.25", "1e3", "1/0", "٣", "3/٤",
                 "-7/14", "-0", "007/010", "--1", "-", "/4", "4/", "1/-2", "½",
-                "²", "1 /2", "", " ", "nan", "inf", "3/4/5", "1.5/2", "-1_000/3"]
+                "²", "1 /2", "", " ", "nan", "inf", "3/4/5", "1.5/2", "-1_000/3",
+                "1e4300", "-2.5E-4300", "1e4301", "1e-4301", "1E+99999999", "1e1_0000",
+                "1e٤٣٠١", "1e 99999", "1/2e99999", "x e99999"]
+
+
+# the exponent that ends a spelling, as Fraction(str) reads it
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\Z", re.IGNORECASE)
 
 
 def assert_frac_like_fraction(text):
+    """frac reads text as Fraction(str) does, but refuses an exponent past
+    EXPONENT_LIMIT, for which Fraction(str) would build 10**exp in full."""
+    exponent = _EXPONENT.search(text.strip())
+    if exponent and abs(int(exponent[1])) > EXPONENT_LIMIT:
+        with pytest.raises(SpecFormatError, match=r"^cannot parse rational .*: its exponent "
+                                                  r"is past 4300$"):
+            frac(text)
+        return
     try:
         want = F(text.strip())
     except (ValueError, ZeroDivisionError):

@@ -5,6 +5,8 @@ from hypothesis import given, strategies as st
 
 from bvkit.intervals import Interval, IntervalSet
 
+from test_integer_intervals import ref_end_key, ref_start_key
+
 
 def test_empty_and_degenerate():
     assert Interval(1, 0).empty
@@ -108,7 +110,7 @@ def test_measure_inclusion_exclusion(a, b):
 @given(interval_sets())
 def test_components_disjoint_and_sorted(a):
     for left, right in zip(a.components, a.components[1:]):
-        assert left.end_key < right.start_key
+        assert ref_end_key(left) < ref_start_key(right)
         # no touching components survive normalization
         assert left.hi < right.lo or (left.hi == right.lo
                                       and left.hi_open and right.lo_open)
@@ -116,7 +118,8 @@ def test_components_disjoint_and_sorted(a):
 
 # the (value, eps) key code that intersect, empty and contains replaced
 def _key_intersect(s, o):
-    (lo, se), (hi, ee) = max(s.start_key, o.start_key), min(s.end_key, o.end_key)
+    (lo, se) = max(ref_start_key(s), ref_start_key(o))
+    (hi, ee) = min(ref_end_key(s), ref_end_key(o))
     return Interval(lo, hi, lo_open=(se == 1), hi_open=(ee == -1))
 
 
@@ -140,8 +143,17 @@ def _intervals(draw):
 @given(_intervals(), _intervals(), _ENDS)
 def test_interval_methods_match_the_key_order(s, o, x):
     assert _same(s.intersect(o), _key_intersect(s, o))
-    assert s.empty == (s.start_key > s.end_key)
-    assert s.contains(x) == (s.start_key <= (x, 0) <= s.end_key)
+    assert s.empty == (ref_start_key(s) > ref_end_key(s))
+    assert s.contains(x) == (ref_start_key(s) <= (x, 0) <= ref_end_key(s))
+
+
+def test_clip_keeps_a_set_inside_the_window():
+    # on a tie an open end of the set lies inside the window's end
+    s = IntervalSet.from_pairs([(0, 1), (2, 3)], lo_open=True, hi_open=True)
+    assert s.clip(0, 3, lo_open=True, hi_open=True) is s
+    assert s.clip(0, 3) is s
+    closed = IntervalSet.from_pairs([(0, 1), (2, 3)])
+    assert closed.clip(0, 3, lo_open=True) == IntervalSet([Interval(0, 1, True), Interval(2, 3)])
 
 
 def test_a_full_tie_keeps_the_first_ends():

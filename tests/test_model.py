@@ -1,10 +1,12 @@
 import math
 from bisect import bisect_right
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from bvkit import model as model_module
 from bvkit._num import bisect_solve
 from bvkit.errors import (
     BVKitError,
@@ -429,6 +431,255 @@ class TestSegmentation:
             segs = list(model.monotone_segments())
             for a, b in zip(segs, segs[1:]):
                 assert a.direction != b.direction
+
+
+# ---------------------------------------------------------------------------
+# polynomial criticals: exact bisection against the np.roots route
+# ---------------------------------------------------------------------------
+
+
+def roots_oracle_criticals(piece):
+    """The np.roots route that ``PolynomialPiece.interior_criticals`` took
+    before, kept verbatim as the oracle."""
+    np = pytest.importorskip("numpy")
+    dcoeffs = [k * c for k, c in enumerate(piece.coefficients)][1:]
+    if len(dcoeffs) <= 1:
+        return []
+    # numpy wants descending float coefficients
+    desc = [float(c) for c in reversed(dcoeffs)]
+    roots = np.roots(desc)
+    lo, hi = float(piece.lo), float(piece.hi)
+    width = hi - lo
+    found = []
+    for r in roots:
+        if abs(r.imag) > 1e-9:
+            continue
+        x = float(r.real)
+        if lo + 1e-12 * max(1.0, width) < x < hi - 1e-12 * max(1.0, width):
+            found.append(x)
+    found.sort()
+    out = []
+    for x in found:
+        if not out or x - out[-1] > 1e-12 * max(1.0, width):
+            out.append(x)
+    return out
+
+
+def exact_derivative(piece):
+    return [k * F(c) for k, c in enumerate(piece.coefficients)][1:]
+
+
+def exact_sign(coeffs, x):
+    acc = F(0)
+    for c in reversed(coeffs):
+        acc = acc * F(x) + c
+    return (acc > 0) - (acc < 0)
+
+
+def rounding_interval(r):
+    """The reals that round to the float r: from halfway to the float
+    below to halfway to the float above."""
+    return ((F(math.nextafter(r, -math.inf)) + F(r)) / 2,
+            (F(r) + F(math.nextafter(r, math.inf))) / 2)
+
+
+def assert_nearest_to_a_root(deriv, r):
+    """The derivative changes sign, or is zero, between the ends of r's
+    rounding interval, so r is the float nearest that root, and no other
+    float is nearer to it."""
+    below, above = rounding_interval(r)
+    assert exact_sign(deriv, below) * exact_sign(deriv, above) <= 0, r
+
+
+def assert_guards(piece, got):
+    """Sorted, clear of the ends and of each other by the margin."""
+    lo, hi = float(piece.lo), float(piece.hi)
+    margin = 1e-12 * max(1.0, hi - lo)
+    assert all(lo + margin < x < hi - margin for x in got)
+    assert all(y - x > margin for x, y in zip(got, got[1:]))
+
+
+def _times_linear(coeffs, r):
+    """coeffs (ascending) times (x - r)."""
+    out = [F(0)] * (len(coeffs) + 1)
+    for i, c in enumerate(coeffs):
+        out[i + 1] += c
+        out[i] -= c * r
+    return out
+
+
+# distinct roots are at least 1/35 apart, far past the 1e-12 margin
+_ROOT = st.builds(F, st.integers(-21, 21), st.sampled_from([1, 2, 3, 5, 7])).filter(
+    lambda r: abs(r) <= 3)
+# ends at a root, within the margin of one (1e-13, 5e-13) or just past it
+_OFFSET = st.sampled_from([0, F(1, 10 ** 13), F(1, 2 * 10 ** 12), F(1, 10 ** 11)])
+
+
+@st.composite
+def known_root_pieces(draw, simple=False, near_ends=True):
+    """``(piece, roots, exact)``: a polynomial piece of degree 2 to 8 whose
+    derivative has the drawn roots, with multiplicities 1 to 3 unless
+    ``simple``; ``roots`` are those of odd multiplicity, where the
+    derivative changes sign.  The coefficients are ints, Fractions or their
+    floats; ``exact`` is False for floats, which move the roots.  Each end
+    is an odd multiple of 1/16, at least 1/112 from every root, or, with
+    ``near_ends``, may be at a root or near one; the piece may be
+    reflected."""
+    roots = draw(st.lists(_ROOT, min_size=1, max_size=7, unique=True))
+    deriv = [F(draw(st.integers(1, 9)), draw(st.integers(1, 5))) * draw(st.sampled_from([1, -1]))]
+    odd = []
+    for r in roots:
+        mult = 1 if simple else draw(st.integers(1, 3))
+        mult = min(mult, 8 - len(deriv))
+        for _ in range(mult):
+            deriv = _times_linear(deriv, r)
+        if mult % 2:
+            odd.append(r)
+        if len(deriv) == 8:
+            break
+    coeffs = [F(draw(st.integers(-3, 3)), 2)] + [c / (k + 1) for k, c in enumerate(deriv)]
+    kind = draw(st.sampled_from(["int", "fraction", "float"]))
+    if kind == "int":
+        den = math.lcm(*(c.denominator for c in coeffs))
+        coeffs = [int(c * den) for c in coeffs]
+    elif kind == "float":
+        coeffs = [float(c) for c in coeffs]
+    ends = []
+    for side in (-1, 1):
+        if near_ends and draw(st.booleans()):
+            end = draw(st.sampled_from(roots)) + side * draw(_OFFSET)
+        else:
+            end = F(2 * draw(st.integers(0, 31)) + 1, 16) * side
+        ends.append(float(end) if draw(st.booleans()) else end)
+    lo, hi = sorted(ends)
+    assume(lo < hi)
+    piece = PolynomialPiece(lo, hi, coeffs)
+    if draw(st.booleans()):
+        csum = draw(_ROOT)
+        at = csum if kind != "float" else float(csum)
+        assume(at - hi < at - lo)  # float ends may round together
+        piece = piece.reflected(at)
+        odd = [csum - r for r in odd]
+    return piece, sorted(odd), kind != "float"
+
+
+def _segmentation(piece):
+    segs = FunctionModel([piece], arithmetic="float").monotone_segments()
+    return list(segs.knots()), [s.direction for s in segs]
+
+
+class TestPolynomialCriticals:
+    @given(known_root_pieces())
+    @settings(max_examples=300, deadline=None)
+    def test_known_roots(self, drawn):
+        piece, roots, exact = drawn
+        got = piece.interior_criticals()
+        assert_guards(piece, got)
+        deriv = exact_derivative(piece)
+        for r in got:
+            assert_nearest_to_a_root(deriv, r)
+        if exact:
+            # exactly the sign-change roots, each rounded as float() rounds
+            lo, hi = float(piece.lo), float(piece.hi)
+            margin = 1e-12 * max(1.0, hi - lo)
+            assert got == [float(r) for r in roots if lo + margin < float(r) < hi - margin]
+
+    @pytest.mark.parametrize("lo, hi, coeffs, want", [
+        (-1, 1, [0, 0, 1], [0.0]),
+        (0, 1, [0, 0, 1], []),
+        # x^3: the root 0 of F'' stops the bisection, and F' keeps its sign
+        (-1, 1, [0, 0, 0, 1], []),
+        # F' = x^2 - 2, whose roots math.sqrt rounds correctly
+        (-2, 2, [0, -2, 0, F(1, 3)], [-math.sqrt(2), math.sqrt(2)]),
+        # F' = x^2 (x + 1): 0 is a double root
+        (-2, 1, [0, 0, 0, F(1, 3), F(1, 4)], [-1.0]),
+        # F' = (x - 1/3)^3, and x - 1/3 +- 10^-13, inside the end margin
+        (0, 1, [0, F(-1, 27), F(1, 6), F(-1, 3), F(1, 4)], [1 / 3]),
+        (F(1, 3) - F(1, 10 ** 13), 1, [0, F(-1, 3), F(1, 2)], []),
+        (0, F(1, 3) + F(1, 10 ** 13), [0, F(-1, 3), F(1, 2)], []),
+        (F(1, 3) - F(1, 10 ** 11), 1, [0, F(-1, 3), F(1, 2)], [1 / 3]),
+        # F' = (x - 1/3)(x - 1/3 - 10^-13): two roots closer than the
+        # margin merge into the first
+        (0, 1, [0, F(1, 9) + F(1, 3 * 10 ** 13), F(-1, 3) - F(1, 2 * 10 ** 13), F(1, 3)],
+         [1 / 3]),
+        # tiny leading coefficients: the root of F' = 8 + 4.45e-308 x is far
+        # outside, and F' = 1e-300 - 2x + 1.5e-323 x^2 has one near 5e-301
+        (-4, 4, [0, 8, 2.2250738585072014e-308], []),
+        (-4, 4, [0, 1e-300, -1.0, 5e-324], [1e-300 / 2]),
+    ])
+    def test_examples(self, lo, hi, coeffs, want):
+        assert PolynomialPiece(lo, hi, coeffs).interior_criticals() == want
+
+    @pytest.mark.parametrize("lo, hi", [(0, math.inf), (-math.inf, 0)])
+    def test_infinite_ends_are_refused(self, lo, hi):
+        with pytest.raises(SpecFormatError, match="finite ends only"):
+            PolynomialPiece(lo, hi, [0, -1, 1]).interior_criticals()
+
+    def test_ends_near_the_float_range_do_not_overflow(self):
+        # halving [8e307, 1.7e308] as (a + b) / 2 would overflow to inf
+        piece = PolynomialPiece(8e307, 1.7e308, [0, -1.7e308, 1])
+        assert piece.interior_criticals() == [1.7e308 / 2]
+
+    def test_a_double_root_leaves_no_sliver(self):
+        # F' = (x - 1/3)^2 (x + 1): np.roots split the double root into
+        # 0.33333332966 and 0.33333333701, and F tied at both in floats, so
+        # the segmentation held a constant sliver between them
+        piece = PolynomialPiece(-2, 1, [0, F(1, 9), F(-5, 18), F(1, 9), F(1, 4)])
+        knots, directions = _segmentation(piece)
+        assert knots == [-2, -1.0, 1] and directions == [DECREASING, INCREASING]
+
+    def test_an_exact_zero_ends_the_bisection(self, monkeypatch):
+        # 0 is probed first and is the root: the signs at the two ends and
+        # at 0, where halving alone would take 1,075 steps to reach it
+        calls = []
+        sign_at = model_module._sign_at
+        monkeypatch.setattr(model_module, "_sign_at",
+                            lambda ints, x: calls.append(x) or sign_at(ints, x))
+        assert PolynomialPiece(-1, 2, [0, 0, 1]).interior_criticals() == [0.0]
+        assert calls == [-1.0, 2.0, 0.0]
+
+    # no end near a root: np.roots misses a root by up to about 1e-11 here,
+    # so it puts a knot on either side of the end margin, and a segment
+    # that narrow takes its direction from the rounding of F's values
+    @given(known_root_pieces(simple=True, near_ends=False))
+    @settings(max_examples=200, deadline=None)
+    def test_segments_as_the_roots_oracle(self, drawn):
+        piece, _, _ = drawn
+        knots, directions = _segmentation(piece)
+        with mock.patch.object(PolynomialPiece, "interior_criticals", roots_oracle_criticals):
+            old_knots, old_directions = _segmentation(piece)
+        assert directions == old_directions
+        assert len(knots) == len(old_knots)
+        assert knots[0] == old_knots[0] and knots[-1] == old_knots[-1]
+        deriv = exact_derivative(piece)
+        for k, q in zip(knots[1:-1], old_knots[1:-1]):
+            # one sign change between the pair: they bracket one root
+            (below, _), (_, above) = rounding_interval(min(k, q)), rounding_interval(max(k, q))
+            assert exact_sign(deriv, below) * exact_sign(deriv, above) < 0
+            assert_nearest_to_a_root(deriv, k)
+
+    # np.roots raises LinAlgError when the companion matrix overflows, as
+    # with a leading coefficient near 1e-308 (see test_examples), so the
+    # floats stay above 1e-6 in magnitude here
+    @given(st.integers(2, 8).flatmap(lambda deg: st.lists(
+        st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=30),
+                  st.floats(-9, 9).filter(lambda c: c == 0 or abs(c) >= 1e-6)),
+        min_size=deg + 1, max_size=deg + 1)))
+    @settings(max_examples=300, deadline=None)
+    def test_random_coefficients_against_the_roots_oracle(self, coeffs):
+        assume(coeffs[-1] != 0)
+        piece = PolynomialPiece(-4, 4, coeffs)
+        got = piece.interior_criticals()
+        assert_guards(piece, got)
+        deriv = exact_derivative(piece)
+        for r in got:
+            assert_nearest_to_a_root(deriv, r)
+        for q in roots_oracle_criticals(piece):
+            # where the derivative changes sign across q, a root of ours is
+            # within the same bracket, and it is the nearer one
+            near = 1e-9 * max(1.0, abs(q))
+            if exact_sign(deriv, q - near) * exact_sign(deriv, q + near) < 0:
+                assert any(abs(r - q) < near for r in got), (q, got)
 
 
 class TestBuilders:

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -281,6 +282,17 @@ class TestUniformApprox:
         p = variation_function(zigzag)
         for knot in ZIGZAG_KNOTS:
             assert u.evaluate(knot) == p(knot)
+
+    @pytest.mark.parametrize("epsilon", [0, -F(1, 8), 0.0, math.inf, math.nan])
+    def test_epsilon_must_be_positive_and_finite(self, zigzag, epsilon):
+        with pytest.raises(SpecFormatError, match="^epsilon must be positive and finite$"):
+            uniform_approx(zigzag, epsilon)
+
+    def test_a_float_epsilon_is_read_exactly_on_a_rational_model(self, zigzag):
+        u = uniform_approx(zigzag, 0.01)
+        assert type(u.epsilon) is F and u.epsilon == F(0.01)
+        float_zigzag = FunctionModel(zigzag.pieces, arithmetic="float")
+        assert uniform_approx(float_zigzag, 0.01).epsilon.hex() == (0.01).hex()
 
 
 _SIGN = {INCREASING: 1, DECREASING: -1, CONSTANT: 0}
