@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -61,12 +62,19 @@ def fraction_quotient(d, w):
 
 
 def as_number(value, arithmetic: str):
-    """Coerce a parsed JSON value into the model's arithmetic."""
+    """Coerce a parsed JSON value into the model's arithmetic.
+
+    In float mode a value past the float range (``"1e400"``), or one JSON
+    reads as infinite or NaN, raises :class:`SpecFormatError`."""
     if arithmetic == RATIONAL:
         return frac(value)
-    if isinstance(value, str):
-        return float(frac(value))
-    return float(value)
+    try:
+        x = float(frac(value)) if isinstance(value, str) else float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise SpecFormatError(f"not a finite float: {value!r}")
+    return x
 
 
 def fmt_number(value):
@@ -150,9 +158,12 @@ def uniform_grid(a, b, n: int, exact: bool):
     if n < 2:
         raise SpecFormatError("grid needs at least two points")
     if exact:
+        # a + i * (b - a) / (n - 1) over the one denominator q * s * (n - 1)
         a, b = frac_like(a), frac_like(b)
-        step = (b - a) / (n - 1)
-        return [a + i * step for i in range(n)]
+        p, q = a.numerator, a.denominator
+        r, s = b.numerator, b.denominator
+        start, rise, den = p * s * (n - 1), r * q - p * s, q * s * (n - 1)
+        return [Fraction(start + i * rise, den) for i in range(n)]
     a, b = float(a), float(b)
     step = (b - a) / (n - 1)
     pts = [a + i * step for i in range(n)]

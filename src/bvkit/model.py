@@ -16,7 +16,9 @@ piece.  A float model evaluates on a float table built at construction:
 each piece start as the least float at or above it, so a float point is
 placed among int or Fraction knots without exact comparisons, and each
 linear piece as float slope and intercept.  Its other pieces evaluate the
-point themselves, and a constant piece gives its constant as it is.
+point themselves, and a constant piece gives its constant as it is.  A
+polynomial piece runs Horner's rule at a float point on its coefficients
+rounded once to floats, bit for bit its rule on the exact coefficients.
 
 Rational construction runs on integers as well.  The level-L Cantor
 iterate is generated from integer knots over 3^L and values over 2^L, a
@@ -185,7 +187,13 @@ class ConstantPiece(Piece):
 
 
 class PolynomialPiece(Piece):
-    """Polynomial with rational coefficients, ascending powers."""
+    """Polynomial with rational coefficients, ascending powers.
+
+    A float point runs Horner's rule on the coefficients rounded once to
+    floats, highest power first.  That is bit for bit the rule on the
+    coefficients themselves, since ``Fraction ⊕ float`` rounds the Fraction
+    first.  A coefficient past the float range leaves the float rule out,
+    so the exact rule raises its ``OverflowError`` at each float point."""
 
     kind = "polynomial"
     exact = False
@@ -197,8 +205,19 @@ class PolynomialPiece(Piece):
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         self.coefficients = coeffs
+        try:
+            floats = [float(c) for c in reversed(coeffs)]
+            self._horner = floats[0], tuple(floats[1:])
+        except OverflowError:
+            self._horner = None
 
     def value(self, x):
+        if type(x) is float and self._horner is not None:
+            acc, rest = self._horner
+            acc += x * 0  # an infinite or NaN x gives NaN, as below
+            for c in rest:
+                acc = acc * x + c
+            return acc
         acc = self.coefficients[-1] + x * 0  # promote to the argument's type
         for c in reversed(self.coefficients[:-1]):
             acc = acc * x + c
@@ -1175,7 +1194,8 @@ def _float_rule(piece):
     as its ``(slope, intercept)`` in floats, for ``slope * x + intercept``,
     which is bit for bit its ``value`` (``Fraction * float`` and
     ``float + Fraction`` round the Fraction first, as ``int`` operands
-    are); any other piece by its ``value``."""
+    are); any other piece by its ``value``, which for a polynomial piece
+    runs on its float coefficients."""
     if (type(piece) is LinearPiece and type(piece.slope) in _REAL
             and type(piece.intercept) in _REAL):
         try:

@@ -402,10 +402,22 @@ class TestCLI:
         ["variation", "{string_piece}"],
         ["certify", "{spec}", "--nullset", "{no_hi}", "--eps", "1/10"],
         ["variation", "{wide_domain}"],
+        ["--arithmetic", "float", "ac", "{spec}", "--deltas", "1e-1,1e400"],
+        ["--arithmetic", "float", "variation", "{spec}", "--at", "1e400"],
+        ["--arithmetic", "float", "certify", "{spec}", "--nullset", "{nullset}",
+         "--eps", "1e400"],
+        ["--arithmetic", "float", "recover", "{spec}", "--h", "1e400"],
+        ["--arithmetic", "float", "variation", "{huge_slope}"],
+        ["--arithmetic", "float", "variation", "{inf_slope}"],
+        ["--arithmetic", "float", "variation", "{inf_domain}"],
+        ["--arithmetic", "float", "certify", "{spec}", "--nullset", "{huge_hi}",
+         "--eps", "1/10"],
     ], ids=["float-deltas", "float-at", "float-eps", "float-h", "float-spec",
             "threshold", "decompose-grid", "recover-grid", "spec-tol",
             "spec-truncated", "spec-missing", "piece-domain", "cantor-level",
-            "linear-slope", "piece-string", "interval-hi", "spec-domain"])
+            "linear-slope", "piece-string", "interval-hi", "spec-domain",
+            "huge-deltas", "huge-at", "huge-eps", "huge-h", "huge-slope-string",
+            "json-inf-slope", "json-inf-domain", "huge-interval-hi"])
     def test_malformed_input_is_an_error(self, argv, zigzag_spec, nullset_file,
                                          tmp_path, capsys):
         text = (tmp_path / "zigzag.json").read_text()
@@ -429,6 +441,14 @@ class TestCLI:
             "wide_domain": json.dumps({"domain": ["0", "2"], "pieces": [{
                 "kind": "linear", "domain": ["0", "1"],
                 "params": {"slope": "1", "intercept": "0"}}]}),
+            # past the float range, as a string and as JSON numbers
+            "huge_slope": edited(lambda d: d["pieces"][0]["params"].update(slope="1e400")),
+            "inf_slope": edited(lambda d: d["pieces"][0]["params"].update(
+                slope="SLOPE")).replace('"SLOPE"', "1e400"),
+            "inf_domain": json.dumps({"pieces": [{
+                "kind": "linear", "domain": ["0", "END"],
+                "params": {"slope": "1", "intercept": "0"}}]}).replace('"END"', "1e999"),
+            "huge_hi": json.dumps({"components": [{"lo": "0", "hi": "1e400"}]}),
         }
         paths = {}
         for name, body in files.items():
@@ -451,6 +471,18 @@ class TestCLI:
     def test_float_numbers_parse_as_before(self):
         for text in ("1/3", "0.1", "1e-3", " -7/8 ", "2"):
             assert as_number(text, FLOAT).hex() == float(Fraction(text)).hex()
+
+    @pytest.mark.parametrize("value", ["1e400", "-1e400", "9" * 400 + "/7", 10 ** 400,
+                                       float("inf"), float("-inf"), float("nan")],
+                             ids=["exponent", "negative", "quotient", "int", "inf",
+                                  "minus-inf", "nan"])
+    def test_float_numbers_past_the_range_refused(self, value):
+        with pytest.raises(SpecFormatError, match="not a finite float"):
+            as_number(value, FLOAT)
+
+    def test_rational_numbers_past_the_float_range_parse(self):
+        assert as_number("1e400", "rational") == 10 ** 400
+        assert as_number(1.7976931348623157e308, FLOAT) == 1.7976931348623157e308
 
 
 class TestPackageSurface:

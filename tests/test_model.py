@@ -1,13 +1,15 @@
 import math
+import re
 from bisect import bisect_right
 from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from bvkit import model as model_module
-from bvkit._num import bisect_solve
+from bvkit._num import bisect_solve, frac_like, uniform_grid
+from bvkit.corpus import corpus_by_name
 from bvkit.errors import (
     BVKitError,
     InfiniteSegmentationError,
@@ -30,8 +32,9 @@ from bvkit.model import (
     piecewise_linear,
 )
 from bvkit.specio import model_from_dict, model_to_dict
+from bvkit.variation import jordan_decomposition
 
-from test_evaluation_routes import _key
+from test_evaluation_routes import _interval_keys, _key
 
 F = Fraction
 
@@ -330,6 +333,103 @@ class TestFloatTable:
             with pytest.raises(OutOfDomainError):
                 model.evaluate(x)
         _assert_sweep_matches(model, _sorted_batch(_probe_points(model)), may_raise=True)
+
+
+def old_polynomial_value(piece, x):
+    """Horner's rule on the coefficients as given, kept as the oracle: a
+    float point meets a Fraction coefficient in each step."""
+    acc = piece.coefficients[-1] + x * 0
+    for c in reversed(piece.coefficients[:-1]):
+        acc = acc * x + c
+    return acc
+
+
+_MAX = 2 ** 1024 - 2 ** 970  # the largest float, as an int
+# at, just past and far past the float range (the halfway point to 2**1024
+# rounds up and overflows), and at and below the least subnormal
+_EDGE_COEFFICIENTS = (_MAX, _MAX + 2 ** 969 - 1, _MAX + 2 ** 969, 2 ** 1024,
+                      10 ** 400, F(2 ** 1100, 3), F(1, 2 ** 1074),
+                      F(1, 2 ** 1075), F(3, 2 ** 1076), F(1, 10 ** 400))
+_EDGE_POINTS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                1.7976931348623157e308, -1.7976931348623157e308, 1e200, -1e200,
+                math.inf, -math.inf, math.nan)
+
+coefficients = st.lists(st.one_of(
+    st.integers(),
+    st.integers(-2 ** 1030, 2 ** 1030),
+    st.fractions(),
+    st.builds(F, st.integers(-2 ** 1100, 2 ** 1100), st.integers(1, 2 ** 1100)),
+    st.floats(),
+    st.sampled_from(_EDGE_COEFFICIENTS + tuple(-c for c in _EDGE_COEFFICIENTS))),
+    min_size=1, max_size=9)
+float_points = st.lists(st.one_of(st.floats(), st.sampled_from(_EDGE_POINTS)),
+                        min_size=1, max_size=8)
+
+
+def _assert_value_matches(coeffs, xs):
+    piece = PolynomialPiece(0, 1, coeffs)
+    for x in xs:
+        assert _outcome(lambda: [piece.value(x)]) == \
+            _outcome(lambda: [old_polynomial_value(piece, x)]), (coeffs, x)
+
+
+class _FloatSubclass(float):
+    pass
+
+
+class TestPolynomialFloatHorner:
+    """A float point runs Horner's rule on float coefficients, which must
+    give the bits of the rule on the coefficients as given; every other
+    point keeps that rule."""
+
+    @given(coefficients, float_points)
+    @example([F(1, 3)], [math.inf, math.nan])
+    @example([-0.0], [-1.0, 0.0])
+    @example([F(1, 3), F(2, 7), F(-5, 11)], [0.1, -3.5])
+    @example([1, 2 ** 1024], [0.5])
+    @settings(max_examples=500, deadline=None)
+    def test_float_points_match_the_fraction_loop(self, coeffs, xs):
+        _assert_value_matches(coeffs, xs)
+
+    @given(coefficients, st.lists(st.one_of(
+        st.integers(-10 ** 6, 10 ** 6), st.fractions(),
+        st.floats(-1e6, 1e6).map(_FloatSubclass)), min_size=1, max_size=4))
+    @example([F(1, 3), 1], [F(1, 2), 3])
+    @settings(max_examples=200, deadline=None)
+    def test_exact_points_keep_the_exact_loop(self, coeffs, xs):
+        _assert_value_matches(coeffs, xs)
+
+    def test_past_the_float_range_raises_as_before(self):
+        piece = PolynomialPiece(0, 1, [1, 2 ** 1024])
+        with pytest.raises(OverflowError) as raised:
+            old_polynomial_value(piece, 0.5)
+        with pytest.raises(OverflowError, match=re.escape(str(raised.value))):
+            piece.value(0.5)
+        assert piece.value(F(1, 2)) == 1 + 2 ** 1023
+
+    @pytest.mark.parametrize("name", ["square", "cubic", "mixed"])
+    def test_corpus_routes_match_the_oracle(self, name):
+        # each route on F, p, n and F + x, run once as is and once with the
+        # oracle in place of the piece's value, on fresh models
+        def routes():
+            model = corpus_by_name()[name].model
+            jordan = jordan_decomposition(model)
+            out = []
+            for m in (model, jordan.p, jordan.n, model.shift_add_identity()):
+                a, b = float(m.a), float(m.b)
+                values = m.evaluate_many(m.verification_grid(257))
+                out.append([_key(v) for v in values])
+                lo, hi = min(values), max(values)
+                for t in (F(1, 7), F(1, 3), F(1, 2), F(5, 6)):
+                    y = float(lo + t * (hi - lo))
+                    out.append([_key(v) for v in m.level_points(y, a, b)])
+                    out.append(_interval_keys(m.preimage(float(lo) - 1, y)))
+                    out.append(_interval_keys(m.preimage(y, float(hi) + 1, a + (b - a) / 3, b)))
+            return out
+
+        got = routes()
+        with mock.patch.object(PolynomialPiece, "value", old_polynomial_value):
+            assert got == routes()
 
 
 class TestBisectSolve:
@@ -904,3 +1004,37 @@ class TestVerificationGrid:
             assert k in grid
         assert grid[0] == 0 and grid[-1] == 1
         assert all(a < b for a, b in zip(grid, grid[1:]))
+
+
+def old_exact_grid(a, b, n):
+    """The exact grid as a sum of steps, kept as the oracle."""
+    a, b = frac_like(a), frac_like(b)
+    step = (b - a) / (n - 1)
+    return [a + i * step for i in range(n)]
+
+
+grid_ends = st.one_of(st.integers(-10 ** 30, 10 ** 30), st.fractions(),
+                      st.floats(allow_nan=False, allow_infinity=False))
+
+
+class TestExactGrid:
+    """The exact grid over one common denominator gives the step sum's
+    Fractions, ends included."""
+
+    @given(grid_ends, grid_ends, st.integers(2, 4097))
+    @example(0, 1, 1024)
+    @example(F(1, 3), F(-2, 7), 5)
+    @example(0.1, 0.1, 3)
+    @example(-5, -5, 2)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_step_sum(self, a, b, n):
+        got = uniform_grid(a, b, n, exact=True)
+        assert [(type(x), x) for x in got] == \
+            [(type(x), x) for x in old_exact_grid(a, b, n)]
+        assert got[0] == frac_like(a) and got[-1] == frac_like(b)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_too_few_points_refused_first(self, exact):
+        for n in (1, 0, -3):
+            with pytest.raises(SpecFormatError, match="at least two"):
+                uniform_grid(math.nan, 1, n, exact)
