@@ -613,30 +613,42 @@ def lusin_propagation_check(model: FunctionModel, family: NullSetFamily,
     sums against the 5*eps and 9*eps budgets.  Levels with more than
     ``max_components`` intervals are out of budget and reported as
     infeasible rather than ground through.
+
+    Each level is measured once per call: the search starts from the
+    probe's ``(j, measure, image measure)`` rows, a level measured for one
+    epsilon is read again for the next, and a level built by the search
+    is kept for its certificate.
     """
     probe = lusin_probe(model, family, probe_levels)
     if probe.verdict == FAILS:
         raise PreconditionError("model fails its null-family probe; "
                                 "propagation is vacuous")
+    # level j -> [set measure, image measure, the set or None]
+    measured = {j: [mu, img, None] for j, mu, img in probe.levels}
     rows = []
     for eps in eps_schedule:
         chosen = None
         for j in range(1, max_level + 1):
             if family.component_count(j) > max_components:
                 break
-            nj = family.level(j)
-            img = image_measure(model, nj)
-            if 2 * img < eps and 2 * nj.measure < eps:
-                chosen = (j, nj, img)
+            if j not in measured:
+                nj = family.level(j)
+                measured[j] = [nj.measure, image_measure(model, nj), nj]
+            mu, img, _ = measured[j]
+            if 2 * img < eps and 2 * mu < eps:
+                chosen = j
                 break
         if chosen is None:
             zero = model.zero
             rows.append(PropagationRow(eps, None, zero, zero, zero, zero,
                                        False, False))
             continue
-        j, nj, img = chosen
+        level = measured[chosen]
+        if level[2] is None:
+            level[2] = family.level(chosen)
+        mu, img, nj = level
         trace = variation_certificate(model, nj, eps)
-        rows.append(PropagationRow(eps, j, nj.measure, img,
+        rows.append(PropagationRow(eps, chosen, mu, img,
                                    trace.max_p_sum, trace.max_n_sum,
                                    True, trace.ok))
     return PropagationReport(tuple(rows))

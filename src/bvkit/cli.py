@@ -9,6 +9,7 @@ is expected.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from ._num import FLOAT, RATIONAL, as_number, frac, sig15, sig15_row
@@ -18,8 +19,19 @@ from .density import ac_modulus, bv_density, density_grid, integrate, \
     reconstruction_error
 from .errors import BVKitError
 from .measure import cantor_family, lusin_probe, shrinking_family
-from .specio import dump_json, jsonable, load_intervals, load_model
+from .specio import dump_json, load_intervals, load_model
 from .variation import jordan_decomposition, total_variation
+
+
+def _tolerance(text) -> float:
+    """A ``--tol`` value: a float that is finite and not negative."""
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0 <= tol < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and non-negative: {text!r}")
+    return tol
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -29,14 +41,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "piecewise function models.")
     parser.add_argument("--arithmetic", choices=(RATIONAL, FLOAT), default=None,
                         help="override the spec file's arithmetic mode")
-    parser.add_argument("--tol", type=float, default=1e-9,
+    parser.add_argument("--tol", type=_tolerance, default=1e-9,
                         help="refinement tolerance for variation estimates")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def allow_tol(sp):
         # accepted after the subcommand as well; SUPPRESS keeps a
         # pre-subcommand --tol intact when the local one is absent
-        sp.add_argument("--tol", type=float, default=argparse.SUPPRESS)
+        sp.add_argument("--tol", type=_tolerance, default=argparse.SUPPRESS)
 
     p = sub.add_parser("variation", help="total variation up to a point")
     p.add_argument("spec")
@@ -123,7 +135,7 @@ def cmd_lusin(args) -> int:
         print(f"level {j}: set measure {sig15(mu)}, image measure {sig15(img)}")
     print(f"verdict: {report.verdict}")
     if args.report:
-        dump_json(jsonable(report), args.report)
+        dump_json(report, args.report)
         print(f"wrote {args.report}")
     return 0
 
@@ -143,7 +155,7 @@ def cmd_certify(args) -> int:
               f"max p-cover {sig15(trace.max_p_sum)} < 5*eps = {sig15(5 * eps)}, "
               f"max n-cover {sig15(trace.max_n_sum)} < 9*eps = {sig15(9 * eps)}")
     if args.trace:
-        dump_json(jsonable(trace), args.trace)
+        dump_json(trace, args.trace)
         print(f"wrote {args.trace}")
     return 0
 

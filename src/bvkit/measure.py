@@ -32,22 +32,32 @@ def image_set(model: FunctionModel, E: IntervalSet) -> IntervalSet:
     monotone segment maps a clipped component to one interval whose
     endpoint flags mirror the component's (strict monotonicity inside a
     non-constant segment keeps openness), and constant segments map to
-    single points.
+    single points.  The parts are ``Interval.intersect`` of a component
+    and a closed segment, its endpoint objects and flags kept.  When the
+    knots and every component end are ints or Fractions, one forward
+    pointer walks the sorted components against the segments, comparing
+    integer pairs; otherwise each component bisects for its segments.
     """
     if not model.continuity_flag:
         raise PreconditionError("image computation requires a continuous model")
     segmentation = model.monotone_segments()
-    segments = segmentation.segments
-    parts = []
-    for comp in E.clip(model.a, model.b):
-        point = comp.lo == comp.hi
-        for i in segmentation.window(comp.lo, comp.hi):
-            seg = segments[i]
-            part = comp.intersect(Interval(seg.lo, seg.hi))
-            # a segment that only touches a longer component adds the
-            # image of one end, which the neighbouring part's image holds
-            if not part.empty and (point or part.lo != part.hi):
-                parts.append((part, seg.direction))
+    comps = E.clip(model.a, model.b).components
+    if segmentation.pairs is not None and all(
+            type(e) is int or type(e) is Fraction
+            for comp in comps for e in (comp.lo, comp.hi)):
+        parts = _pair_parts(segmentation, comps)
+    else:
+        segments = segmentation.segments
+        parts = []
+        for comp in comps:
+            point = comp.lo == comp.hi
+            for i in segmentation.window(comp.lo, comp.hi):
+                seg = segments[i]
+                part = comp.intersect(Interval(seg.lo, seg.hi))
+                # a segment that only touches a longer component adds the
+                # image of one end, which the neighbouring part's image holds
+                if not part.empty and (point or part.lo != part.hi):
+                    parts.append((part, seg.direction))
     # the parts run left to right, so their ends take one sorted sweep
     ends = model.evaluate_many([e for part, _ in parts for e in (part.lo, part.hi)])
     pieces = []
@@ -59,6 +69,46 @@ def image_set(model: FunctionModel, E: IntervalSet) -> IntervalSet:
         else:
             pieces.append(Interval(fhi, flo, part.hi_open, part.lo_open))
     return IntervalSet(pieces)
+
+
+def _pair_parts(segmentation, comps) -> list:
+    """``(part, direction)`` for each component against each segment it
+    meets, as the bisecting walk of :func:`image_set` gives them, on the
+    segmentation's integer pairs: the sorted, disjoint components move one
+    segment pointer forward only."""
+    nums, dens = segmentation.pairs
+    segments = segmentation.segments
+    count = len(segments)
+    parts = []
+    i = 0
+    for comp in comps:
+        lo, hi = comp.lo, comp.hi
+        ln, ld = lo.numerator, lo.denominator
+        hn, hd = hi.numerator, hi.denominator
+        # the first segment is the last one to start before lo, as window's is
+        while i + 1 < count and nums[i + 1] * ld < ln * dens[i + 1]:
+            i += 1
+        point = ln * hd == hn * ld
+        k = i
+        while k < count and nums[k] * hd <= hn * dens[k]:
+            # comp.intersect(Interval(seg.lo, seg.hi)): on a tie the
+            # component's end object and flag stay
+            seg = segments[k]
+            if nums[k] * ld > ln * dens[k]:
+                p_lo, lo_open, pn, pd = seg.lo, False, nums[k], dens[k]
+            else:
+                p_lo, lo_open, pn, pd = lo, comp.lo_open, ln, ld
+            if nums[k + 1] * hd < hn * dens[k + 1]:
+                p_hi, hi_open, qn, qd = seg.hi, False, nums[k + 1], dens[k + 1]
+            else:
+                p_hi, hi_open, qn, qd = hi, comp.hi_open, hn, hd
+            # kept when the part is longer than a point, or when it is the
+            # closed point a point component maps
+            gap = qn * pd - pn * qd
+            if gap > 0 or (gap == 0 and point and not (lo_open or hi_open)):
+                parts.append((Interval(p_lo, p_hi, lo_open, hi_open), seg.direction))
+            k += 1
+    return parts
 
 
 def _sums_endpoints(model: FunctionModel) -> bool:
@@ -136,16 +186,13 @@ def split_cover_at(cover: IntervalSet, values) -> IntervalSet:
 # ---------------------------------------------------------------------------
 
 
-def _cantor_level(j: int) -> list:
-    comps = [(Fraction(0), Fraction(1))]
+def _cantor_starts(j: int) -> list:
+    """The left ends s of the 2^j middle-third intervals ``[s, s + 1]``
+    over ``3^j``: the children of s are 3s and 3s + 2."""
+    starts = [0]
     for _ in range(j):
-        nxt = []
-        for lo, hi in comps:
-            w = (hi - lo) / 3
-            nxt.append((lo, lo + w))
-            nxt.append((hi - w, hi))
-        comps = nxt
-    return comps
+        starts = [c for s in starts for c in (3 * s, 3 * s + 2)]
+    return starts
 
 
 @dataclass(frozen=True)
@@ -186,27 +233,52 @@ class NullSetFamily:
         return len(self.levels[j - 1]) if j <= len(self.levels) else 0
 
     def level(self, j: int) -> IntervalSet:
+        """The interval set of level j (from 1).
+
+        An exact domain (ints, Fractions or rational strings) gives
+        Fraction ends, each one ``Fraction(num, den)`` from integers: over
+        ``q*t*3^j`` for the Cantor levels of ``[p/q, r/t]``, and over one
+        common denominator for the shrinking slots.  A float end makes the
+        domain float, and the ends are float expressions in the domain."""
         if j < 1:
             raise SpecFormatError("family levels start at 1")
         a, b = self.domain
-        if not (isinstance(a, float) or isinstance(b, float)):
-            a, b = frac(a), frac(b)  # keep exact domains exact
-        if self.kind == "cantor_levels":
-            span = b - a
-            return IntervalSet(
-                Interval(a + lo * span, a + hi * span) for lo, hi in _cantor_level(j)
-            )
-        if self.kind == "shrinking_uniform":
+        exact = not (isinstance(a, float) or isinstance(b, float))
+        if exact:
+            a, b = frac(a), frac(b)
+        if self.kind == "custom":
+            if j > len(self.levels):
+                raise SpecFormatError(f"custom family has only {len(self.levels)} levels")
+            return self.levels[j - 1]
+        if not exact:
+            if self.kind == "cantor_levels":
+                span, den = b - a, 3 ** j
+                return IntervalSet(Interval(a + (s / den) * span, a + ((s + 1) / den) * span)
+                                   for s in _cantor_starts(j))
             w = (b - a) / self.count
-            ratio = frac(self.rate) ** j
-            if isinstance(w, float):
-                ratio = float(ratio)
+            ratio = float(frac(self.rate) ** j)
             return IntervalSet(
                 Interval(a + i * w, a + i * w + ratio * w) for i in range(self.count)
             )
-        if j > len(self.levels):
-            raise SpecFormatError(f"custom family has only {len(self.levels)} levels")
-        return self.levels[j - 1]
+        # keep exact domains exact: a = p/q and b = r/t, so b - a = rise/(q*t)
+        p, q = a.as_integer_ratio()
+        r, t = b.as_integer_ratio()
+        rise = r * q - p * t
+        if self.kind == "cantor_levels":
+            # a + (s/3^j)(b - a) over q*t*3^j
+            scale = 3 ** j
+            start, den = p * t * scale, q * t * scale
+            return IntervalSet(Interval(Fraction(start + s * rise, den),
+                                        Fraction(start + (s + 1) * rise, den))
+                               for s in _cantor_starts(j))
+        # slot i is a + i*w to that plus ratio*w, with w = (b - a)/count and
+        # ratio = (u/v)^j, all over q*t*count*v^j
+        u, v = frac(self.rate).as_integer_ratio()
+        u, v = u ** j, v ** j
+        den = q * t * self.count * v
+        starts = [(p * t * self.count + i * rise) * v for i in range(self.count)]
+        return IntervalSet(Interval(Fraction(lo, den), Fraction(lo + u * rise, den))
+                           for lo in starts)
 
 
 def cantor_family(domain=(0, 1)) -> NullSetFamily:

@@ -633,15 +633,22 @@ class Segment:
 @dataclass(frozen=True)
 class MonotoneSegmentation:
     """Maximal alternating monotone runs partitioning [a, b], with the
-    model's values at their knots: ``values[k]`` is F at ``knots()[k]``."""
+    model's values at their knots: ``values[k]`` is F at ``knots()[k]``.
+    When every knot is an int or a Fraction, ``pairs`` holds them as two
+    tuples, numerators and (positive) denominators, else it is None."""
 
     segments: tuple
     values: tuple
     bounds: tuple = field(init=False, repr=False, compare=False)  # the knots
+    pairs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "bounds", tuple(
-            [self.segments[0].lo] + [s.hi for s in self.segments]))
+        bounds = tuple([self.segments[0].lo] + [s.hi for s in self.segments])
+        object.__setattr__(self, "bounds", bounds)
+        object.__setattr__(self, "pairs", None if any(
+            type(k) not in _EXACT for k in bounds) else (
+                tuple([k.numerator for k in bounds]),
+                tuple([k.denominator for k in bounds])))
 
     def knots(self) -> list:
         return list(self.bounds)
@@ -650,10 +657,29 @@ class MonotoneSegmentation:
         """Indices of the segments meeting ``[lo, hi]``, touching ones
         included: segment ``i`` spans ``bounds[i]`` to ``bounds[i + 1]``.
         A bisection finds the first; the last is walked to, because the
-        caller walks the window anyway and most windows are short."""
-        bounds, count = self.bounds, len(self.segments)
-        first = last = max(bisect_left(bounds, lo) - 1, 0)
-        while last < count and bounds[last] <= hi:
+        caller walks the window anyway and most windows are short.  With
+        ``pairs``, and lo and hi ints or Fractions, both compare integer
+        pairs by cross-multiplication."""
+        count = len(self.segments)
+        if self.pairs is None or type(lo) not in _EXACT or type(hi) not in _EXACT:
+            bounds = self.bounds
+            first = last = max(bisect_left(bounds, lo) - 1, 0)
+            while last < count and bounds[last] <= hi:
+                last += 1
+            return range(first, last)
+        nums, dens = self.pairs
+        n, d = lo.numerator, lo.denominator
+        # bisect_left: the first bound >= lo
+        first, top = 0, count + 1
+        while first < top:
+            mid = (first + top) // 2
+            if nums[mid] * d < n * dens[mid]:
+                first = mid + 1
+            else:
+                top = mid
+        first = last = max(first - 1, 0)
+        n, d = hi.numerator, hi.denominator
+        while last < count and nums[last] * d <= n * dens[last]:
             last += 1
         return range(first, last)
 
@@ -1052,10 +1078,20 @@ class FunctionModel:
 
     def _solve_in_segment(self, seg: Segment, y):
         """Unique x in the strictly monotone segment with F(x) = y."""
-        lo_i = bisect_right(self._starts, seg.lo) - 1
-        hi_i = bisect_right(self._starts, seg.hi) - 1
-        if hi_i >= len(self._expanded) or self._expanded[hi_i].lo == seg.hi:
-            hi_i -= 1
+        if self.exact and type(seg.lo) in _EXACT and type(seg.hi) in _EXACT:
+            # the pieces' starts as the pair table holds them
+            start_num, start_den = self._table[0], self._table[1]
+            lo_i = _pair_bisect_right(start_num, start_den, seg.lo.numerator,
+                                      seg.lo.denominator) - 1
+            n, d = seg.hi.numerator, seg.hi.denominator
+            hi_i = _pair_bisect_right(start_num, start_den, n, d) - 1
+            if start_num[hi_i] * d == n * start_den[hi_i]:
+                hi_i -= 1
+        else:
+            lo_i = bisect_right(self._starts, seg.lo) - 1
+            hi_i = bisect_right(self._starts, seg.hi) - 1
+            if hi_i >= len(self._expanded) or self._expanded[hi_i].lo == seg.hi:
+                hi_i -= 1
         increasing = seg.direction == INCREASING
         for i in range(max(lo_i, 0), hi_i + 1):
             p = self._expanded[i]

@@ -412,12 +412,16 @@ class TestCLI:
         ["--arithmetic", "float", "variation", "{inf_domain}"],
         ["--arithmetic", "float", "certify", "{spec}", "--nullset", "{huge_hi}",
          "--eps", "1/10"],
+        ["--arithmetic", "float", "variation", "{inf_tol}"],
+        ["--arithmetic", "float", "variation", "{nan_tol}"],
+        ["--arithmetic", "float", "variation", "{negative_tol}"],
     ], ids=["float-deltas", "float-at", "float-eps", "float-h", "float-spec",
             "threshold", "decompose-grid", "recover-grid", "spec-tol",
             "spec-truncated", "spec-missing", "piece-domain", "cantor-level",
             "linear-slope", "piece-string", "interval-hi", "spec-domain",
             "huge-deltas", "huge-at", "huge-eps", "huge-h", "huge-slope-string",
-            "json-inf-slope", "json-inf-domain", "huge-interval-hi"])
+            "json-inf-slope", "json-inf-domain", "huge-interval-hi",
+            "spec-tol-inf", "spec-tol-nan", "spec-tol-negative"])
     def test_malformed_input_is_an_error(self, argv, zigzag_spec, nullset_file,
                                          tmp_path, capsys):
         text = (tmp_path / "zigzag.json").read_text()
@@ -449,6 +453,9 @@ class TestCLI:
                 "kind": "linear", "domain": ["0", "END"],
                 "params": {"slope": "1", "intercept": "0"}}]}).replace('"END"', "1e999"),
             "huge_hi": json.dumps({"components": [{"lo": "0", "hi": "1e400"}]}),
+            "inf_tol": edited(lambda d: d.update(tol="1e400")),
+            "nan_tol": edited(lambda d: d.update(tol="nan")),
+            "negative_tol": edited(lambda d: d.update(tol=-1e-9)),
         }
         paths = {}
         for name, body in files.items():
@@ -459,6 +466,38 @@ class TestCLI:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["--tol", "inf", "variation", "{spec}"],
+        ["--tol=-1e-3", "variation", "{spec}"],
+        ["variation", "{spec}", "--tol", "nan"],
+        ["variation", "{spec}", "--tol", "1e400"],
+    ], ids=["global-inf", "global-negative", "variation-nan", "variation-huge"])
+    def test_tol_option_must_be_finite_and_non_negative(self, argv, zigzag_spec,
+                                                       capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([a.format(spec=zigzag_spec) for a in argv])
+        assert exit_info.value.code == 2
+        assert "argument --tol: must be finite and non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["1e400", "inf", "-inf", "nan", -1.0],
+                             ids=["huge", "inf", "minus-inf", "nan", "negative"])
+    def test_float_spec_tol_must_be_finite_and_non_negative(self, tol, tmp_path,
+                                                            capsys):
+        # x on [0, 1] then x + 5 on [1, 2]: an infinite tol passed the jump
+        doc = {"arithmetic": "float", "tol": tol, "pieces": [
+            {"kind": "linear", "domain": ["0", "1"], "params": {"slope": "1", "intercept": "0"}},
+            {"kind": "linear", "domain": ["1", "2"], "params": {"slope": "1", "intercept": "5"}}]}
+        with pytest.raises(SpecFormatError, match="tol must be finite and non-negative"):
+            model_from_dict(doc)
+        spec = tmp_path / "jump.json"
+        spec.write_text(json.dumps(doc))
+        assert main(["decompose", str(spec), "--emit", str(tmp_path / "p.csv"),
+                     str(tmp_path / "n.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: tol must be finite")
+        # a rational spec does not read its tol; zero is a tolerance
+        assert model_from_dict(dict(doc, arithmetic="rational")).continuity_flag is False
+        assert model_from_dict(dict(doc, tol=0)).continuity_flag is False
 
     def test_decompose_takes_no_tol(self, zigzag_spec, tmp_path, capsys):
         # nothing in the Jordan decomposition reads a tolerance

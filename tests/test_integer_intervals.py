@@ -21,7 +21,7 @@ from bvkit._num import EXPONENT_LIMIT, frac, uniform_grid
 from bvkit.certificate import shift_certificate
 from bvkit.errors import SpecFormatError
 from bvkit.intervals import Interval, IntervalSet, positions
-from bvkit.measure import _cantor_level, cantor_family, split_cover_at
+from bvkit.measure import cantor_family, split_cover_at
 from bvkit.model import (
     CantorPiece,
     FunctionModel,
@@ -357,6 +357,20 @@ class TestAlgebra:
         a, ra = built(ivs)
         want = ra.difference(RefSet(Interval(v, v) for v in values))
         assert_same(split_cover_at(a, values), want)
+
+
+def _cantor_level(j):
+    """The middle-third intervals of level j in Fraction arithmetic, as
+    ``bvkit.measure`` built them before its levels came from integers."""
+    comps = [(F(0), F(1))]
+    for _ in range(j):
+        nxt = []
+        for lo, hi in comps:
+            w = (hi - lo) / 3
+            nxt.append((lo, lo + w))
+            nxt.append((hi - w, hi))
+        comps = nxt
+    return comps
 
 
 def cantor_level_intervals(j):
