@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache
+from types import SimpleNamespace
 
 from .errors import CertificateFailure, PreconditionError, SpecFormatError
 from .intervals import Interval, IntervalSet
@@ -614,17 +616,19 @@ def lusin_propagation_check(model: FunctionModel, family: NullSetFamily,
     ``max_components`` intervals are out of budget and reported as
     infeasible rather than ground through.
 
-    Each level is measured once per call: the search starts from the
-    probe's ``(j, measure, image measure)`` rows, a level measured for one
-    epsilon is read again for the next, and a level built by the search
-    is kept for its certificate.
+    Each level is built and measured once per call: the search starts
+    from the probe's ``(j, measure, image measure)`` rows, a level measured
+    for one epsilon is read again for the next, and every level set built,
+    by the probe or the search, is kept for its certificate.
     """
-    probe = lusin_probe(model, family, probe_levels)
+    # the family as the probe reads it, keeping each level set it builds
+    levels = SimpleNamespace(level=cache(family.level))
+    probe = lusin_probe(model, levels, probe_levels)
     if probe.verdict == FAILS:
         raise PreconditionError("model fails its null-family probe; "
                                 "propagation is vacuous")
-    # level j -> [set measure, image measure, the set or None]
-    measured = {j: [mu, img, None] for j, mu, img in probe.levels}
+    # level j -> (set measure, image measure)
+    measured = {j: (mu, img) for j, mu, img in probe.levels}
     rows = []
     for eps in eps_schedule:
         chosen = None
@@ -632,9 +636,9 @@ def lusin_propagation_check(model: FunctionModel, family: NullSetFamily,
             if family.component_count(j) > max_components:
                 break
             if j not in measured:
-                nj = family.level(j)
-                measured[j] = [nj.measure, image_measure(model, nj), nj]
-            mu, img, _ = measured[j]
+                nj = levels.level(j)
+                measured[j] = (nj.measure, image_measure(model, nj))
+            mu, img = measured[j]
             if 2 * img < eps and 2 * mu < eps:
                 chosen = j
                 break
@@ -643,11 +647,8 @@ def lusin_propagation_check(model: FunctionModel, family: NullSetFamily,
             rows.append(PropagationRow(eps, None, zero, zero, zero, zero,
                                        False, False))
             continue
-        level = measured[chosen]
-        if level[2] is None:
-            level[2] = family.level(chosen)
-        mu, img, nj = level
-        trace = variation_certificate(model, nj, eps)
+        mu, img = measured[chosen]
+        trace = variation_certificate(model, levels.level(chosen), eps)
         rows.append(PropagationRow(eps, chosen, mu, img,
                                    trace.max_p_sum, trace.max_n_sum,
                                    True, trace.ok))

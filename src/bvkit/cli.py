@@ -220,8 +220,21 @@ _HANDLERS = {
 }
 
 
+def _bind_tol(argv) -> list:
+    """The arguments with ``--tol`` joined to a following token that starts
+    with one dash, as ``--tol=VALUE``: argparse takes a value such as
+    ``-1e-3`` for an option, and ``_tolerance`` then refuses it itself."""
+    out = []
+    for token in argv:
+        if out and out[-1] == "--tol" and token[:1] == "-" and token[1:2] != "-":
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_bind_tol(sys.argv[1:] if argv is None else argv))
     try:
         return _HANDLERS[args.command](args)
     except BVKitError as exc:

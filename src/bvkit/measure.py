@@ -32,32 +32,11 @@ def image_set(model: FunctionModel, E: IntervalSet) -> IntervalSet:
     monotone segment maps a clipped component to one interval whose
     endpoint flags mirror the component's (strict monotonicity inside a
     non-constant segment keeps openness), and constant segments map to
-    single points.  The parts are ``Interval.intersect`` of a component
-    and a closed segment, its endpoint objects and flags kept.  When the
-    knots and every component end are ints or Fractions, one forward
-    pointer walks the sorted components against the segments, comparing
-    integer pairs; otherwise each component bisects for its segments.
+    single points.  The parts are found by :func:`_segment_parts`.
     """
     if not model.continuity_flag:
         raise PreconditionError("image computation requires a continuous model")
-    segmentation = model.monotone_segments()
-    comps = E.clip(model.a, model.b).components
-    if segmentation.pairs is not None and all(
-            type(e) is int or type(e) is Fraction
-            for comp in comps for e in (comp.lo, comp.hi)):
-        parts = _pair_parts(segmentation, comps)
-    else:
-        segments = segmentation.segments
-        parts = []
-        for comp in comps:
-            point = comp.lo == comp.hi
-            for i in segmentation.window(comp.lo, comp.hi):
-                seg = segments[i]
-                part = comp.intersect(Interval(seg.lo, seg.hi))
-                # a segment that only touches a longer component adds the
-                # image of one end, which the neighbouring part's image holds
-                if not part.empty and (point or part.lo != part.hi):
-                    parts.append((part, seg.direction))
+    parts = _segment_parts(model.monotone_segments(), E.clip(model.a, model.b).components)
     # the parts run left to right, so their ends take one sorted sweep
     ends = model.evaluate_many([e for part, _ in parts for e in (part.lo, part.hi)])
     pieces = []
@@ -71,41 +50,39 @@ def image_set(model: FunctionModel, E: IntervalSet) -> IntervalSet:
     return IntervalSet(pieces)
 
 
-def _pair_parts(segmentation, comps) -> list:
+def _segment_parts(segmentation, comps) -> list:
     """``(part, direction)`` for each component against each segment it
-    meets, as the bisecting walk of :func:`image_set` gives them, on the
-    segmentation's integer pairs: the sorted, disjoint components move one
-    segment pointer forward only."""
-    nums, dens = segmentation.pairs
+    meets: the part is ``comp.intersect(Interval(seg.lo, seg.hi))``, its
+    endpoint objects and flags kept.  The sorted, disjoint components move
+    one segment pointer forward only, comparing the segmentation's keys
+    (see :meth:`MonotoneSegmentation.key`)."""
+    keys, key = segmentation.keys, segmentation.key
     segments = segmentation.segments
     count = len(segments)
     parts = []
     i = 0
     for comp in comps:
         lo, hi = comp.lo, comp.hi
-        ln, ld = lo.numerator, lo.denominator
-        hn, hd = hi.numerator, hi.denominator
+        k_lo, k_hi = key(lo), key(hi)
         # the first segment is the last one to start before lo, as window's is
-        while i + 1 < count and nums[i + 1] * ld < ln * dens[i + 1]:
+        while i + 1 < count and keys[i + 1] < k_lo:
             i += 1
-        point = ln * hd == hn * ld
+        point = lo == hi
         k = i
-        while k < count and nums[k] * hd <= hn * dens[k]:
-            # comp.intersect(Interval(seg.lo, seg.hi)): on a tie the
-            # component's end object and flag stay
+        while k < count and keys[k] <= k_hi:
+            # on a tie the component's end object and flag stay
             seg = segments[k]
-            if nums[k] * ld > ln * dens[k]:
-                p_lo, lo_open, pn, pd = seg.lo, False, nums[k], dens[k]
+            if keys[k] > k_lo:
+                p_lo, lo_open = seg.lo, False
             else:
-                p_lo, lo_open, pn, pd = lo, comp.lo_open, ln, ld
-            if nums[k + 1] * hd < hn * dens[k + 1]:
-                p_hi, hi_open, qn, qd = seg.hi, False, nums[k + 1], dens[k + 1]
+                p_lo, lo_open = lo, comp.lo_open
+            if keys[k + 1] < k_hi:
+                p_hi, hi_open = seg.hi, False
             else:
-                p_hi, hi_open, qn, qd = hi, comp.hi_open, hn, hd
-            # kept when the part is longer than a point, or when it is the
-            # closed point a point component maps
-            gap = qn * pd - pn * qd
-            if gap > 0 or (gap == 0 and point and not (lo_open or hi_open)):
+                p_hi, hi_open = hi, comp.hi_open
+            # a segment that only touches a longer component adds the image
+            # of one end, which the neighbouring part's image holds
+            if point or not (keys[k] == k_hi or keys[k + 1] == k_lo):
                 parts.append((Interval(p_lo, p_hi, lo_open, hi_open), seg.direction))
             k += 1
     return parts

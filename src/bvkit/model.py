@@ -634,21 +634,43 @@ class Segment:
 class MonotoneSegmentation:
     """Maximal alternating monotone runs partitioning [a, b], with the
     model's values at their knots: ``values[k]`` is F at ``knots()[k]``.
-    When every knot is an int or a Fraction, ``pairs`` holds them as two
-    tuples, numerators and (positive) denominators, else it is None."""
+
+    Segments are found on integer keys, in both arithmetic modes.  Each
+    knot and piece start is a rational ``n/d`` (floats exactly), ``scale``
+    is a common denominator D of them all, and ``n/d`` has the key
+    ``2 * n * (D // d)``: ``keys`` for the knots, ``starts`` for the
+    model's piece starts.  Against a point's :meth:`key`, a knot's is one
+    int comparison."""
 
     segments: tuple
     values: tuple
+    scale: int = field(repr=False, compare=False)
+    starts: tuple = field(repr=False, compare=False)
     bounds: tuple = field(init=False, repr=False, compare=False)  # the knots
-    pairs: tuple = field(init=False, repr=False, compare=False)
+    keys: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bounds = tuple([self.segments[0].lo] + [s.hi for s in self.segments])
         object.__setattr__(self, "bounds", bounds)
-        object.__setattr__(self, "pairs", None if any(
-            type(k) not in _EXACT for k in bounds) else (
-                tuple([k.numerator for k in bounds]),
-                tuple([k.denominator for k in bounds])))
+        object.__setattr__(self, "keys", tuple(map(self.key, bounds)))
+
+    def key(self, x):
+        """The key of a point ``x = n/d`` (a float exactly):
+        ``2 * floor(n * D / d)``, plus one when ``d`` does not divide
+        ``n * D``, so a knot's key is below, or at most, x's exactly when the
+        knot is.  An infinite x is its own key, and a NaN x is refused with
+        :class:`SpecFormatError`."""
+        try:
+            n, d = x.as_integer_ratio()
+        except AttributeError:  # a number without it, such as a numpy integer
+            n, d = int(x.numerator), int(x.denominator)
+        except OverflowError:
+            return x
+        except ValueError:
+            raise SpecFormatError(f"a point must be a number to place among "
+                                  f"the segments; got {x}") from None
+        q, r = divmod(n * self.scale, d)
+        return 2 * q + (r != 0)
 
     def knots(self) -> list:
         return list(self.bounds)
@@ -656,30 +678,13 @@ class MonotoneSegmentation:
     def window(self, lo, hi) -> range:
         """Indices of the segments meeting ``[lo, hi]``, touching ones
         included: segment ``i`` spans ``bounds[i]`` to ``bounds[i + 1]``.
-        A bisection finds the first; the last is walked to, because the
-        caller walks the window anyway and most windows are short.  With
-        ``pairs``, and lo and hi ints or Fractions, both compare integer
-        pairs by cross-multiplication."""
-        count = len(self.segments)
-        if self.pairs is None or type(lo) not in _EXACT or type(hi) not in _EXACT:
-            bounds = self.bounds
-            first = last = max(bisect_left(bounds, lo) - 1, 0)
-            while last < count and bounds[last] <= hi:
-                last += 1
-            return range(first, last)
-        nums, dens = self.pairs
-        n, d = lo.numerator, lo.denominator
-        # bisect_left: the first bound >= lo
-        first, top = 0, count + 1
-        while first < top:
-            mid = (first + top) // 2
-            if nums[mid] * d < n * dens[mid]:
-                first = mid + 1
-            else:
-                top = mid
-        first = last = max(first - 1, 0)
-        n, d = hi.numerator, hi.denominator
-        while last < count and nums[last] * d <= n * dens[last]:
+        A bisection of the keys finds the first; the last is walked to,
+        because the caller walks the window anyway and most windows are
+        short."""
+        keys, count = self.keys, len(self.segments)
+        first = last = max(bisect_left(keys, self.key(lo)) - 1, 0)
+        k_hi = self.key(hi)
+        while last < count and keys[last] <= k_hi:
             last += 1
         return range(first, last)
 
@@ -959,7 +964,12 @@ class FunctionModel:
             else:
                 runs.append((lo, hi, direction, fhi))
         segments = tuple(Segment(lo, hi, d) for lo, hi, d, _ in runs)
-        return MonotoneSegmentation(segments, (values[0],) + tuple(r[3] for r in runs))
+        # one common denominator for every breakpoint, the piece starts among them
+        scale = math.lcm(*[x.as_integer_ratio()[1] for x in pts])
+        starts = tuple([2 * n * (scale // d)
+                        for n, d in (x.as_integer_ratio() for x in self._starts)])
+        return MonotoneSegmentation(segments, (values[0],) + tuple(r[3] for r in runs),
+                                    scale, starts)
 
     def is_nondecreasing(self) -> bool:
         """True when no segment genuinely falls; float models forgive drops
@@ -1022,7 +1032,8 @@ class FunctionModel:
         Open targets only: endpoint values c and d are excluded, so interior
         peaks at the target boundary split components.  Exact knots for
         piecewise-linear models, certified bisection otherwise.  Only the
-        segments meeting the window are visited.
+        segments meeting the window are visited, and whether the window
+        meets one at a single knot is decided on the segmentation's keys.
         """
         if not self.continuity_flag:
             raise PreconditionError("preimage requires a continuous model")
@@ -1031,17 +1042,18 @@ class FunctionModel:
         lo = self.a if lo is None else lo
         hi = self.b if hi is None else hi
         segmentation = self.monotone_segments()
-        segments, values = segmentation.segments, segmentation.values
+        segments, values, keys = segmentation.segments, segmentation.values, segmentation.keys
+        k_lo, k_hi = segmentation.key(lo), segmentation.key(hi)
         parts = []
         for i in segmentation.window(lo, hi):
             seg = segments[i]
-            if seg.hi == lo or seg.lo == hi:
+            if keys[i + 1] == k_lo or keys[i] == k_hi:
                 # the window meets this segment at one knot, which is in
                 # the preimage exactly when its stored value is in (c, d);
                 # the whole segment then stands in for its part, so the
                 # merged component still runs past the window's end and the
                 # clip keeps the caller's lo or hi there, with no solve
-                if c < values[i + 1 if seg.hi == lo else i] < d:
+                if c < values[i + 1 if keys[i + 1] == k_lo else i] < d:
                     parts.append(Interval(seg.lo, seg.hi))
                 continue
             parts.extend(self._segment_preimage(seg, values[i], values[i + 1], c, d))
@@ -1077,21 +1089,14 @@ class FunctionModel:
         yield Interval(x_lo, x_hi, lo_open, hi_open)
 
     def _solve_in_segment(self, seg: Segment, y):
-        """Unique x in the strictly monotone segment with F(x) = y."""
-        if self.exact and type(seg.lo) in _EXACT and type(seg.hi) in _EXACT:
-            # the pieces' starts as the pair table holds them
-            start_num, start_den = self._table[0], self._table[1]
-            lo_i = _pair_bisect_right(start_num, start_den, seg.lo.numerator,
-                                      seg.lo.denominator) - 1
-            n, d = seg.hi.numerator, seg.hi.denominator
-            hi_i = _pair_bisect_right(start_num, start_den, n, d) - 1
-            if start_num[hi_i] * d == n * start_den[hi_i]:
-                hi_i -= 1
-        else:
-            lo_i = bisect_right(self._starts, seg.lo) - 1
-            hi_i = bisect_right(self._starts, seg.hi) - 1
-            if hi_i >= len(self._expanded) or self._expanded[hi_i].lo == seg.hi:
-                hi_i -= 1
+        """Unique x in the strictly monotone segment with F(x) = y, which may
+        be a part of a segment of the segmentation.  Its pieces are found
+        by bisecting the keys of the piece starts."""
+        segmentation = self.monotone_segments()
+        starts, key = segmentation.starts, segmentation.key
+        # the pieces from the last to start at or before seg.lo to the last before seg.hi
+        lo_i = bisect_right(starts, key(seg.lo)) - 1
+        hi_i = bisect_left(starts, key(seg.hi)) - 1
         increasing = seg.direction == INCREASING
         for i in range(max(lo_i, 0), hi_i + 1):
             p = self._expanded[i]
@@ -1124,21 +1129,24 @@ class FunctionModel:
     def level_points(self, y, lo, hi) -> list:
         """All solutions of F(x) = y inside [lo, hi], one per crossing.
 
-        Only the segments meeting ``[lo, hi]`` are visited.  A clipped end
-        that lands on one of the segment's knots reads the value stored
-        there; only an end strictly inside a segment is evaluated."""
+        Only the segments meeting ``[lo, hi]`` are visited, each clipped to
+        the window on the segmentation's keys: the clipped ends are
+        ``max(seg.lo, lo)`` and ``min(seg.hi, hi)``, the knot kept on a tie.
+        A clipped end that lands on one of the segment's knots reads the
+        value stored there; only an end strictly inside a segment is
+        evaluated."""
         segmentation = self.monotone_segments()
-        segments, values = segmentation.segments, segmentation.values
+        segments, values, keys = segmentation.segments, segmentation.values, segmentation.keys
+        k_lo, k_hi = segmentation.key(lo), segmentation.key(hi)
+        if not lo <= hi:
+            return []
         points = []
         for i in segmentation.window(lo, hi):
             seg = segments[i]
-            s_lo, s_hi = max(seg.lo, lo), min(seg.hi, hi)
-            if not s_lo <= s_hi:
-                continue
-            flo = (values[i] if s_lo == seg.lo else values[i + 1] if s_lo == seg.hi
-                   else self.evaluate(s_lo))
-            fhi = (values[i + 1] if s_hi == seg.hi else values[i] if s_hi == seg.lo
-                   else self.evaluate(s_hi))
+            s_lo, flo = (seg.lo, values[i]) if k_lo <= keys[i] else (
+                lo, values[i + 1] if k_lo == keys[i + 1] else self.evaluate(lo))
+            s_hi, fhi = (seg.hi, values[i + 1]) if k_hi >= keys[i + 1] else (
+                hi, values[i] if k_hi == keys[i] else self.evaluate(hi))
             if seg.direction == CONSTANT:
                 if flo == y:
                     points.extend([s_lo, s_hi])

@@ -1,12 +1,14 @@
 """The certificate path without repeated work, against the code it replaced.
 
 Family levels built from integers, the propagation search that measures
-each level once, and the segment lookups on integer pairs (``window``,
-``_solve_in_segment`` and the ``image_set`` walk) are each compared with
-the previous route, kept here as the oracle: equal values of the same
-type, the same open flags, and floats by their bits.
+each level once, and the segment lookups on integer keys (``window``,
+``_solve_in_segment`` and the ``image_set`` walk, in both arithmetic
+modes) are each compared with the previous route, kept here as the
+oracle: equal values of the same type, the same open flags, and floats by
+their bits.
 """
 
+import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
@@ -35,7 +37,8 @@ from bvkit.model import CONSTANT, Segment, build_cantor_iterate, build_zigzag, p
 
 from test_evaluation_routes import _interval_keys, _key, _keys
 from test_integer_intervals import _cantor_level
-from test_variation import _float_twin, rise_fall_plateau
+from test_variation import _cantor, _float_twin, rise_fall_plateau
+from test_windows import _coprime_model, _cubic_models, _sawtooth
 
 F = Fraction
 
@@ -270,23 +273,35 @@ class TestPropagationSearch:
         assert len(measured) == len(set(measured))
         assert all(family.component_count(j) <= max_components
                    for j in measured[probe_levels:])
-        # a probe level is built by the probe and at most once more, as a
-        # chosen level's set; any other level at most once
+        # the probe's sets are kept for the search, so every level,
+        # chosen or not, is built once
         for j in set(built):
-            assert built.count(j) <= (2 if j <= probe_levels else 1), j
+            assert built.count(j) == 1, j
 
 
 # ---------------------------------------------------------------------------
-# segment lookups on integer pairs
+# segment lookups on integer keys
 # ---------------------------------------------------------------------------
 
 CANTOR_LEVELS = [build_cantor_iterate(level) for level in range(1, 10)]
 CANTOR_IDS = [f"cantor_{level}" for level in range(1, 10)]
+# the float override keeps the expansion's Fraction knots, so float points
+# are placed among Fraction knots
+FLOAT_CANTOR = [_cantor(level, "float") for level in range(1, 9)]
+FLOAT_CANTOR_IDS = [f"cantor_{level}-float" for level in range(1, 9)]
+
+
+WIDE = [_sawtooth(16), _float_twin(_sawtooth(16)), *_cubic_models(), _coprime_model(),
+        _float_twin(_coprime_model())]
+WIDE_IDS = ["saw_16", "saw_16-float", "cubic-float", "mixed-float", "coprime",
+            "coprime-float"]
+LOOKUP_MODELS = CANTOR_LEVELS + [build_zigzag()] + FLOAT_CANTOR + WIDE
+LOOKUP_IDS = CANTOR_IDS + ["zigzag"] + FLOAT_CANTOR_IDS + WIDE_IDS
 
 
 def _points(model):
     """Knots, points inside segments, the domain ends and points past them,
-    as ints and Fractions."""
+    -0.0 and the infinities, in the model's types and as floats."""
     knots = model.monotone_segments().knots()
     step = max(1, len(knots) // 40)
     pts = list(knots[::step]) + [knots[-1]]
@@ -294,19 +309,18 @@ def _points(model):
     pts += [(2 * u + v) / 3 for u, v in zip(knots[::step], knots[1::step])]
     a, b = model.a, model.b
     pts += [a - 1, a - F(1, 7), b + F(1, 9), b + 2, int(a), int(b)]
+    pts += [float(x) for x in pts[::3]] + [-0.0, -math.inf, math.inf]
     return pts
 
 
 def assert_windows_match(model):
     segmentation = model.monotone_segments()
-    assert segmentation.pairs is not None
     pts = sorted(_points(model))
     for i, lo in enumerate(pts):
         for hi in pts[i::max(1, len(pts) // 12)]:
-            assert segmentation.window(lo, hi) == window_oracle(segmentation, lo, hi)
-            # a float end on a rational model takes the bisection
-            assert segmentation.window(float(lo), hi) == \
-                window_oracle(segmentation, float(lo), hi)
+            # float ends on exact knots, and inverted windows
+            for u, v in ((lo, hi), (float(lo), hi), (lo, float(hi)), (hi, lo)):
+                assert segmentation.window(u, v) == window_oracle(segmentation, u, v)
 
 
 def assert_solves_match(model):
@@ -316,55 +330,92 @@ def assert_solves_match(model):
         if seg.direction == CONSTANT:
             continue
         u, v = sorted((values[k], values[k + 1]))
-        for y in (u, v, (u + v) / 2, (3 * u + v) / 4):
-            got = model._solve_in_segment(seg, y)
-            assert _key(got) == _key(solve_oracle(model, seg, y))
-        # a part of the segment, with float ends, as level_points may pass
+        # the pieces of the segment, and of a part of it with float ends as
+        # level_points may pass
         part = Segment(float(seg.lo), float(seg.hi), seg.direction)
-        y = (u + v) / 2
-        assert _key(model._solve_in_segment(part, y)) == _key(solve_oracle(model, part, y))
+        for s, y in [(seg, u), (seg, v), (seg, (u + v) / 2), (seg, (3 * u + v) / 4),
+                     (part, (u + v) / 2)]:
+            got = model._solve_in_segment(s, y)
+            try:
+                want = solve_oracle(model, s, y)
+            except PreconditionError:
+                # a float y that misses every piece by rounding snaps to a
+                # point within the grace, a tolerance policy and no lookup
+                assert not model.exact
+                assert abs(model.evaluate(got) - y) <= model.grace
+                continue
+            assert _key(got) == _key(want)
         if u < v:
             with pytest.raises(PreconditionError, match="not attained"):
                 model._solve_in_segment(seg, v + 1)
 
 
+def assert_keys_order_as_values(model):
+    """A knot is below a point, or at most the point, exactly when its key
+    is below, or at most, the point's key."""
+    segmentation = model.monotone_segments()
+    pts = _points(model)
+    step = max(1, len(segmentation.bounds) // 40)
+    for knot, knot_key in zip(segmentation.bounds[::step], segmentation.keys[::step]):
+        assert segmentation.key(knot) == knot_key
+        for x in pts:
+            x_key = segmentation.key(x)
+            assert (knot_key < x_key, knot_key <= x_key) == (knot < x, knot <= x), (knot, x)
+    starts = [p.lo for p in model._expanded]
+    assert list(segmentation.starts) == [segmentation.key(s) for s in starts]
+
+
 class TestPairLookups:
-    @pytest.mark.parametrize("model", CANTOR_LEVELS + [build_zigzag()],
-                             ids=CANTOR_IDS + ["zigzag"])
+    """``window`` and ``_solve_in_segment`` on integer keys, against the
+    routes that bisected the knots' values."""
+
+    @pytest.mark.parametrize("model", LOOKUP_MODELS, ids=LOOKUP_IDS)
     def test_window_and_solve(self, model):
         assert_windows_match(model)
         assert_solves_match(model)
+        assert_keys_order_as_values(model)
 
     @given(rise_fall_plateau())
     @settings(max_examples=40, deadline=None)
     def test_window_and_solve_on_random_models(self, knots):
         model = piecewise_linear(knots)
-        assert_windows_match(model)
-        assert_solves_match(model)
+        for m in (model, _float_twin(model)):
+            assert_windows_match(m)
+            assert_solves_match(m)
+            assert_keys_order_as_values(m)
 
-    def test_float_bounds_have_no_pairs(self):
+    def test_float_bounds(self):
         model = _float_twin(build_zigzag())
         segmentation = model.monotone_segments()
-        assert segmentation.pairs is None
-        for lo, hi in ((0, F(1, 3)), (F(1, 4), F(1, 4)), (0.3, 0.9)):
+        for lo, hi in ((0, F(1, 3)), (F(1, 4), F(1, 4)), (0.3, 0.9), (-0.0, 0.25)):
             assert segmentation.window(lo, hi) == window_oracle(segmentation, lo, hi)
+
+    def test_wide_denominator(self):
+        segmentation = _coprime_model().monotone_segments()
+        assert segmentation.scale.bit_length() == 2684
+        assert len(segmentation) == 199
 
 
 @st.composite
 def sets_on(draw, model):
     """Interval sets with open and closed ends, point components, ends on
-    knots and ends past the domain."""
+    knots and ends past the domain, in the model's types and as floats,
+    -0.0 and the infinities among them."""
     knots = model.monotone_segments().knots()
     a, b = model.a, model.b
     w = b - a
-    spots = st.one_of(st.sampled_from(knots),
+    exact = st.one_of(st.sampled_from(knots),
                       st.integers(-12, 60).map(lambda k: a + w * F(k, 48)),
                       st.sampled_from([a - 1, b + 1, int(a), int(b)]))
+    spots = st.one_of(exact, exact.map(float),
+                      st.sampled_from([-0.0, -math.inf, math.inf]))
     comps = []
     for _ in range(draw(st.integers(0, 8))):
         u, v = sorted((draw(spots), draw(spots)))
         point = draw(st.booleans())
         if point:
+            if math.isinf(u):
+                continue
             comps.append(Interval(u, u))
         else:
             comps.append(Interval(u, v, draw(st.booleans()), draw(st.booleans())))
@@ -376,36 +427,63 @@ def assert_images_match(model, E):
     assert _interval_keys(got) == _interval_keys(image_set_oracle(model, E))
 
 
+def _family_sets(model, levels=7):
+    a, b = model.a, model.b
+    families = (cantor_family((a, b)), shrinking_family((a, b), count=7),
+                shrinking_family((a + (b - a) / 5, b - (b - a) / 5), count=3))
+    return [family.level(j) for family in families for j in range(1, levels + 1)]
+
+
+def _float_ends(E):
+    return IntervalSet(Interval(float(c.lo), float(c.hi), c.lo_open, c.hi_open) for c in E)
+
+
+def _knot_sets(model):
+    """Every segment as a closed, an open and a point component."""
+    knots = model.monotone_segments().knots()
+    return [IntervalSet(Interval(u, v) for u, v in zip(knots[::2], knots[1::2])),
+            IntervalSet(Interval(u, v, True, True) for u, v in zip(knots, knots[1:])),
+            IntervalSet(Interval(u, u) for u in knots)]
+
+
 class TestImageSetWalk:
-    @pytest.mark.parametrize("model", CANTOR_LEVELS, ids=CANTOR_IDS)
+    @pytest.mark.parametrize("model", CANTOR_LEVELS + FLOAT_CANTOR,
+                             ids=CANTOR_IDS + FLOAT_CANTOR_IDS)
     def test_cantor_levels(self, model):
-        for family in (cantor_family((0, 1)), shrinking_family((0, 1), count=7),
-                       shrinking_family((F(1, 5), F(4, 5)), count=3)):
-            for j in range(1, 8):
-                assert_images_match(model, family.level(j))
-        knots = model.monotone_segments().knots()
-        # every segment as a closed, an open and a point component
-        assert_images_match(model, IntervalSet(Interval(u, v) for u, v in
-                                               zip(knots[::2], knots[1::2])))
-        assert_images_match(model, IntervalSet(Interval(u, v, True, True) for u, v in
-                                               zip(knots, knots[1:])))
-        assert_images_match(model, IntervalSet(Interval(u, u) for u in knots))
+        for E in _family_sets(model) + _knot_sets(model):
+            assert_images_match(model, E)
+            if not model.exact:
+                assert_images_match(model, _float_ends(E))
+
+    @pytest.mark.parametrize("model", WIDE, ids=WIDE_IDS)
+    def test_wide_and_float_models(self, model):
+        for E in _family_sets(model, 5) + _knot_sets(model):
+            assert_images_match(model, E)
+            assert_images_match(model, _float_ends(E))
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_random_sets_on_random_models(self, data):
         model = piecewise_linear(data.draw(rise_fall_plateau()))
+        model = data.draw(st.sampled_from([model, _float_twin(model)]))
         assert_images_match(model, data.draw(sets_on(model)))
 
     @given(st.data())
     @settings(max_examples=30, deadline=None)
     def test_random_sets_on_cantor_levels(self, data):
-        model = data.draw(st.sampled_from(CANTOR_LEVELS[:6]))
+        model = data.draw(st.sampled_from(CANTOR_LEVELS[:6] + FLOAT_CANTOR[:6]))
+        assert_images_match(model, data.draw(sets_on(model)))
+
+    @given(st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_random_sets_on_wide_and_float_models(self, data):
+        model = data.draw(st.sampled_from(WIDE))
         assert_images_match(model, data.draw(sets_on(model)))
 
     def test_float_ends_on_rational_models(self):
         model = build_zigzag()
         for E in (IntervalSet.closed(0.1, 0.6), IntervalSet.open(0.25, 0.75),
                   IntervalSet([Interval(0, F(1, 8)), Interval(0.5, 0.5),
-                               Interval(F(5, 8), 0.9, True, False)])):
+                               Interval(F(5, 8), 0.9, True, False)]),
+                  IntervalSet([Interval(-math.inf, -0.0), Interval(0.25, math.inf)])):
             assert_images_match(model, E)

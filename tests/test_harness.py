@@ -472,7 +472,9 @@ class TestCLI:
         ["--tol=-1e-3", "variation", "{spec}"],
         ["variation", "{spec}", "--tol", "nan"],
         ["variation", "{spec}", "--tol", "1e400"],
-    ], ids=["global-inf", "global-negative", "variation-nan", "variation-huge"])
+        ["--tol", "-1e-3", "variation", "{spec}"],
+    ], ids=["global-inf", "global-negative", "variation-nan", "variation-huge",
+            "global-negative-exponent"])
     def test_tol_option_must_be_finite_and_non_negative(self, argv, zigzag_spec,
                                                        capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -7,6 +7,8 @@ with the route it replaced, kept here as the oracle: ``==`` with the same
 type in rational mode, bit-equal floats in float mode, errors included.
 """
 
+import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,17 +16,21 @@ from hypothesis import given, settings, strategies as st
 
 from bvkit import certificate
 from bvkit.certificate import shift_certificate, variation_certificate
-from bvkit.errors import PreconditionError
+from bvkit.errors import PreconditionError, SpecFormatError
 from bvkit.intervals import Interval, IntervalSet
 from bvkit.measure import shrinking_family
 from bvkit.model import (
     CONSTANT,
+    ConstantPiece,
     FunctionModel,
-    MonotoneSegmentation,
+    LinearPiece,
+    PolynomialPiece,
     Segment,
     _sorted_unique,
+    build_zigzag,
     piecewise_linear,
 )
+from bvkit.specio import model_from_dict
 from bvkit.variation import jordan_decomposition
 
 from test_evaluation_routes import (
@@ -48,8 +54,47 @@ CANTOR = [(m, i) for m, i in zip(CANTOR_MODELS, CANTOR_IDS)
           if not i.startswith("cantor_9")]
 
 
+def _primes(count, start):
+    """The first ``count`` primes from ``start`` on."""
+    primes, n = [], start
+    while len(primes) < count:
+        if all(n % d for d in range(2, math.isqrt(n) + 1)):
+            primes.append(n)
+        n += 1
+    return primes
+
+
+def _coprime_model(count=200):
+    """Knots ``k + 1/p_k`` over ``count`` primes past 10,000, so the knots'
+    common denominator is the primes' product (2,684 bits at 200), with
+    rises, plateaus and falls."""
+    heights = (0, 1, 1, 3, 0, F(1, 2))
+    return piecewise_linear([(k + F(1, p), heights[k % len(heights)])
+                             for k, p in enumerate(_primes(count, 10_000))], name="coprime")
+
+
+def _cubic_models():
+    """x^3 - x on [-1, 1] in float mode, whose criticals -+1/sqrt(3) are
+    float knots, and a float model with that cubic on [-1, 1/3] beside
+    Fraction knots, a linear rise and a plateau."""
+    cubic = model_from_dict({"arithmetic": "float", "pieces": [
+        {"kind": "polynomial", "domain": ["-1", "1"],
+         "params": {"coefficients": ["0", "-1", "0", "1"]}}]})
+    mixed = FunctionModel([PolynomialPiece(F(-1), F(1, 3), [0, -1, 0, 1]),
+                           LinearPiece(F(1, 3), F(2, 3), F(8, 9), F(-16, 27)),
+                           ConstantPiece(F(2, 3), 1, 0)], arithmetic="float")
+    return [cubic, mixed]
+
+
+# float criticals, and a common denominator of 2,684 bits
+WIDE = [*_cubic_models(), _coprime_model()]
+WIDE_IDS = ["cubic-float", "mixed-float", "coprime"]
+
+
 def _windows(model):
-    """Whole domain, touching a or b, degenerate, on knots, inside a piece."""
+    """Whole domain, touching a or b, degenerate, on knots, inside a piece;
+    some of them with float ends, and windows from -0.0 and the
+    infinities."""
     a, b = model.a, model.b
     inner = model.monotone_segments().knots()[1:-1]
     knots = inner[::max(1, len(inner) // 2)][:2]
@@ -62,6 +107,9 @@ def _windows(model):
         windows += [(k, k), (a, k), (k, b), tuple(sorted((k, inside[0])))]
     if len(knots) >= 2:
         windows.append((knots[0], knots[-1]))
+    windows += [(float(lo), float(hi)) for lo, hi in windows[:6]]
+    windows += [(-math.inf, inside[0]), (inside[1], math.inf), (-math.inf, math.inf),
+                (-0.0, b)]
     return windows
 
 
@@ -86,14 +134,84 @@ def window_oracle(segmentation, lo, hi):
 
 
 class TestWindow:
-    @pytest.mark.parametrize("model", CORPUS_MODELS, ids=CORPUS_IDS)
+    @pytest.mark.parametrize("model", CORPUS_MODELS + [m for m, _ in CANTOR] + WIDE,
+                             ids=CORPUS_IDS + [i for _, i in CANTOR] + WIDE_IDS)
     def test_meeting_segments(self, model):
         segmentation = model.monotone_segments()
         a, b = model.a, model.b
         for lo, hi in _windows(model) + [(a - 1, a), (b, b + 1), (a - 2, a - 1),
-                                         (b + 1, b + 2), (b, a)]:
+                                         (b + 1, b + 2), (b, a), (-0.0, -0.0),
+                                         (math.inf, math.inf), (-math.inf, -math.inf),
+                                         (math.inf, -math.inf)]:
             assert list(segmentation.window(lo, hi)) == \
                 window_oracle(segmentation, lo, hi)
+
+
+ZIGZAG = [build_zigzag(), _float_twin(build_zigzag())]
+
+# the answers of window, preimage((1/10, 1/2)) and level_points(1/4) on the
+# zigzag for windows with infinite ends, in the form str gives them
+INFINITE_ENDS = [
+    ((-math.inf, math.inf), [0, 1, 2, 3],
+     "IntervalSet((1/40, 1/8) ∪ (3/8, 19/40) ∪ (21/40, 5/8) ∪ (7/8, 39/40))",
+     "[Fraction(1, 16), Fraction(7, 16), Fraction(9, 16), Fraction(15, 16)]",
+     "IntervalSet((0.025, 0.125) ∪ (0.375, 0.475) ∪ (0.525, 0.625) ∪ (0.875, 0.975))",
+     "[0.0625, 0.4375, 0.5625, 0.9375]"),
+    ((-math.inf, F(1, 3)), [0, 1], "IntervalSet((1/40, 1/8))", "[Fraction(1, 16)]",
+     "IntervalSet((0.025, 0.125))", "[0.0625]"),
+    ((F(1, 3), math.inf), [1, 2, 3],
+     "IntervalSet((3/8, 19/40) ∪ (21/40, 5/8) ∪ (7/8, 39/40))",
+     "[Fraction(7, 16), Fraction(9, 16), Fraction(15, 16)]",
+     "IntervalSet((0.375, 0.475) ∪ (0.525, 0.625) ∪ (0.875, 0.975))",
+     "[0.4375, 0.5625, 0.9375]"),
+    ((-math.inf, F(1, 4)), [0, 1], "IntervalSet((1/40, 1/8))", "[Fraction(1, 16)]",
+     "IntervalSet((0.025, 0.125))", "[0.0625]"),
+    ((F(3, 4), math.inf), [2, 3], "IntervalSet((7/8, 39/40))", "[Fraction(15, 16)]",
+     "IntervalSet((0.875, 0.975))", "[0.9375]"),
+    ((-math.inf, 0), [0], "IntervalSet()", "[]", "IntervalSet()", "[]"),
+    ((1, math.inf), [3], "IntervalSet()", "[]", "IntervalSet()", "[]"),
+    ((-math.inf, -math.inf), [], "IntervalSet()", "[]", "IntervalSet()", "[]"),
+    ((math.inf, math.inf), [], "IntervalSet()", "[]", "IntervalSet()", "[]"),
+    ((math.inf, -math.inf), [], "IntervalSet()", "[]", "IntervalSet()", "[]"),
+]
+
+
+class TestWindowEnds:
+    """A NaN end is refused; infinite ends keep the answers they gave when
+    the segments were located by comparing values."""
+
+    @pytest.mark.parametrize("model", ZIGZAG, ids=["zigzag", "zigzag-float"])
+    def test_nan_ends_are_refused(self, model):
+        segmentation = model.monotone_segments()
+        nan, half = math.nan, F(1, 2)
+        calls = [lambda: segmentation.window(nan, half),
+                 lambda: segmentation.window(0, nan),
+                 lambda: model.preimage(F(1, 10), half, nan, half),
+                 lambda: model.preimage(F(1, 10), half, 0, nan),
+                 lambda: model.level_points(F(1, 4), nan, half),
+                 lambda: model.level_points(F(1, 4), 0, nan),
+                 lambda: model.level_points(F(1, 4), half, nan)]
+        for call in calls:
+            with pytest.raises(SpecFormatError, match="got nan"):
+                call()
+
+    def test_numpy_integer_ends(self):
+        # a numpy integer is read by its numerator and denominator, as Python
+        # ints, so a wide common denominator does not overflow int64
+        np = pytest.importorskip("numpy")
+        for model in ZIGZAG + [_coprime_model()]:
+            segmentation = model.monotone_segments()
+            for lo, hi in ((np.int64(0), np.int64(1)), (np.int64(0), F(1, 3)),
+                           (np.int64(1), np.int64(1)), (np.int64(3), np.int64(5))):
+                assert list(segmentation.window(lo, hi)) == window_oracle(segmentation, lo, hi)
+
+    @pytest.mark.parametrize("window,segments,pre,points,pre_float,points_float",
+                             INFINITE_ENDS, ids=[str(w) for w, *_ in INFINITE_ENDS])
+    def test_infinite_ends(self, window, segments, pre, points, pre_float, points_float):
+        for model, want in zip(ZIGZAG, ((pre, points), (pre_float, points_float))):
+            assert list(model.monotone_segments().window(*window)) == segments
+            assert (str(model.preimage(F(1, 10), F(1, 2), *window)),
+                    repr(model.level_points(F(1, 4), *window))) == want
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +260,8 @@ class TestTouchingSegments:
 
 
 class TestWindowedPreimage:
-    @pytest.mark.parametrize("model", [m for m, _ in CONTINUOUS],
-                             ids=[i for _, i in CONTINUOUS])
+    @pytest.mark.parametrize("model", [m for m, _ in CONTINUOUS] + WIDE,
+                             ids=[i for _, i in CONTINUOUS] + WIDE_IDS)
     def test_corpus_and_float_twins(self, model):
         assert_windowed_preimages_match(model)
 
@@ -209,7 +327,7 @@ def assert_level_points_match(model):
 
 
 class TestWindowedLevelPoints:
-    @pytest.mark.parametrize("model", CORPUS_MODELS, ids=CORPUS_IDS)
+    @pytest.mark.parametrize("model", CORPUS_MODELS + WIDE, ids=CORPUS_IDS + WIDE_IDS)
     def test_corpus_and_float_twins(self, model):
         assert_level_points_match(model)
 
@@ -334,8 +452,8 @@ class TestCellLocality:
         model = _sawtooth(32)
         segmentation = model.monotone_segments()
         log = _VisitLog()
-        model._cache["segments"] = MonotoneSegmentation(
-            _LoggedSegments(segmentation.segments, log), segmentation.values)
+        model._cache["segments"] = replace(
+            segmentation, segments=_LoggedSegments(segmentation.segments, log))
 
         cell_record = certificate._cell_record
 
