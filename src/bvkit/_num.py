@@ -159,7 +159,7 @@ def uniform_grid(a, b, n: int, exact: bool):
         raise SpecFormatError("grid needs at least two points")
     if exact:
         # a + i * (b - a) / (n - 1) over the one denominator q * s * (n - 1)
-        a, b = frac_like(a), frac_like(b)
+        a, b = Fraction(a), Fraction(b)
         p, q = a.numerator, a.denominator
         r, s = b.numerator, b.denominator
         start, rise, den = p * s * (n - 1), r * q - p * s, q * s * (n - 1)
@@ -169,10 +169,3 @@ def uniform_grid(a, b, n: int, exact: bool):
     pts = [a + i * step for i in range(n)]
     pts[-1] = b
     return pts
-
-
-def frac_like(value) -> Fraction:
-    """Exact conversion for internally produced values (floats allowed)."""
-    if isinstance(value, Fraction):
-        return value
-    return Fraction(value)

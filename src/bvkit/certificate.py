@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cache
 from types import SimpleNamespace
 
-from .errors import CertificateFailure, PreconditionError, SpecFormatError
+from .errors import CertificateFailure, PreconditionError
 from .intervals import Interval, IntervalSet
 from .measure import (
     FAILS,
@@ -42,11 +42,7 @@ from .model import (
     _read_exactly,
     _sorted_unique,
 )
-from .variation import (
-    jordan_decomposition,
-    partition_sum,
-    validate_partition,
-)
+from .variation import jordan_decomposition, partition_sum, spanning_partition
 
 PLUS = "plus"
 MINUS = "minus"
@@ -301,9 +297,6 @@ class CellRecord:
     mid_sum: object
     ledger: tuple
 
-    def family_pieces(self, band: str) -> tuple:
-        return tuple(cp for cp in self.cover if cp.band == band)
-
 
 @dataclass(frozen=True)
 class CertificateTrace:
@@ -344,9 +337,7 @@ def variation_certificate(model: FunctionModel, N: IntervalSet, epsilon,
         partition = pf.achieving_partition
         defect = pf.total - pf.prefix[-1]
     else:
-        partition = validate_partition(model, base_partition)
-        if partition[0] != model.a or partition[-1] != model.b:
-            raise SpecFormatError("base partition must span [a, b]")
+        partition = spanning_partition(model, base_partition)
         defect = pf.total - partition_sum(model, partition)
     if not defect < epsilon:
         raise PreconditionError(

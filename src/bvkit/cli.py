@@ -12,13 +12,14 @@ import argparse
 import math
 import sys
 
-from ._num import FLOAT, RATIONAL, as_number, frac, sig15, sig15_row
+from ._num import FLOAT, RATIONAL, as_number, frac, sig15
 from .certificate import shift_certificate, variation_certificate
 from .corpus import CorpusConfig, run_corpus
 from .density import ac_modulus, bv_density, density_grid, integrate, \
     reconstruction_error
 from .errors import BVKitError
 from .measure import cantor_family, lusin_probe, shrinking_family
+from .plots import _float_values, _write_csv
 from .specio import dump_json, load_intervals, load_model
 from .variation import jordan_decomposition, total_variation
 
@@ -113,11 +114,8 @@ def cmd_decompose(args) -> int:
     model = load_model(args.spec, args.arithmetic)
     decomposition = jordan_decomposition(model)
     grid = model.verification_grid(args.grid)
-    row_format = sig15_row(2) + "\n"
     for path, part in zip(args.emit, (decomposition.p, decomposition.n)):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("x,value\n")
-            fh.writelines([row_format % row for row in zip(grid, part.evaluate_many(grid))])
+        _write_csv(path, ["x", "value"], zip(grid, _float_values(part, grid)))
         print(f"wrote {path}")
     return 0
 
@@ -170,10 +168,7 @@ def cmd_recover(args) -> int:
           f"sup reconstruction error {sig15(report.sup_error)} "
           f"at x = {sig15(report.argmax)}")
     if args.emit:
-        row_format = sig15_row(2) + "\n"
-        with open(args.emit, "w", encoding="utf-8") as fh:
-            fh.write("x,f\n")
-            fh.writelines([row_format % row for row in zip(density.grid, density.values)])
+        _write_csv(args.emit, ["x", "f"], zip(density.grid, density.values))
         print(f"wrote {args.emit}")
     if args.report:
         dump_json({"sup_error": float(report.sup_error),

@@ -139,10 +139,6 @@ def default_corpus() -> list:
     return entries
 
 
-def corpus_by_name() -> dict:
-    return {entry.name: entry for entry in default_corpus()}
-
-
 @dataclass
 class EquivalenceRow:
     name: str

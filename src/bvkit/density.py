@@ -295,7 +295,7 @@ def integrate(density: DensityGrid, x):
     linearly interpolated partial last cell; exact for grid-aligned
     piecewise-linear densities."""
     grid = density.grid
-    if x < grid[0] or x > grid[-1]:
+    if not grid[0] <= x <= grid[-1]:  # NaN is in no span
         raise SpecFormatError(f"{x} outside the density grid span")
     cum = density.cumulative()
     i = bisect_right(grid, x) - 1
@@ -417,9 +417,12 @@ def ac_modulus(model: FunctionModel, deltas) -> ModulusReport:
     """
     if not model.continuity_flag:
         raise PreconditionError("the modulus requires a continuous model")
-    schedule = sorted(deltas)
-    if not schedule or not schedule[0] > 0:
-        raise SpecFormatError("deltas must be positive")
+    schedule = list(deltas)
+    if not schedule or not all(0 < d < math.inf for d in schedule):
+        raise SpecFormatError("need one or more deltas, each positive and finite")
+    if model.exact:  # float deltas are read exactly, as epsilon is
+        schedule = [_read_exactly(model, d) for d in schedule]
+    schedule.sort()
     items = _greedy_items(model)
     zero = model.zero
     samples = []

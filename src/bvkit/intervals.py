@@ -10,14 +10,13 @@ the singleton {x} and any half-open ``[x, x)`` is empty.
 The constructor sorts and merges on one kind of key, ``(at, eps)``, where
 ``eps`` is 0 for a closed end, +1 for an open start and -1 for an open end,
 so the keys' lexicographic order is that endpoint order, and ``at`` is the
-endpoint value itself or, when every endpoint is an int or
-a Fraction, an integer: each value ``n/d`` becomes the position
-``n * (D // d)`` over one common denominator ``D`` per call.  The
-components keep the original endpoint objects and flags either way, and
-on positions the merged spans also sum to the measure on the same scale.
-Floats, the infinite edges of a complement, and sets whose ``D`` passes
-``POSITION_BITS`` bits use the values.  The outputs of
-intersect, complement and clip are sorted, non-empty and separated by
+endpoint value itself or, when every endpoint is an int or a Fraction, an
+integer: each value ``n/d`` becomes the position ``n * (D // d)`` over one
+common denominator ``D`` per call, however many bits ``D`` takes.  The
+components keep the original endpoint objects and flags either way, and on
+positions the merged spans also sum to the measure on the same scale.
+Floats and the infinite edges of a complement use the values.  The outputs
+of intersect, complement and clip are sorted, non-empty and separated by
 construction, so they skip the sort and the merge.
 """
 
@@ -32,12 +31,6 @@ from operator import itemgetter
 _NEG_INF = float("-inf")
 _POS_INF = float("inf")
 
-# past this many bits in the common denominator, integer positions cost
-# more than comparing the values: with random denominators below 10**6,
-# 200 intervals (D of 4.5k bits) built in 0.5-0.7x the time of Fraction
-# keys, 500 (10k bits) in 0.9-1.2x and 1,000 (18k bits) in 1.5-2.3x
-POSITION_BITS = 4096
-
 _FOUR = itemgetter(0, 1, 2, 3)
 
 
@@ -45,8 +38,7 @@ def positions(values):
     """``(D, [n * (D // d) for each value n/d])``: every value on one
     integer scale over the common denominator ``D``, so the positions order
     as the values do, and equal values share a position.  None when a value
-    is not an int or a Fraction, or ``D`` would pass ``POSITION_BITS``
-    bits."""
+    is not an int or a Fraction."""
     den = 1
     ratios = []
     for v in values:
@@ -55,8 +47,6 @@ def positions(values):
         n, d = v.as_integer_ratio()
         if den % d:
             den = math.lcm(den, d)
-            if den.bit_length() > POSITION_BITS:
-                return None
         ratios.append((n, d))
     return den, [n * (den // d) for n, d in ratios]
 

@@ -198,8 +198,8 @@ class NullSetFamily:
             r = frac(self.rate)
             if not 0 < r < 1:
                 raise SpecFormatError("rate must lie in (0, 1)")
-            if self.count < 1:
-                raise SpecFormatError("count must be >= 1")
+            if not isinstance(self.count, int) or self.count < 1:
+                raise SpecFormatError(f"count must be an int >= 1; got {self.count!r}")
 
     def component_count(self, j: int) -> int:
         """Number of intervals at level j, without building them."""

@@ -112,9 +112,6 @@ class Piece:
         """Solve value(x) = y on [lo, hi] where the piece is monotone there."""
         return bisect_solve(self.value, y, lo, hi)
 
-    def params_dict(self) -> dict:
-        raise NotImplementedError
-
     def _sample_grid(self, lo, hi) -> list:
         """Abscissae dense enough to catch every derivative sign change."""
         return [lo + (hi - lo) * i / 64 for i in range(65)]
@@ -152,9 +149,6 @@ class LinearPiece(Piece):
             raise ValueError("cannot invert a flat linear piece")
         return fraction_quotient(y - self.intercept, self.slope)
 
-    def params_dict(self):
-        return {"slope": self.slope, "intercept": self.intercept}
-
 
 class ConstantPiece(Piece):
     kind = "constant"
@@ -181,9 +175,6 @@ class ConstantPiece(Piece):
 
     def solve(self, y, lo, hi):
         raise ValueError("cannot invert a constant piece")
-
-    def params_dict(self):
-        return {"value": self.const}
 
 
 class PolynomialPiece(Piece):
@@ -274,9 +265,6 @@ class PolynomialPiece(Piece):
                 out[i] += a_k * pc
         return PolynomialPiece(csum - self.hi, csum - self.lo, out)
 
-    def params_dict(self):
-        return {"coefficients": list(self.coefficients)}
-
 
 def _cantor_value(level: int, x):
     if level == 0:
@@ -330,9 +318,6 @@ class CantorPiece(Piece):
 
     def reflected(self, csum):
         raise NotImplementedError("cantor pieces are reflected via expand()")
-
-    def params_dict(self):
-        return {"level": self.level}
 
 
 def _cantor_pieces(level: int) -> list:
@@ -423,9 +408,6 @@ class XSinPiece(Piece):
     def reflected(self, csum):
         return ReflectedPiece(self, csum)
 
-    def params_dict(self):
-        return {"exponent": self.exponent}
-
 
 class ReflectedPiece(Piece):
     """Wrapper representing x -> base(csum - x)."""
@@ -462,11 +444,6 @@ class ReflectedPiece(Piece):
         if csum == self.csum:
             return self.base
         return ReflectedPiece(self, csum)
-
-    def params_dict(self):
-        return {"csum": self.csum, "base": {"kind": self.base.kind,
-                                            "domain": [self.base.lo, self.base.hi],
-                                            "params": self.base.params_dict()}}
 
 
 class TransformedPiece(Piece):
@@ -510,12 +487,6 @@ class TransformedPiece(Piece):
         # offset + linear*(csum - x) + scale*base(csum - x)
         return TransformedPiece(rbase, self.scale, -self.linear,
                                 self.offset + self.linear * csum)
-
-    def params_dict(self):
-        return {"scale": self.scale, "linear": self.linear, "offset": self.offset,
-                "base": {"kind": self.base.kind,
-                         "domain": [self.base.lo, self.base.hi],
-                         "params": self.base.params_dict()}}
 
 
 def make_transformed(base: Piece, scale, linear, offset, lo=None, hi=None) -> Piece:

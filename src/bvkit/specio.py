@@ -94,36 +94,6 @@ def _piece_fields(entry: dict, arithmetic: str) -> tuple:
     return XSinPiece, (lo, hi, float(params["exponent"]))
 
 
-def model_to_dict(model: FunctionModel) -> dict:
-    pieces = []
-    for p in model.pieces:
-        if p.kind not in _PIECE_KINDS:  # a wrapper the reader cannot read back
-            raise SpecFormatError(f"cannot write a {p.kind} piece on [{p.lo}, {p.hi}]")
-        pieces.append({
-            "kind": p.kind,
-            "domain": [fmt_number(p.lo), fmt_number(p.hi)],
-            "params": {k: _fmt_param(v) for k, v in p.params_dict().items()},
-        })
-    doc = {
-        "domain": [fmt_number(model.a), fmt_number(model.b)],
-        "arithmetic": model.arithmetic,
-        "pieces": pieces,
-    }
-    if model.arithmetic == FLOAT:
-        doc["tol"] = model.tol
-    if model.name:
-        doc["name"] = model.name
-    return doc
-
-
-def _fmt_param(value):
-    if isinstance(value, (list, tuple)):
-        return [_fmt_param(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _fmt_param(v) for k, v in value.items()}
-    return fmt_number(value)
-
-
 def _read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:

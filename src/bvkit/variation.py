@@ -63,6 +63,14 @@ def validate_partition(model: FunctionModel, points) -> tuple:
     return pts
 
 
+def spanning_partition(model: FunctionModel, points) -> tuple:
+    """A valid partition whose ends are a and b, as a base partition is."""
+    pts = validate_partition(model, points)
+    if pts[0] != model.a or pts[-1] != model.b:
+        raise SpecFormatError("base partition must span [a, b]")
+    return pts
+
+
 def _swing_prefix(model: FunctionModel, values) -> list:
     """Running sums of |F(x_k) - F(x_{k-1})| over the values F(x_k),
     starting at zero."""
@@ -395,9 +403,7 @@ def uniform_approx(model: FunctionModel, epsilon, base_partition=None,
         base_values = list(pf.values)
         prefix = list(pf.prefix)
     else:
-        base = validate_partition(model, base_partition)
-        if base[0] != model.a or base[-1] != model.b:
-            raise SpecFormatError("base partition must span [a, b]")
+        base = spanning_partition(model, base_partition)
         base_values = model.evaluate_many(base)
         prefix = _swing_prefix(model, base_values)
     defect = pf.total - prefix[-1]

@@ -23,7 +23,9 @@ from bvkit.model import (
     build_identity,
     piecewise_linear,
 )
-from bvkit.specio import jsonable, model_from_dict, model_to_dict
+from bvkit.specio import jsonable, model_from_dict
+
+from support import family_pieces, model_to_dict
 
 F = Fraction
 
@@ -270,7 +272,7 @@ class TestVariationCertificate:
                 for a in cell.anchors:
                     assert model.evaluate(a.alpha) == a.c
                     assert model.evaluate(a.beta) == a.d
-                for piece in cell.family_pieces(MID):
+                for piece in family_pieces(cell, MID):
                     for comp in piece.components:
                         assert blocks.contains(comp.lo), (cell.index, comp)
                         assert blocks.contains(comp.hi), (cell.index, comp)

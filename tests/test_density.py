@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -27,8 +28,10 @@ from bvkit.model import (
     build_zigzag,
     piecewise_linear,
 )
-from bvkit.specio import model_from_dict, model_to_dict
+from bvkit.specio import model_from_dict
 from bvkit.variation import jordan_decomposition
+
+from support import model_to_dict
 
 F = Fraction
 
@@ -217,6 +220,14 @@ class TestIntegrate:
         with pytest.raises(SpecFormatError):
             integrate(d, 2)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_nan_and_infinities_are_outside_the_span(self, zigzag, x):
+        # NaN fails every comparison, so a test of "below or above" let it
+        # through to the whole integral
+        density = bv_density(zigzag, *density_grid(zigzag, 16))
+        with pytest.raises(SpecFormatError, match="outside the density grid span"):
+            integrate(density, x)
+
 
 class TestReconstruction:
     def test_identity_exact(self, identity):
@@ -292,6 +303,26 @@ class TestModulus:
             report = ac_modulus(ck, deltas)
             assert report.omega(F(2, 3) ** level) == 1
             assert report.verdict == NOT_AC
+
+    def test_rational_model_reads_float_deltas_exactly(self, zigzag):
+        report = ac_modulus(zigzag, [0.1])
+        (delta, omega, chosen), = report.samples
+        assert type(delta) is F and delta == F(0.1)
+        assert type(omega) is F and omega == 4 * F(0.1)
+        assert all(type(end) is F for comp in chosen for end in (comp.lo, comp.hi))
+        assert report.omega(0.1) == omega
+
+    def test_float_model_keeps_float_deltas(self, zigzag):
+        twin = model_from_dict(dict(model_to_dict(zigzag), arithmetic="float"))
+        (delta, omega, _), = ac_modulus(twin, [0.1]).samples
+        assert type(delta) is float and type(omega) is float
+
+    @pytest.mark.parametrize("deltas", [
+        [F(1, 2), math.nan], [math.nan, F(1, 2)], [F(1, 4), math.inf],
+        [math.inf, F(1, 4)], [F(1, 2), 0], [-1, F(1, 2)], []])
+    def test_deltas_must_be_positive_and_finite_in_any_order(self, zigzag, deltas):
+        with pytest.raises(SpecFormatError, match="positive and finite"):
+            ac_modulus(zigzag, deltas)
 
     def test_collections_are_feasible(self, zigzag):
         report = ac_modulus(zigzag, [F(1, 4)])

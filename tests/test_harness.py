@@ -17,7 +17,6 @@ from bvkit.corpus import (
     CorpusConfig,
     CorpusEntry,
     build_oscillation,
-    corpus_by_name,
     default_corpus,
     run_corpus,
 )
@@ -37,9 +36,10 @@ from bvkit.specio import (
     intervals_to_dict,
     load_model,
     model_from_dict,
-    model_to_dict,
 )
 from bvkit.variation import jordan_decomposition, total_variation
+
+from support import corpus_by_name, model_to_dict
 
 F = Fraction
 

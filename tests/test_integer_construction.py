@@ -38,6 +38,8 @@ from bvkit.variation import (
     variation_function,
 )
 
+from support import piece_params
+
 F = Fraction
 
 
@@ -174,7 +176,7 @@ def _key(v):
 
 def piece_key(piece):
     return (type(piece), _key(piece.lo), _key(piece.hi),
-            tuple((name, _key(v)) for name, v in sorted(piece.params_dict().items())))
+            tuple((name, _key(v)) for name, v in sorted(piece_params(piece).items())))
 
 
 def model_key(model):

@@ -8,15 +8,14 @@ as oracles.  Every comparison is component by component: the ``lo`` and
 value and type of ``measure``.
 """
 
+import math
 import re
 from bisect import bisect_right
 from fractions import Fraction as F
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bvkit import intervals
 from bvkit._num import EXPONENT_LIMIT, frac, uniform_grid
 from bvkit.certificate import shift_certificate
 from bvkit.errors import SpecFormatError
@@ -185,8 +184,8 @@ def assert_same_values(got, want):
 # strategies
 # ---------------------------------------------------------------------------
 
-# denominators this size put D past POSITION_BITS within a few endpoints
-HUGE = 2 ** (intervals.POSITION_BITS // 3)
+# denominators of 1,366 bits: D runs past 4,096 bits within a few endpoints
+HUGE = 2 ** 1365
 
 
 @st.composite
@@ -217,7 +216,8 @@ def interval_lists(draw, kinds=("int", "fraction", "fraction", "float", "huge"))
 
 
 EXACT = ("int", "fraction")
-# which route a set takes: exact sets under the bound take positions
+# which route a set takes: exact sets take positions at any size, and one
+# float sends a set to the values
 KINDS = st.sampled_from([EXACT, EXACT, ("int", "fraction", "huge"),
                          ("int", "fraction", "fraction", "float", "huge")])
 
@@ -243,19 +243,21 @@ class TestPositions:
         assert den == 6
         assert at == [3, 18, -4, 4]
 
-    def test_refuses_floats_bools_and_huge_denominators(self):
+    def test_refuses_floats_and_bools_and_scales_huge_denominators(self):
         assert positions([F(1, 2), 0.5]) is None
         assert positions([1, True]) is None
-        assert positions([F(1, HUGE + 1), F(1, HUGE + 3), F(1, HUGE + 5),
-                          F(1, HUGE + 7)]) is None
+        dens = [HUGE + 1, HUGE + 3, HUGE + 5, HUGE + 7]
+        den, at = positions([F(1, d) for d in dens])
+        assert den == math.lcm(*dens) and den.bit_length() > 4096
+        assert at == [den // d for d in dens]
         assert positions([]) == (1, [])
 
-    def test_the_bound_picks_the_route(self):
+    def test_huge_exact_sets_take_positions(self):
         small = [Interval(F(1, 3), F(1, 2)), Interval(0, F(1, 7))]
         assert IntervalSet(small)._span is not None
         huge = small + [Interval(F(k, HUGE + k), F(1, 2) + F(k, HUGE + k))
                         for k in range(1, 6)]
-        assert IntervalSet(huge)._span is None
+        assert IntervalSet(huge)._span is not None
         assert_same(IntervalSet(huge), ref_components(huge))
 
 
@@ -265,11 +267,10 @@ class TestConstructor:
     def test_matches_reference(self, ivs):
         assert_same(IntervalSet(ivs), ref_components(ivs))
 
-    @given(interval_lists(EXACT), st.sampled_from([0, 1, 2, 3, 5]))
+    @given(interval_lists(EXACT))
     @settings(max_examples=200, deadline=None)
-    def test_matches_reference_at_any_bound(self, ivs, bits):
-        with mock.patch.object(intervals, "POSITION_BITS", bits):
-            assert_same(IntervalSet(ivs), ref_components(ivs))
+    def test_matches_reference_on_exact_ends(self, ivs):
+        assert_same(IntervalSet(ivs), ref_components(ivs))
 
     def test_equal_keys_keep_input_order(self):
         # equal values of int and Fraction type: the first one given wins
@@ -415,11 +416,10 @@ class TestSortedUnique:
     def test_matches_reference(self, values):
         assert_same_values(_sorted_unique(values), ref_sorted_unique(values))
 
-    @given(st.lists(endpoints(EXACT), max_size=30), st.sampled_from([0, 2, 4]))
+    @given(st.lists(endpoints(EXACT), max_size=30))
     @settings(max_examples=100, deadline=None)
-    def test_matches_reference_at_any_bound(self, values, bits):
-        with mock.patch.object(intervals, "POSITION_BITS", bits):
-            assert_same_values(_sorted_unique(values), ref_sorted_unique(values))
+    def test_matches_reference_on_exact_values(self, values):
+        assert_same_values(_sorted_unique(values), ref_sorted_unique(values))
 
     def test_first_of_equal_values_is_kept(self):
         assert_same_values(_sorted_unique([F(1), 0, 1, F(0)]), [0, F(1)])

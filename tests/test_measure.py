@@ -188,6 +188,11 @@ class TestFamilies:
         with pytest.raises(SpecFormatError):
             shrinking_family((0, 1), rate=2)
 
+    @pytest.mark.parametrize("count", [2.5, 2.0, "3", F(3), 0, -1])
+    def test_count_must_be_an_int_of_at_least_one(self, count):
+        with pytest.raises(SpecFormatError, match="count must be an int >= 1"):
+            shrinking_family((0, 1), count=count).level(1)
+
 
 class TestLusinProbe:
     def test_cantor_diagonal_fails_exactly(self):

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from bvkit import model as model_module
-from bvkit._num import bisect_solve, frac_like, uniform_grid
-from bvkit.corpus import corpus_by_name
+from bvkit._num import bisect_solve, uniform_grid
 from bvkit.errors import (
     BVKitError,
     InfiniteSegmentationError,
@@ -31,9 +30,10 @@ from bvkit.model import (
     build_zigzag,
     piecewise_linear,
 )
-from bvkit.specio import model_from_dict, model_to_dict
+from bvkit.specio import model_from_dict
 from bvkit.variation import jordan_decomposition
 
+from support import corpus_by_name, model_to_dict
 from test_evaluation_routes import _interval_keys, _key
 
 F = Fraction
@@ -1008,7 +1008,7 @@ class TestVerificationGrid:
 
 def old_exact_grid(a, b, n):
     """The exact grid as a sum of steps, kept as the oracle."""
-    a, b = frac_like(a), frac_like(b)
+    a, b = Fraction(a), Fraction(b)
     step = (b - a) / (n - 1)
     return [a + i * step for i in range(n)]
 
@@ -1031,7 +1031,7 @@ class TestExactGrid:
         got = uniform_grid(a, b, n, exact=True)
         assert [(type(x), x) for x in got] == \
             [(type(x), x) for x in old_exact_grid(a, b, n)]
-        assert got[0] == frac_like(a) and got[-1] == frac_like(b)
+        assert got[0] == Fraction(a) and got[-1] == Fraction(b)
 
     @pytest.mark.parametrize("exact", [True, False])
     def test_too_few_points_refused_first(self, exact):

@@ -73,7 +73,6 @@ from bvkit.model import (
     build_zigzag,
     piecewise_linear,
 )
-from bvkit.specio import model_to_dict
 from bvkit.variation import (
     VariationFunction,
     jordan_decomposition,
@@ -82,6 +81,8 @@ from bvkit.variation import (
     uniform_approx,
     variation_function,
 )
+
+from support import model_to_dict
 
 from test_evaluation_routes import (
     CANTOR_IDS,

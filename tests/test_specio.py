@@ -21,10 +21,12 @@ from bvkit import specio
 from bvkit._num import as_number
 from bvkit.certificate import shift_certificate, variation_certificate
 from bvkit.cli import main
-from bvkit.corpus import CorpusConfig, corpus_by_name, run_corpus
+from bvkit.corpus import CorpusConfig, run_corpus
 from bvkit.intervals import Interval, IntervalSet
 from bvkit.measure import cantor_family, lusin_probe, shrinking_family
 from bvkit.specio import dump_json, jsonable, load_intervals, load_model
+
+from support import corpus_by_name
 
 F = Fraction
 BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "bench")

@@ -22,7 +22,7 @@ from bvkit.model import (
     make_transformed,
     piecewise_linear,
 )
-from bvkit.specio import model_from_dict, model_to_dict
+from bvkit.specio import model_from_dict
 from bvkit.variation import (
     jordan_decomposition,
     partition_sum,
@@ -31,6 +31,8 @@ from bvkit.variation import (
     validate_partition,
     variation_function,
 )
+
+from support import model_to_dict, piece_params
 
 F = Fraction
 
@@ -315,7 +317,7 @@ def envelope_oracle(model):
 
 
 def _piece_keys(pieces):
-    return [(type(p), p.lo, type(p.lo), p.hi, type(p.hi), p.params_dict())
+    return [(type(p), p.lo, type(p.lo), p.hi, type(p.hi), piece_params(p))
             for p in pieces]
 
 
