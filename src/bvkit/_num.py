@@ -64,9 +64,10 @@ def fraction_quotient(d, w):
 def as_number(value, arithmetic: str):
     """Coerce a parsed JSON value into the model's arithmetic.
 
-    In float mode a value past the float range (``"1e400"``), or one JSON
-    reads as infinite or NaN, raises :class:`SpecFormatError`."""
-    if arithmetic == RATIONAL:
+    In float mode a bool, a value past the float range (``"1e400"``), or
+    one JSON reads as infinite or NaN, raises :class:`SpecFormatError`, as
+    rational mode refuses a bool."""
+    if arithmetic == RATIONAL or isinstance(value, bool):
         return frac(value)
     try:
         x = float(frac(value)) if isinstance(value, str) else float(value)
@@ -153,17 +154,33 @@ def bisect_solve(fn, target, lo, hi, tol: float = 1e-12, max_iter: int = 200):
         f"{max_iter} iterations; last bracket [{a}, {b}]")
 
 
+def exact_steps(a, b, m: int, ks) -> list:
+    """``a + k * (b - a) / m`` for each int k of ``ks``, exactly.  With
+    ``a = p/q`` and ``b = r/s`` each point is one ``Fraction(start + k * rise,
+    q * s * m)`` built from integers, where ``start = p * s * m`` and
+    ``rise = r * q - p * s``."""
+    p, q = a.as_integer_ratio()
+    r, s = b.as_integer_ratio()
+    start, rise, den = p * s * m, r * q - p * s, q * s * m
+    return [Fraction(start + k * rise, den) for k in ks]
+
+
+def cantor_starts(level: int) -> list:
+    """The left ends s of the 2^level middle-third intervals ``[s, s + 1]``
+    over ``3^level``, in order: the children of s are 3s and 3s + 2."""
+    starts = [0]
+    for _ in range(level):
+        starts = [c for s in starts for c in (3 * s, 3 * s + 2)]
+    return starts
+
+
 def uniform_grid(a, b, n: int, exact: bool):
-    """n evenly spaced points from a to b inclusive, in the given arithmetic."""
+    """n evenly spaced points from a to b inclusive, in the given
+    arithmetic; exact points are :func:`exact_steps` with ``m = n - 1``."""
     if n < 2:
         raise SpecFormatError("grid needs at least two points")
     if exact:
-        # a + i * (b - a) / (n - 1) over the one denominator q * s * (n - 1)
-        a, b = Fraction(a), Fraction(b)
-        p, q = a.numerator, a.denominator
-        r, s = b.numerator, b.denominator
-        start, rise, den = p * s * (n - 1), r * q - p * s, q * s * (n - 1)
-        return [Fraction(start + i * rise, den) for i in range(n)]
+        return exact_steps(Fraction(a), Fraction(b), n - 1, range(n))
     a, b = float(a), float(b)
     step = (b - a) / (n - 1)
     pts = [a + i * step for i in range(n)]

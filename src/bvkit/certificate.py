@@ -528,28 +528,22 @@ def _mid_anchors(model, xl, xr, mid_members, increasing):
     """Level-set anchors for the middle band, orientation-covariant.
 
     For an increasing cell each band interval (c, d) anchors at the first
-    crossing of c and the last crossing of d before the next anchor; a
-    decreasing cell uses the mirrored extremes.  Returns the anchors, the
-    coarse and refined auxiliary partitions, and the anchored swing total.
+    crossing of c and closes at the last crossing of d before the next
+    anchor; a decreasing cell takes the last crossing of c and the first
+    crossing of d after the next anchor, which lies to its left.  Returns
+    the anchors, the coarse and refined auxiliary partitions, and the
+    anchored swing total.
     """
     members = sorted(mid_members, key=lambda cp: cp.interval.lo)
     levels = [(cp.interval.lo, cp.interval.hi) for cp in members]
+    first, last = (0, -1) if increasing else (-1, 0)
+    alphas = [model.level_points(c, xl, xr)[first] for c, _ in levels]
+    nexts = alphas[1:] + [xr if increasing else xl]
     anchors = []
-    if increasing:
-        alphas = [model.level_points(c, xl, xr)[0] for c, _ in levels]
-        nexts = alphas[1:] + [xr]
-        for (c, d), alpha, nxt in zip(levels, alphas, nexts):
-            beta = model.level_points(d, xl, nxt)[-1]
-            anchors.append(AnchorRecord(c, d, alpha, beta))
-    else:
-        # mirrored construction: last crossing of the lower value anchors
-        # the block, first crossing of the upper value after the next
-        # (lower-positioned) anchor closes it
-        alphas = [model.level_points(c, xl, xr)[-1] for c, _ in levels]
-        nexts = alphas[1:] + [xl]
-        for (c, d), alpha, nxt in zip(levels, alphas, nexts):
-            beta = model.level_points(d, nxt, xr)[0]
-            anchors.append(AnchorRecord(c, d, alpha, beta))
+    for (c, d), alpha, nxt in zip(levels, alphas, nexts):
+        window = (xl, nxt) if increasing else (nxt, xr)
+        beta = model.level_points(d, *window)[last]
+        anchors.append(AnchorRecord(c, d, alpha, beta))
     s1 = tuple(_sorted_unique(
         [xl, xr] + [a.alpha for a in anchors] + [a.beta for a in anchors]))
     endpoints = [e for cp in mid_members for comp in cp.components

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._num import frac
+from ._num import cantor_starts, exact_steps, frac
 from .errors import PreconditionError, SpecFormatError
 from .intervals import Interval, IntervalSet
 from .model import CONSTANT, DECREASING, INCREASING, FunctionModel
@@ -163,15 +163,6 @@ def split_cover_at(cover: IntervalSet, values) -> IntervalSet:
 # ---------------------------------------------------------------------------
 
 
-def _cantor_starts(j: int) -> list:
-    """The left ends s of the 2^j middle-third intervals ``[s, s + 1]``
-    over ``3^j``: the children of s are 3s and 3s + 2."""
-    starts = [0]
-    for _ in range(j):
-        starts = [c for s in starts for c in (3 * s, 3 * s + 2)]
-    return starts
-
-
 @dataclass(frozen=True)
 class NullSetFamily:
     """Finite stand-in for a null set: levels with measure strictly -> 0.
@@ -213,10 +204,11 @@ class NullSetFamily:
         """The interval set of level j (from 1).
 
         An exact domain (ints, Fractions or rational strings) gives
-        Fraction ends, each one ``Fraction(num, den)`` from integers: over
-        ``q*t*3^j`` for the Cantor levels of ``[p/q, r/t]``, and over one
-        common denominator for the shrinking slots.  A float end makes the
-        domain float, and the ends are float expressions in the domain."""
+        Fraction ends from :func:`exact_steps`, each one ``Fraction(num,
+        den)`` from integers: steps over ``3^j`` for the Cantor levels and
+        over ``count * v^j`` for the shrinking slots at rate ``u/v``.  A
+        float end makes the domain float, and the ends are float
+        expressions in the domain."""
         if j < 1:
             raise SpecFormatError("family levels start at 1")
         a, b = self.domain
@@ -231,31 +223,23 @@ class NullSetFamily:
             if self.kind == "cantor_levels":
                 span, den = b - a, 3 ** j
                 return IntervalSet(Interval(a + (s / den) * span, a + ((s + 1) / den) * span)
-                                   for s in _cantor_starts(j))
+                                   for s in cantor_starts(j))
             w = (b - a) / self.count
             ratio = float(frac(self.rate) ** j)
             return IntervalSet(
                 Interval(a + i * w, a + i * w + ratio * w) for i in range(self.count)
             )
-        # keep exact domains exact: a = p/q and b = r/t, so b - a = rise/(q*t)
-        p, q = a.as_integer_ratio()
-        r, t = b.as_integer_ratio()
-        rise = r * q - p * t
         if self.kind == "cantor_levels":
-            # a + (s/3^j)(b - a) over q*t*3^j
-            scale = 3 ** j
-            start, den = p * t * scale, q * t * scale
-            return IntervalSet(Interval(Fraction(start + s * rise, den),
-                                        Fraction(start + (s + 1) * rise, den))
-                               for s in _cantor_starts(j))
-        # slot i is a + i*w to that plus ratio*w, with w = (b - a)/count and
-        # ratio = (u/v)^j, all over q*t*count*v^j
-        u, v = frac(self.rate).as_integer_ratio()
-        u, v = u ** j, v ** j
-        den = q * t * self.count * v
-        starts = [(p * t * self.count + i * rise) * v for i in range(self.count)]
-        return IntervalSet(Interval(Fraction(lo, den), Fraction(lo + u * rise, den))
-                           for lo in starts)
+            # [a + s*(b - a)/3^j, a + (s + 1)*(b - a)/3^j]
+            m, ks = 3 ** j, [k for s in cantor_starts(j) for k in (s, s + 1)]
+        else:
+            # slot i is a + i*w to that plus ratio*w, with w = (b - a)/count
+            # and ratio = (u/v)^j: steps i*v^j and i*v^j + u^j of count*v^j
+            u, v = frac(self.rate).as_integer_ratio()
+            u, v = u ** j, v ** j
+            m, ks = self.count * v, [k for i in range(self.count) for k in (i * v, i * v + u)]
+        ends = exact_steps(a, b, m, ks)
+        return IntervalSet(Interval(lo, hi) for lo, hi in zip(ends[::2], ends[1::2]))
 
 
 def cantor_family(domain=(0, 1)) -> NullSetFamily:

@@ -47,6 +47,7 @@ from ._num import (
     FLOAT,
     RATIONAL,
     bisect_solve,
+    cantor_starts,
     frac,
     fraction_quotient,
     uniform_grid,
@@ -330,13 +331,10 @@ def _cantor_pieces(level: int) -> list:
     (k + 1) / 2^level until rise k + 1 starts.  Every knot, slope,
     intercept and constant is one Fraction."""
     width, height = 3 ** level, 2 ** level
-    starts = [0]
-    for _ in range(level):
-        starts = [3 * x + digit for x in starts for digit in (0, 2)]
     slope = Fraction(width, height)
     pieces = []
     lo = Fraction(0)
-    for k, x in enumerate(starts):
+    for k, x in enumerate(cantor_starts(level)):
         if k:
             rise = Fraction(x, width)
             pieces.append(ConstantPiece(lo, rise, Fraction(k, height)))
@@ -361,8 +359,8 @@ class XSinPiece(Piece):
     def __init__(self, lo, hi, exponent):
         super().__init__(lo, hi)
         p = float(exponent)
-        if p < 0:
-            raise SpecFormatError("x_sin_family exponent must be >= 0")
+        if not 0 <= p < math.inf:
+            raise SpecFormatError(f"x_sin_family exponent must be finite and >= 0; got {p}")
         if lo < 0:
             raise SpecFormatError("x_sin_family pieces need lo >= 0")
         if p == 0 and lo <= 0:
@@ -1031,32 +1029,19 @@ class FunctionModel:
         return IntervalSet(parts).clip(lo, hi)
 
     def _segment_preimage(self, seg: Segment, flo, fhi, c, d):
-        """Preimage of (c, d) on one segment, given F at its ends."""
-        if seg.direction == CONSTANT:
-            if c < flo < d:
-                yield Interval(seg.lo, seg.hi)
+        """Preimage of (c, d) on one segment, given F at its ends.  An end
+        whose value lies in (c, d) is kept, closed; any other end gives way
+        to the open solution at the target it lies beyond.  A segment whose
+        values miss (c, d) has none: a constant one is whole or absent."""
+        if max(flo, fhi) <= c or min(flo, fhi) >= d:
             return
-        lo_val, hi_val = (flo, fhi) if seg.direction == INCREASING else (fhi, flo)
-        if hi_val <= c or lo_val >= d:
-            return
-        if seg.direction == INCREASING:
-            if flo > c:
-                x_lo, lo_open = seg.lo, False
-            else:
-                x_lo, lo_open = self._solve_in_segment(seg, c), True
-            if fhi < d:
-                x_hi, hi_open = seg.hi, False
-            else:
-                x_hi, hi_open = self._solve_in_segment(seg, d), True
-        else:
-            if flo < d:
-                x_lo, lo_open = seg.lo, False
-            else:
-                x_lo, lo_open = self._solve_in_segment(seg, d), True
-            if fhi > c:
-                x_hi, hi_open = seg.hi, False
-            else:
-                x_hi, hi_open = self._solve_in_segment(seg, c), True
+
+        def end(x, fx):
+            if c < fx < d:
+                return x, False
+            return self._solve_in_segment(seg, c if fx <= c else d), True
+
+        (x_lo, lo_open), (x_hi, hi_open) = end(seg.lo, flo), end(seg.hi, fhi)
         yield Interval(x_lo, x_hi, lo_open, hi_open)
 
     def _solve_in_segment(self, seg: Segment, y):

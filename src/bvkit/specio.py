@@ -90,7 +90,11 @@ def _piece_fields(entry: dict, arithmetic: str) -> tuple:
         return PolynomialPiece, (lo, hi, [as_number(c, arithmetic)
                                           for c in params["coefficients"]])
     if kind == "cantor_iterate":
-        return CantorPiece, (lo, hi, int(params["level"]))
+        level = params["level"]
+        # int() would truncate a fractional level and read a bool as 0 or 1
+        if isinstance(level, bool) or (isinstance(level, float) and not level.is_integer()):
+            raise SpecFormatError(f"cantor_iterate level must be an int; got {level!r}")
+        return CantorPiece, (lo, hi, int(level))
     return XSinPiece, (lo, hi, float(params["exponent"]))
 
 
@@ -112,15 +116,27 @@ def load_model(path, arithmetic=None) -> FunctionModel:
 
 
 def intervals_from_dict(doc: dict, arithmetic: str = RATIONAL) -> IntervalSet:
+    """Read an interval-set document.  A component whose ``lo_open`` or
+    ``hi_open`` is given but is not a JSON boolean, or whose ``lo`` lies
+    above its ``hi``, raises :class:`SpecFormatError`."""
     try:
         fields = [(as_number(comp["lo"], arithmetic),
                    as_number(comp["hi"], arithmetic),
-                   bool(comp.get("lo_open", False)),
-                   bool(comp.get("hi_open", False)))
+                   _flag(comp, "lo_open"), _flag(comp, "hi_open"))
                   for comp in doc["components"]]
     except _MALFORMED as exc:
         raise SpecFormatError(f"malformed interval set: {exc!r}") from exc
+    for lo, hi, _, _ in fields:
+        if lo > hi:
+            raise SpecFormatError(f"interval component has lo {lo} above hi {hi}")
     return IntervalSet(Interval(*args) for args in fields)
+
+
+def _flag(comp: dict, name: str) -> bool:
+    flag = comp.get(name, False)
+    if type(flag) is not bool:
+        raise SpecFormatError(f"{name} must be true or false; got {flag!r}")
+    return flag
 
 
 def intervals_to_dict(E: IntervalSet) -> dict:

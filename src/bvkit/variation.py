@@ -11,15 +11,14 @@ pieces both tile [a, b] in order, so one two-pointer walk visits exactly
 the pieces with ``piece.hi > seg.lo`` and ``piece.lo < seg.hi``.  Those are
 the pairs whose clip ``[max(lo), min(hi)]`` is non-empty, so the walk emits
 the same pieces, in the same order, as clipping every piece against every
-segment would.
+segment would.  The walk runs in both arithmetic modes on the
+segmentation's integer keys, the piece starts' against the knots'.
 
-On a rational model the walk runs on integers, over the pair table.
-Every segment knot is then a piece start or b, so each piece lies in one
-segment and keeps its own ends.  p = c + s*F and n = c + (s - 1)*F map
-the piece's table coefficients with c as an integer pair, and each new
-intercept or constant is one Fraction: the same classes, values and
-types as :func:`make_transformed` gives.  Both parts then check their
-monotonicity on integer pairs from the pair walk.
+Only the map of each part depends on the mode.  A float model maps it
+with :func:`make_transformed`.  A rational model maps it on integers, with
+c as an integer pair and each new intercept or constant one Fraction: the
+same classes, values and types as :func:`make_transformed` gives.  Both
+parts then check their monotonicity, a rational model's on integer pairs.
 """
 
 from __future__ import annotations
@@ -216,78 +215,69 @@ def _monotone_envelope_models(pf: VariationFunction) -> tuple:
     c = prefix - s*F(segment start); n replaces s by s - 1.
     """
     model = pf.model
-    if model.exact:
-        p_pieces, n_pieces = _pair_envelope_pieces(pf)
-    else:
-        expanded = model._expanded
-        p_pieces, n_pieces = [], []
-        j = 0
-        for idx, seg in enumerate(model.monotone_segments()):
-            s = _SIGN[seg.direction]
-            c = pf.prefix[idx] - s * pf.values[idx]
-            # both tile [a, b] in order, so j only moves forward
-            while expanded[j].hi <= seg.lo:
-                j += 1
-            k = j
-            while k < len(expanded) and expanded[k].lo < seg.hi:
-                piece = expanded[k]
-                lo, hi = max(piece.lo, seg.lo), min(piece.hi, seg.hi)
-                p_pieces.append(make_transformed(piece, s, 0, c, lo, hi))
-                n_pieces.append(make_transformed(piece, s - 1, 0, c, lo, hi))
-                k += 1
+    segmentation = model.monotone_segments()
+    starts, keys = segmentation.starts, segmentation.keys
+    # piece i ends where piece i + 1 starts, the last one at b
+    ends = (*starts[1:], keys[-1])
+    expanded = model._expanded
+    transformed = _pair_transformed if model.exact else _float_transformed
+    p_pieces, n_pieces = [], []
+    i = 0
+    for idx, (seg, prefix, value) in enumerate(zip(segmentation, pf.prefix, pf.values)):
+        s = _SIGN[seg.direction]
+        k_lo, k_hi = keys[idx], keys[idx + 1]
+        c = _pair_offset(prefix, value, s) if model.exact else prefix - s * value
+        # both tile [a, b] in order, so i only moves forward: it skips the
+        # pieces that end by the segment's start, and the walk stops at the
+        # first piece that ends at or past the segment's end
+        while ends[i] <= k_lo:
+            i += 1
+        while True:
+            piece, end = expanded[i], ends[i]
+            # the part is [max(piece.lo, seg.lo), min(piece.hi, seg.hi)],
+            # keeping the piece's own end on a tie, as max and min do
+            lo = piece.lo if starts[i] >= k_lo else seg.lo
+            hi = piece.hi if end <= k_hi else seg.hi
+            p_pieces.append(transformed(piece, s, c, lo, hi))
+            n_pieces.append(transformed(piece, s - 1, c, lo, hi))
+            if end >= k_hi:
+                break
+            i += 1
     base = model.name or "F"
     return tuple(FunctionModel(pieces, arithmetic=model.arithmetic, tol=model.tol,
                                name=f"{suffix}[{base}]")
                  for suffix, pieces in (("p", p_pieces), ("n", n_pieces)))
 
 
-def _pair_envelope_pieces(pf: VariationFunction) -> tuple:
-    """p's and n's pieces for a rational model.  Each piece lies in one
-    segment; the walk leaves a segment at the piece that ends where the
-    segment ends, compared as integer pairs."""
-    model = pf.model
-    start_num, start_den, coeffs, _, (b_num, b_den) = model._table
-    ends = list(zip(start_num[1:], start_den[1:]))
-    ends.append((b_num, b_den))
-    expanded = model._expanded
-    p_pieces, n_pieces = [], []
-    i = 0
-    for seg, prefix, value in zip(model.monotone_segments(), pf.prefix, pf.values):
-        s = _SIGN[seg.direction]
-        # c = prefix - s * F(seg.lo), as a pair, and as a Fraction for the
-        # part whose scale is 0
-        r_num, r_den = prefix.as_integer_ratio()
-        v_num, v_den = value.as_integer_ratio()
-        c_num, c_den = r_num * v_den - s * v_num * r_den, r_den * v_den
-        c = Fraction(c_num, c_den) if s >= 0 else None
-        h_num, h_den = seg.hi.as_integer_ratio()
-        while True:
-            piece, co = expanded[i], coeffs[i]
-            p_pieces.append(_pair_transformed(piece, co, s, c, c_num, c_den))
-            n_pieces.append(_pair_transformed(piece, co, s - 1, c, c_num, c_den))
-            e_num, e_den = ends[i]
-            i += 1
-            if e_num * h_den == h_num * e_den:
-                break
-    return p_pieces, n_pieces
+def _float_transformed(piece, scale, c, lo, hi):
+    return make_transformed(piece, scale, 0, c, lo, hi)
 
 
-def _pair_transformed(piece, co, scale, c, c_num, c_den):
-    """``make_transformed(piece, scale, 0, c)`` for a piece of a pair table
-    with table coefficients ``co``, where ``c = c_num / c_den``: the Fraction
-    c itself at scale 0, else one Fraction for the new intercept or
-    constant."""
+def _pair_offset(prefix, value, s) -> tuple:
+    """c = prefix - s * value as an integer pair ``(c_num, c_den)``, and as
+    a Fraction where the part whose scale is 0 needs it (s >= 0)."""
+    r_num, r_den = prefix.as_integer_ratio()
+    v_num, v_den = value.as_integer_ratio()
+    c_num, c_den = r_num * v_den - s * v_num * r_den, r_den * v_den
+    return c_num, c_den, Fraction(c_num, c_den) if s >= 0 else None
+
+
+def _pair_transformed(piece, scale, c, lo, hi):
+    """``make_transformed(piece, scale, 0, c_frac, lo, hi)`` for a linear or
+    constant piece of a rational model, where ``c = (c_num, c_den, c_frac)``
+    (:func:`_pair_offset`): c_frac itself at scale 0, else one Fraction
+    from integers for the new intercept or constant."""
+    c_num, c_den, c_frac = c
     if scale == 0:
-        return ConstantPiece(piece.lo, piece.hi, c)
-    if co is None:
+        return ConstantPiece(lo, hi, c_frac)
+    if type(piece) is ConstantPiece:
         k_num, k_den = piece.const.as_integer_ratio()
-        return ConstantPiece(piece.lo, piece.hi,
-                             Fraction(c_num * k_den + scale * k_num * c_den, c_den * k_den))
-    _, icpt_num, den, _ = co
-    # slope' = scale * slope; intercept' = c + scale * icpt_num / den
-    return LinearPiece(piece.lo, piece.hi,
-                       piece.slope if scale == 1 else scale * piece.slope,
-                       Fraction(c_num * den + scale * icpt_num * c_den, c_den * den))
+        return ConstantPiece(lo, hi, Fraction(c_num * k_den + scale * k_num * c_den,
+                                              c_den * k_den))
+    # slope' = scale * slope; intercept' = c + scale * intercept
+    i_num, i_den = piece.intercept.as_integer_ratio()
+    return LinearPiece(lo, hi, piece.slope if scale == 1 else scale * piece.slope,
+                       Fraction(c_num * i_den + scale * i_num * c_den, c_den * i_den))
 
 
 def variation_function(model: FunctionModel) -> VariationFunction:

@@ -276,11 +276,71 @@ class TestSpecIO:
         assert twin.arithmetic == "float"
         assert twin.evaluate(0.375) == 0.5
 
+    @pytest.mark.parametrize("flags", [{}, {"lo_open": False, "hi_open": True},
+                                       {"lo_open": True, "hi_open": False}])
+    def test_interval_flags_read_as_json_booleans(self, flags):
+        doc = {"components": [dict({"lo": "1/4", "hi": "1/2"}, **flags)]}
+        [comp] = intervals_from_dict(doc)
+        assert (comp.lo_open, comp.hi_open) == (flags.get("lo_open", False),
+                                                flags.get("hi_open", False))
+
+    @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])
+    def test_interval_flags_of_other_types_refused(self, flag):
+        for name in ("lo_open", "hi_open"):
+            doc = {"components": [{"lo": "1/4", "hi": "1/2", name: flag}]}
+            with pytest.raises(SpecFormatError, match=f"^{name} must be true or false"):
+                intervals_from_dict(doc)
+
+    @pytest.mark.parametrize("arithmetic", ["rational", "float"])
+    def test_interval_with_lo_above_hi_refused(self, arithmetic):
+        doc = {"components": [{"lo": "0", "hi": "1/8"}, {"lo": "1/2", "hi": "1/4"}]}
+        with pytest.raises(SpecFormatError, match="lo 1/2 above hi 1/4|lo 0.5 above hi 0.25"):
+            intervals_from_dict(doc, arithmetic)
+        point = {"components": [{"lo": "1/2", "hi": "1/2"}]}
+        assert intervals_from_dict(point, arithmetic).measure == 0
+
+    def test_float_mode_refuses_a_bool_as_rational_mode_does(self):
+        for arithmetic in ("rational", FLOAT):
+            for value in (True, False):
+                with pytest.raises(SpecFormatError, match="not a rational value"):
+                    as_number(value, arithmetic)
+
+    @pytest.mark.parametrize("level", [2.7, True, False, float("inf"), float("nan")])
+    def test_cantor_level_must_be_an_int(self, level):
+        with pytest.raises(SpecFormatError):
+            model_from_dict(json.loads(_cantor_doc(level)))
+
+    @pytest.mark.parametrize("level", [3, 3.0, "3"])
+    def test_integral_cantor_levels_still_load(self, level):
+        [piece] = model_from_dict(json.loads(_cantor_doc(level))).pieces
+        assert type(piece.level) is int and piece.level == 3
+
+    @pytest.mark.parametrize("exponent", ["nan", "inf", "-inf", float("inf")])
+    def test_xsin_exponent_must_be_finite(self, exponent):
+        with pytest.raises(SpecFormatError, match="exponent must be finite"):
+            model_from_dict(json.loads(_xsin_doc(exponent)))
+
+    @pytest.mark.parametrize("exponent", ["1.5", 2, "0"])
+    def test_finite_xsin_exponents_still_load(self, exponent):
+        [piece] = model_from_dict(json.loads(_xsin_doc(exponent))).pieces
+        assert piece.exponent == float(exponent)
+
     def test_intervals_round_trip(self):
         E = IntervalSet.from_pairs([(F(0), F(1, 3)), (F(1, 2), F(3, 4))],
                                    hi_open=True)
         doc = intervals_to_dict(E)
         assert intervals_from_dict(doc) == E
+
+
+def _cantor_doc(level) -> str:
+    return json.dumps({"pieces": [{"kind": "cantor_iterate", "domain": ["0", "1"],
+                                   "params": {"level": level}}]})
+
+
+def _xsin_doc(exponent) -> str:
+    return json.dumps({"arithmetic": "float", "pieces": [{
+        "kind": "x_sin_family", "domain": ["1/10", "1"],
+        "params": {"exponent": exponent}}]})
 
 
 class TestCLI:
@@ -415,13 +475,24 @@ class TestCLI:
         ["--arithmetic", "float", "variation", "{inf_tol}"],
         ["--arithmetic", "float", "variation", "{nan_tol}"],
         ["--arithmetic", "float", "variation", "{negative_tol}"],
+        ["certify", "{spec}", "--nullset", "{string_flag}", "--eps", "1/10"],
+        ["certify", "{spec}", "--nullset", "{int_flag}", "--eps", "1/10"],
+        ["certify", "{spec}", "--nullset", "{reversed}", "--eps", "1/10"],
+        ["--arithmetic", "float", "variation", "{bool_slope}"],
+        ["variation", "{fractional_level}"],
+        ["variation", "{bool_level}"],
+        ["--arithmetic", "float", "variation", "{nan_exponent}"],
+        ["--arithmetic", "float", "variation", "{inf_exponent}"],
     ], ids=["float-deltas", "float-at", "float-eps", "float-h", "float-spec",
             "threshold", "decompose-grid", "recover-grid", "spec-tol",
             "spec-truncated", "spec-missing", "piece-domain", "cantor-level",
             "linear-slope", "piece-string", "interval-hi", "spec-domain",
             "huge-deltas", "huge-at", "huge-eps", "huge-h", "huge-slope-string",
             "json-inf-slope", "json-inf-domain", "huge-interval-hi",
-            "spec-tol-inf", "spec-tol-nan", "spec-tol-negative"])
+            "spec-tol-inf", "spec-tol-nan", "spec-tol-negative",
+            "interval-flag-string", "interval-flag-int", "interval-reversed",
+            "float-bool-slope", "cantor-level-fraction", "cantor-level-bool",
+            "xsin-exponent-nan", "xsin-exponent-inf"])
     def test_malformed_input_is_an_error(self, argv, zigzag_spec, nullset_file,
                                          tmp_path, capsys):
         text = (tmp_path / "zigzag.json").read_text()
@@ -456,6 +527,18 @@ class TestCLI:
             "inf_tol": edited(lambda d: d.update(tol="1e400")),
             "nan_tol": edited(lambda d: d.update(tol="nan")),
             "negative_tol": edited(lambda d: d.update(tol=-1e-9)),
+            # a flag that is not a JSON boolean, and a component with lo > hi,
+            # each of which loaded as some other set
+            "string_flag": json.dumps({"components": [
+                {"lo": "0", "hi": "1/1000", "lo_open": "false"}]}),
+            "int_flag": json.dumps({"components": [
+                {"lo": "0", "hi": "1/1000", "hi_open": 0}]}),
+            "reversed": json.dumps({"components": [{"lo": "1/2", "hi": "1/4"}]}),
+            "bool_slope": edited(lambda d: d["pieces"][0]["params"].update(slope=True)),
+            "fractional_level": _cantor_doc(2.7),
+            "bool_level": _cantor_doc(True),
+            "nan_exponent": _xsin_doc("nan"),
+            "inf_exponent": _xsin_doc("inf"),
         }
         paths = {}
         for name, body in files.items():

@@ -388,6 +388,17 @@ class TestEnvelopeWalk:
         assert_envelope_matches_oracle(model)
         assert_envelope_matches_oracle(_float_twin(model))
 
+    def test_wide_and_float_critical_models(self):
+        # test_windows imports this module, so its models load here
+        from test_windows import _coprime_model, _cubic_models
+
+        # knots over a 2,684-bit common denominator, in both modes, and
+        # float criticals beside Fraction knots
+        coprime = _coprime_model()
+        assert coprime.monotone_segments().scale.bit_length() == 2684
+        for model in (coprime, _float_twin(coprime), *_cubic_models()):
+            assert_envelope_matches_oracle(model)
+
     def test_cantor_10_decomposition(self):
         model = build_cantor_iterate(10)
         dec = jordan_decomposition(model)
