@@ -189,7 +189,7 @@ class NullSetFamily:
             r = frac(self.rate)
             if not 0 < r < 1:
                 raise SpecFormatError("rate must lie in (0, 1)")
-            if not isinstance(self.count, int) or self.count < 1:
+            if type(self.count) is not int or self.count < 1:  # a bool is no count
                 raise SpecFormatError(f"count must be an int >= 1; got {self.count!r}")
 
     def component_count(self, j: int) -> int:

@@ -79,8 +79,10 @@ _REAL = (int, Fraction, float)  # the linear coefficients a float table rounds
 class Piece:
     """Common surface for all piece kinds.
 
-    Subclasses provide ``value``/``derivative`` plus enough structure for
-    critical-point isolation and monotone inversion.  Pieces are immutable.
+    Subclasses provide ``value`` plus enough structure for critical-point
+    isolation and monotone inversion.  ``derivative`` is on :class:`XSinPiece`
+    and its two wrappers, ``_sample_grid`` on it and :class:`ReflectedPiece`:
+    the wrappers wrap no other piece.  Pieces are immutable.
     """
 
     kind = "abstract"
@@ -93,9 +95,6 @@ class Piece:
         self.hi = hi
 
     def value(self, x):
-        raise NotImplementedError
-
-    def derivative(self, x):
         raise NotImplementedError
 
     def interior_criticals(self) -> list:
@@ -113,10 +112,6 @@ class Piece:
         """Solve value(x) = y on [lo, hi] where the piece is monotone there."""
         return bisect_solve(self.value, y, lo, hi)
 
-    def _sample_grid(self, lo, hi) -> list:
-        """Abscissae dense enough to catch every derivative sign change."""
-        return [lo + (hi - lo) * i / 64 for i in range(65)]
-
 
 class LinearPiece(Piece):
     kind = "linear"
@@ -129,9 +124,6 @@ class LinearPiece(Piece):
 
     def value(self, x):
         return self.slope * x + self.intercept
-
-    def derivative(self, x):
-        return self.slope
 
     def interior_criticals(self):
         return []
@@ -161,9 +153,6 @@ class ConstantPiece(Piece):
 
     def value(self, x):
         return self.const
-
-    def derivative(self, x):
-        return 0
 
     def interior_criticals(self):
         return []
@@ -212,15 +201,6 @@ class PolynomialPiece(Piece):
             return acc
         acc = self.coefficients[-1] + x * 0  # promote to the argument's type
         for c in reversed(self.coefficients[:-1]):
-            acc = acc * x + c
-        return acc
-
-    def derivative(self, x):
-        dcoeffs = [k * c for k, c in enumerate(self.coefficients)][1:]
-        if not dcoeffs:
-            return 0
-        acc = dcoeffs[-1] + x * 0
-        for c in reversed(dcoeffs[:-1]):
             acc = acc * x + c
         return acc
 
@@ -291,6 +271,9 @@ class CantorPiece(Piece):
 
     def __init__(self, lo, hi, level: int):
         super().__init__(lo, hi)
+        # int() would truncate a fractional level and read a bool as 0 or 1
+        if isinstance(level, bool) or (not isinstance(level, int) and level % 1):
+            raise SpecFormatError(f"cantor_iterate level must be an int; got {level!r}")
         if level < 0:
             raise SpecFormatError("cantor_iterate level must be >= 0")
         if lo < 0 or hi > 1:
@@ -308,17 +291,8 @@ class CantorPiece(Piece):
         return [p.restrict(max(p.lo, self.lo), min(p.hi, self.hi))
                 for p in pieces if p.lo < self.hi and p.hi > self.lo]
 
-    def derivative(self, x):
-        raise NotImplementedError("cantor pieces are handled via expand()")
-
-    def interior_criticals(self):
-        raise NotImplementedError("cantor pieces are handled via expand()")
-
     def restrict(self, lo, hi):
         return CantorPiece(lo, hi, self.level)
-
-    def reflected(self, csum):
-        raise NotImplementedError("cantor pieces are reflected via expand()")
 
 
 def _cantor_pieces(level: int) -> list:
@@ -358,6 +332,8 @@ class XSinPiece(Piece):
 
     def __init__(self, lo, hi, exponent):
         super().__init__(lo, hi)
+        if isinstance(exponent, bool):
+            raise SpecFormatError(f"x_sin_family exponent must be a number; got {exponent!r}")
         p = float(exponent)
         if not 0 <= p < math.inf:
             raise SpecFormatError(f"x_sin_family exponent must be finite and >= 0; got {p}")
@@ -408,12 +384,13 @@ class XSinPiece(Piece):
 
 
 class ReflectedPiece(Piece):
-    """Wrapper representing x -> base(csum - x)."""
+    """Wrapper representing x -> base(csum - x), on ``[lo, hi]`` if given."""
 
     kind = "reflected"
 
-    def __init__(self, base: Piece, csum):
-        super().__init__(csum - base.hi, csum - base.lo)
+    def __init__(self, base: Piece, csum, lo=None, hi=None):
+        super().__init__(csum - base.hi if lo is None else lo,
+                         csum - base.lo if hi is None else hi)
         self.base = base
         self.csum = csum
 
@@ -436,7 +413,8 @@ class ReflectedPiece(Piece):
         return sorted(self.csum - t for t in base_grid)
 
     def restrict(self, lo, hi):
-        return ReflectedPiece(self.base.restrict(self.csum - hi, self.csum - lo), self.csum)
+        return ReflectedPiece(self.base.restrict(self.csum - hi, self.csum - lo), self.csum,
+                              lo, hi)
 
     def reflected(self, csum):
         if csum == self.csum:
@@ -472,9 +450,6 @@ class TransformedPiece(Piece):
         return _sign_change_roots(self.derivative,
                                   self.base._sample_grid(self.lo, self.hi),
                                   self.lo, self.hi)
-
-    def _sample_grid(self, lo, hi):
-        return self.base._sample_grid(lo, hi)
 
     def restrict(self, lo, hi):
         return TransformedPiece(self.base.restrict(lo, hi), self.scale, self.linear,
@@ -915,8 +890,7 @@ class FunctionModel:
         breakpoints = []
         for p in self._expanded:
             breakpoints.append(p.lo)
-            if not isinstance(p, (LinearPiece, ConstantPiece)):
-                breakpoints.extend(p.interior_criticals())
+            breakpoints.extend(p.interior_criticals())
         breakpoints.append(self.b)
         pts = _sorted_unique(breakpoints)
         values = self.evaluate_many(pts)
@@ -985,10 +959,13 @@ class FunctionModel:
         return shifted
 
     def reflect(self) -> "FunctionModel":
-        """The mirrored model x -> F(a + b - x) on the same domain."""
+        """The mirrored model x -> F(a + b - x) on the same domain, to which
+        a float mirror is restricted: ``0.1 + 1.0 - 1.0`` is not 0.1."""
         csum = self.a + self.b
-        pieces = [p.reflected(csum) for p in self._expanded]
-        pieces.sort(key=lambda p: p.lo)
+        pieces = [p.reflected(csum) for p in reversed(self._expanded)]
+        if not self.exact:
+            pieces[0] = pieces[0].restrict(self.a, pieces[0].hi)
+            pieces[-1] = pieces[-1].restrict(pieces[-1].lo, self.b)
         return FunctionModel(pieces, arithmetic=self.arithmetic, tol=self.tol,
                              name=None if self.name is None else f"{self.name}~")
 

@@ -90,12 +90,13 @@ def _piece_fields(entry: dict, arithmetic: str) -> tuple:
         return PolynomialPiece, (lo, hi, [as_number(c, arithmetic)
                                           for c in params["coefficients"]])
     if kind == "cantor_iterate":
-        level = params["level"]
-        # int() would truncate a fractional level and read a bool as 0 or 1
-        if isinstance(level, bool) or (isinstance(level, float) and not level.is_integer()):
-            raise SpecFormatError(f"cantor_iterate level must be an int; got {level!r}")
-        return CantorPiece, (lo, hi, int(level))
-    return XSinPiece, (lo, hi, float(params["exponent"]))
+        return CantorPiece, (lo, hi, _json_number(params["level"], int))
+    return XSinPiece, (lo, hi, _json_number(params["exponent"], float))
+
+
+def _json_number(value, parse):
+    """A JSON number (a bool too) as it is, for the piece's rules; else ``parse(value)``."""
+    return value if isinstance(value, (int, float)) else parse(value)
 
 
 def _read_json(path):

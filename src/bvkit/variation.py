@@ -116,8 +116,7 @@ def total_variation(model: FunctionModel, x=None, tol=DEFAULT_TOL,
     """
     if x is None:
         x = model.b
-    if x < model.a or x > model.b:
-        raise SpecFormatError(f"{x} outside [{model.a}, {model.b}]")
+    fx = model.evaluate(x)  # refuses a point outside [a, b]
     if x == model.a:
         zero = model.zero
         return VariationEstimate(zero, zero, (model.a,), True, ((1, zero),))
@@ -126,7 +125,7 @@ def total_variation(model: FunctionModel, x=None, tol=DEFAULT_TOL,
     except InfiniteSegmentationError as err:
         return _refine_variation(model, x, tol, err, max_points)
     pts = (model.a, *(k for k in pf.knots[1:] if k < x), x)
-    value = pf.at(x, model.evaluate(x))
+    value = pf.at(x, fx)
     return VariationEstimate(value, value, pts, True, ((len(pts), value),))
 
 
@@ -184,8 +183,6 @@ class VariationFunction:
         self.prefix = _swing_prefix(model, self.values)
 
     def __call__(self, x):
-        if x < self.model.a or x > self.model.b:
-            raise SpecFormatError(f"{x} outside [{self.model.a}, {self.model.b}]")
         return self.at(x, self.model.evaluate(x))
 
     def at(self, x, fx):
@@ -359,8 +356,6 @@ class UniformApprox:
         self.p_function = p_function
 
     def evaluate(self, x):
-        if x < self.model.a or x > self.model.b:
-            raise SpecFormatError(f"{x} outside [{self.model.a}, {self.model.b}]")
         return _cell_value(self.base_partition, self.prefix, self.base_values, x,
                            self.model.evaluate(x))
 

@@ -289,6 +289,13 @@ class TestModulus:
             assert report.omega(F(1, 2) ** j) == F(1, 2) ** j
         assert report.verdict == AC_AT_RESOLUTION
 
+    def test_omega_of_a_delta_not_sampled(self, zigzag):
+        report = ac_modulus(zigzag, [F(1, 2), F(1, 8)])
+        assert report.omega(F(1, 8)) == F(1, 2)
+        with pytest.raises(KeyError) as err:
+            report.omega(F(1, 4))
+        assert err.value.args == (F(1, 4),)
+
     def test_zigzag_exact_four_delta(self, zigzag):
         deltas = [F(1), F(1, 2), F(1, 8), F(1, 64)]
         report = ac_modulus(zigzag, deltas)

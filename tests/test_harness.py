@@ -320,6 +320,12 @@ class TestSpecIO:
         with pytest.raises(SpecFormatError, match="exponent must be finite"):
             model_from_dict(json.loads(_xsin_doc(exponent)))
 
+    def test_xsin_exponent_must_not_be_a_bool(self):
+        # float(True) is 1.0; the piece refuses the bool itself
+        with pytest.raises(SpecFormatError,
+                           match="^x_sin_family exponent must be a number; got True$"):
+            model_from_dict(json.loads(_xsin_doc(True)))
+
     @pytest.mark.parametrize("exponent", ["1.5", 2, "0"])
     def test_finite_xsin_exponents_still_load(self, exponent):
         [piece] = model_from_dict(json.loads(_xsin_doc(exponent))).pieces
@@ -361,6 +367,11 @@ class TestCLI:
         assert main(["variation", zigzag_spec, "--at", "1/2"]) == 0
         out = capsys.readouterr().out
         assert "variation from 0 to 1/2: 2" in out
+
+    @pytest.mark.parametrize("at", ["2", "3/2"])
+    def test_variation_at_a_point_outside_the_domain(self, zigzag_spec, at, capsys):
+        assert main(["variation", zigzag_spec, "--at", at]) == 2
+        assert capsys.readouterr().err == f"error: {at} outside [0, 1]\n"
 
     def test_decompose(self, zigzag_spec, tmp_path, capsys):
         p_csv = str(tmp_path / "p.csv")
@@ -483,6 +494,7 @@ class TestCLI:
         ["variation", "{bool_level}"],
         ["--arithmetic", "float", "variation", "{nan_exponent}"],
         ["--arithmetic", "float", "variation", "{inf_exponent}"],
+        ["--arithmetic", "float", "variation", "{bool_exponent}"],
     ], ids=["float-deltas", "float-at", "float-eps", "float-h", "float-spec",
             "threshold", "decompose-grid", "recover-grid", "spec-tol",
             "spec-truncated", "spec-missing", "piece-domain", "cantor-level",
@@ -492,7 +504,7 @@ class TestCLI:
             "spec-tol-inf", "spec-tol-nan", "spec-tol-negative",
             "interval-flag-string", "interval-flag-int", "interval-reversed",
             "float-bool-slope", "cantor-level-fraction", "cantor-level-bool",
-            "xsin-exponent-nan", "xsin-exponent-inf"])
+            "xsin-exponent-nan", "xsin-exponent-inf", "xsin-exponent-bool"])
     def test_malformed_input_is_an_error(self, argv, zigzag_spec, nullset_file,
                                          tmp_path, capsys):
         text = (tmp_path / "zigzag.json").read_text()
@@ -539,6 +551,7 @@ class TestCLI:
             "bool_level": _cantor_doc(True),
             "nan_exponent": _xsin_doc("nan"),
             "inf_exponent": _xsin_doc("inf"),
+            "bool_exponent": _xsin_doc(True),
         }
         paths = {}
         for name, body in files.items():

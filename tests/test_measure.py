@@ -177,6 +177,10 @@ class TestFamilies:
             values = [measure(fam.level(j)) for j in range(1, 7)]
             assert all(b < a for a, b in zip(values, values[1:]))
 
+    def test_unknown_kind_refused(self):
+        with pytest.raises(SpecFormatError, match="^unknown family kind 'sparse'$"):
+            NullSetFamily("sparse", (0, 1))
+
     def test_custom_levels(self):
         fam = NullSetFamily("custom", (0, 1), levels=(
             IntervalSet.closed(0, F(1, 2)), IntervalSet.closed(0, F(1, 8))))
@@ -188,13 +192,17 @@ class TestFamilies:
         with pytest.raises(SpecFormatError):
             shrinking_family((0, 1), rate=2)
 
-    @pytest.mark.parametrize("count", [2.5, 2.0, "3", F(3), 0, -1])
+    @pytest.mark.parametrize("count", [2.5, 2.0, "3", F(3), 0, -1, True, False])
     def test_count_must_be_an_int_of_at_least_one(self, count):
         with pytest.raises(SpecFormatError, match="count must be an int >= 1"):
             shrinking_family((0, 1), count=count).level(1)
 
 
 class TestLusinProbe:
+    def test_needs_a_level(self, zigzag):
+        with pytest.raises(SpecFormatError, match="^max_level must be >= 1$"):
+            lusin_probe(zigzag, cantor_family(), 0)
+
     def test_cantor_diagonal_fails_exactly(self):
         # the iterate maps its own middle-thirds stage onto everything
         for j in (2, 5, 8):

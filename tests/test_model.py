@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from bvkit import model as model_module
 from bvkit._num import bisect_solve, uniform_grid
+from bvkit.corpus import build_oscillation
 from bvkit.errors import (
     BVKitError,
     InfiniteSegmentationError,
@@ -21,13 +22,17 @@ from bvkit.model import (
     CONSTANT,
     DECREASING,
     INCREASING,
+    CantorPiece,
     ConstantPiece,
     FunctionModel,
     LinearPiece,
     PolynomialPiece,
+    ReflectedPiece,
+    TransformedPiece,
     XSinPiece,
     build_cantor_iterate,
     build_zigzag,
+    make_transformed,
     piecewise_linear,
 )
 from bvkit.specio import model_from_dict
@@ -995,6 +1000,140 @@ class TestReflect:
         rr = xsin.reflect().reflect()
         for x in (0.1, 0.3, 0.77, 1.0):
             assert abs(rr.evaluate(x) - xsin.evaluate(x)) <= 1e-12
+
+    @pytest.mark.parametrize("exponent", [1, 2])
+    def test_float_mirror_keeps_the_domain(self, exponent):
+        # 0.1 + 1.0 - 1.0 rounds to 0.10000000000000009, which the mirror's
+        # first piece started at, so its own a was out of its domain
+        model = build_oscillation(exponent)
+        mirror = model.reflect()
+        assert (mirror.a, mirror.b) == (model.a, model.b) == (0.1, 1.0)
+        assert mirror.pieces[0].lo == 0.1 and mirror.pieces[-1].hi == 1.0
+        assert mirror.evaluate(0.1) == model.evaluate(1.0)
+        assert mirror.evaluate(1.0) == pytest.approx(model.evaluate(0.1), abs=1e-12)
+        for x in mirror.verification_grid(37):
+            assert mirror.evaluate(x) == pytest.approx(model.evaluate(1.1 - x), abs=1e-9)
+        twice = mirror.reflect()
+        assert (twice.a, twice.b) == (0.1, 1.0)
+        for x in (0.1, 0.3, 0.77, 1.0):
+            assert twice.evaluate(x) == pytest.approx(model.evaluate(x), abs=1e-12)
+
+    def test_rational_mirror_ends_are_left_as_they_are(self):
+        # an int a and a Fraction b: the mirror's ends are csum - b and
+        # csum - a, Fractions, as before
+        model = FunctionModel([LinearPiece(0, F(1, 2), 2, 0),
+                               ConstantPiece(F(1, 2), F(1), 1)])
+        mirror = model.reflect()
+        want = [(F(1) - p.hi, F(1) - p.lo) for p in reversed(model.pieces)]
+        assert [(p.lo, p.hi) for p in mirror.pieces] == want
+        assert all(type(p.lo) is Fraction for p in mirror.pieces)
+        assert type(mirror.a) is Fraction and type(model.a) is int
+
+
+class TestWrappedRoutes:
+    """The wrapper routes no corpus model takes, each against its base at
+    the mirrored points."""
+
+    def test_a_mirror_shift_segments_on_the_reflected_derivative(self):
+        # G(x) = F(csum - x) + x turns where F'(csum - x) = 1, so its knots
+        # mirror those of F(y) - y on the base piece
+        model = build_oscillation(1)
+        csum = model.a + model.b
+        shift = model.reflect().shift_add_identity()
+        [piece] = shift.pieces
+        assert type(piece) is TransformedPiece and type(piece.base) is ReflectedPiece
+        want = make_transformed(model.pieces[0], 1, -1, 0).interior_criticals()
+        assert len(want) >= 2
+        knots = shift.monotone_segments().knots()
+        assert knots[0] == 0.1 and knots[-1] == 1.0
+        assert knots[1:-1] == pytest.approx(sorted(csum - y for y in want), abs=1e-9)
+        base, mirrored = model.pieces[0], piece.base
+        grid = mirrored._sample_grid(mirrored.lo, mirrored.hi)
+        assert grid == pytest.approx(sorted(csum - t for t in base._sample_grid(0.1, 1.0)),
+                                     abs=1e-12)
+        for x in grid[1:-1]:
+            assert mirrored.derivative(x) == -base.derivative(csum - x)
+            assert shift.evaluate(x) == pytest.approx(model.evaluate(csum - x) + x,
+                                                      abs=1e-12)
+
+    def test_a_jordan_part_mirrors_through_its_transformed_pieces(self):
+        model = build_oscillation(1)
+        p = jordan_decomposition(model).p
+        mirror = p.reflect()
+        assert any(type(q) is TransformedPiece and type(q.base) is ReflectedPiece
+                   for q in mirror.pieces)
+        assert (mirror.a, mirror.b) == (p.a, p.b) == (0.1, 1.0)
+        assert mirror.continuity_flag
+        for x in [0.1, *p.verification_grid(65), 1.0]:
+            assert mirror.evaluate(x) == pytest.approx(p.evaluate(1.1 - x), abs=1e-9)
+        assert not mirror.is_nondecreasing() and p.is_nondecreasing()
+
+    def test_a_mirror_about_another_center_nests(self):
+        piece = XSinPiece(0.1, 0.5, 1).reflected(1.0)  # x -> xsin(1 - x) on [0.5, 0.9]
+        model = FunctionModel([piece])
+        mirror = model.reflect()  # about 1.4, not 1.0: a second wrapper
+        [outer] = mirror.pieces
+        assert type(outer) is ReflectedPiece and outer.base is not piece
+        assert type(outer.base) is ReflectedPiece and type(outer.base.base) is XSinPiece
+        assert (mirror.a, mirror.b) == (0.5, 0.9)
+        for x in [0.5, *model.verification_grid(33), 0.9]:
+            # the piece itself, as 1.4 - 0.9 rounds below the model's domain
+            assert mirror.evaluate(x) == pytest.approx(piece.value(1.4 - x), abs=1e-12)
+        knots = mirror.monotone_segments().knots()
+        want = model.monotone_segments().knots()
+        assert knots == pytest.approx(sorted(1.4 - k for k in want), abs=1e-9)
+        # a mirror about the wrapper's own center unwraps it
+        assert piece.reflected(1.0) is piece.base
+
+
+class TestPieceRules:
+    """Each piece and model refuses its own bad parameters, for a spec and
+    a library caller alike."""
+
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: LinearPiece(1, 1, 0, 0), SpecFormatError,
+         "piece domain must satisfy lo < hi, got [1, 1]"),
+        (lambda: CantorPiece(0, 1, -1), SpecFormatError, "cantor_iterate level must be >= 0"),
+        (lambda: CantorPiece(0, F(4, 3), 2), SpecFormatError,
+         "cantor_iterate pieces live inside [0, 1]"),
+        (lambda: CantorPiece(F(-1, 3), 1, 2), SpecFormatError,
+         "cantor_iterate pieces live inside [0, 1]"),
+        (lambda: CantorPiece(0, 1, 2.7), SpecFormatError,
+         "cantor_iterate level must be an int; got 2.7"),
+        (lambda: CantorPiece(0, 1, True), SpecFormatError,
+         "cantor_iterate level must be an int; got True"),
+        (lambda: CantorPiece(0, 1, F(5, 2)), SpecFormatError,
+         "cantor_iterate level must be an int; got Fraction(5, 2)"),
+        (lambda: CantorPiece(0, 1, math.nan), SpecFormatError,
+         "cantor_iterate level must be an int; got nan"),
+        (lambda: XSinPiece(-0.5, 1, 1), SpecFormatError, "x_sin_family pieces need lo >= 0"),
+        (lambda: XSinPiece(0.1, 1, True), SpecFormatError,
+         "x_sin_family exponent must be a number; got True"),
+        (lambda: FunctionModel([]), SpecFormatError, "a model needs at least one piece"),
+        (lambda: FunctionModel([LinearPiece(0, 1, 1, 0)], arithmetic="decimal"),
+         SpecFormatError, "unknown arithmetic mode 'decimal'"),
+        (lambda: build_zigzag().preimage(F(1, 2), F(1, 2)), SpecFormatError,
+         "target interval must satisfy c < d"),
+        (lambda: build_zigzag().preimage(1, 0), SpecFormatError,
+         "target interval must satisfy c < d"),
+        (lambda: FunctionModel([LinearPiece(0, 1, 1, 0), LinearPiece(1, 2, 1, 5)])
+         .preimage(0, 1), PreconditionError, "preimage requires a continuous model"),
+        (lambda: build_cantor_iterate(-1), SpecFormatError, "level must be >= 0"),
+        (lambda: piecewise_linear([(0, 0)]), SpecFormatError, "need at least two knots"),
+    ], ids=["empty-domain", "cantor-level-negative", "cantor-past-one",
+            "cantor-below-zero", "cantor-level-fraction", "cantor-level-bool",
+            "cantor-level-rational", "cantor-level-nan", "xsin-below-zero",
+            "xsin-exponent-bool", "no-pieces", "unknown-arithmetic",
+            "preimage-point-target", "preimage-reversed-target",
+            "preimage-discontinuous", "cantor-builder-negative", "one-knot"])
+    def test_refused(self, build, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            build()
+
+    @pytest.mark.parametrize("level", [3, 3.0, F(3)])
+    def test_integral_levels_are_ints(self, level):
+        piece = CantorPiece(0, 1, level)
+        assert type(piece.level) is int and piece.level == 3
 
 
 class TestVerificationGrid:

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from bvkit.errors import (
     NotBVError,
+    OutOfDomainError,
     PreconditionError,
     SpecFormatError,
     UnresolvedOscillationError,
@@ -172,6 +174,19 @@ class TestVariationFunction:
         pm = jordan_decomposition(zigzag).p
         for x in zigzag.verification_grid(128):
             assert pm.evaluate(x) == p(x)
+
+    @pytest.mark.parametrize("x, message", [
+        (2, "2 outside [0, 1]"), (F(-1, 3), "-1/3 outside [0, 1]"),
+        (math.nan, "nan outside [0, 1]"), (math.inf, "inf outside [0, 1]")],
+        ids=["int", "fraction", "nan", "inf"])
+    def test_a_point_outside_the_domain_has_one_refusal(self, zigzag, x, message):
+        # p, u and the variation to x each evaluate F at x first, so NaN is
+        # refused as every other point outside [a, b] is
+        u = uniform_approx(zigzag, F(1, 100))
+        for call in (variation_function(zigzag), u.evaluate,
+                     lambda x: total_variation(zigzag, x)):
+            with pytest.raises(OutOfDomainError, match=f"^{re.escape(message)}$"):
+                call(x)
 
 
 class TestJordanDecomposition:
