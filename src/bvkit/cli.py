@@ -215,13 +215,17 @@ _HANDLERS = {
 }
 
 
-def _bind_tol(argv) -> list:
-    """The arguments with ``--tol`` joined to a following token that starts
-    with one dash, as ``--tol=VALUE``: argparse takes a value such as
-    ``-1e-3`` for an option, and ``_tolerance`` then refuses it itself."""
+_ONE_VALUE = ("--at", "--tol", "--eps", "--threshold", "--h", "--deltas")
+
+
+def _bind_values(argv) -> list:
+    """The arguments with each option of ``_ONE_VALUE`` joined to a
+    following token that starts with one dash, as ``--at=-1/2``: argparse
+    takes a value such as ``-1/2`` for an option, and the option's own
+    parsing then judges it, as ``_tolerance`` refuses ``-1e-3``."""
     out = []
     for token in argv:
-        if out and out[-1] == "--tol" and token[:1] == "-" and token[1:2] != "-":
+        if out and out[-1] in _ONE_VALUE and token[:1] == "-" and token[1:2] != "-":
             out[-1] += "=" + token
         else:
             out.append(token)
@@ -229,7 +233,7 @@ def _bind_tol(argv) -> list:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(_bind_tol(sys.argv[1:] if argv is None else argv))
+    args = build_parser().parse_args(_bind_values(sys.argv[1:] if argv is None else argv))
     try:
         return _HANDLERS[args.command](args)
     except BVKitError as exc:

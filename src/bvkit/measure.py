@@ -280,6 +280,8 @@ def lusin_probe(model: FunctionModel, family: NullSetFamily, max_level: int,
                 threshold=Fraction(1, 2)) -> LusinReport:
     if max_level < 1:
         raise SpecFormatError("max_level must be >= 1")
+    if not threshold > 0:  # every image measure reaches it, so every model fails
+        raise SpecFormatError(f"threshold must be positive; got {threshold}")
     rows = []
     prev = None
     for j in range(1, max_level + 1):

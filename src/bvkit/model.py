@@ -19,6 +19,8 @@ linear piece as float slope and intercept.  Its other pieces evaluate the
 point themselves, and a constant piece gives its constant as it is.  A
 polynomial piece runs Horner's rule at a float point on its coefficients
 rounded once to floats, bit for bit its rule on the exact coefficients.
+An x^p*sin(1/x) piece carries its own mirrors and affine part, so a mirror
+or a Jordan part maps it to another such piece: no piece wraps another.
 
 Rational construction runs on integers as well.  The level-L Cantor
 iterate is generated from integer knots over 3^L and values over 2^L, a
@@ -38,6 +40,7 @@ rationals) to the float nearest each root.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -80,9 +83,9 @@ class Piece:
     """Common surface for all piece kinds.
 
     Subclasses provide ``value`` plus enough structure for critical-point
-    isolation and monotone inversion.  ``derivative`` is on :class:`XSinPiece`
-    and its two wrappers, ``_sample_grid`` on it and :class:`ReflectedPiece`:
-    the wrappers wrap no other piece.  Pieces are immutable.
+    isolation and monotone inversion.  ``derivative`` and ``_sample_grid``
+    are on :class:`XSinPiece` alone, which carries its own mirrors and
+    affine part: no piece wraps another.  Pieces are immutable.
     """
 
     kind = "abstract"
@@ -271,8 +274,9 @@ class CantorPiece(Piece):
 
     def __init__(self, lo, hi, level: int):
         super().__init__(lo, hi)
-        # int() would truncate a fractional level and read a bool as 0 or 1
-        if isinstance(level, bool) or (not isinstance(level, int) and level % 1):
+        # int() would truncate a fractional level, read a bool as 0 or 1 and
+        # parse a str
+        if isinstance(level, bool) or not isinstance(level, numbers.Real) or level % 1:
             raise SpecFormatError(f"cantor_iterate level must be an int; got {level!r}")
         if level < 0:
             raise SpecFormatError("cantor_iterate level must be >= 0")
@@ -290,9 +294,6 @@ class CantorPiece(Piece):
             return pieces
         return [p.restrict(max(p.lo, self.lo), min(p.hi, self.hi))
                 for p in pieces if p.lo < self.hi and p.hi > self.lo]
-
-    def restrict(self, lo, hi):
-        return CantorPiece(lo, hi, self.level)
 
 
 def _cantor_pieces(level: int) -> list:
@@ -325,48 +326,82 @@ class XSinPiece(Piece):
 
     Pieces touching 0 evaluate fine (the limit value 0 is used for p > 0)
     but refuse segmentation: the critical points pile up at the origin.
+
+    The piece carries its own mirrors and affine part, the maps a model's
+    mirror and Jordan parts put on it.  ``mirrors`` holds ``(csum, lo,
+    hi)`` per mirror x -> csum - x, innermost first, with ``[lo, hi]`` the
+    domain of what it mirrors, kept as built: ``csum - (csum - x)`` need
+    not be x in floats.  The outermost mirror applies first: mirrors about
+    c1, then c2 compute ``c1 - (c2 - x)``.  ``affine``, None or ``(scale,
+    linear, offset)``, applies last, as ``offset + linear*x + scale*v``.
     """
 
     kind = "x_sin_family"
     exact = False
 
-    def __init__(self, lo, hi, exponent):
+    def __init__(self, lo, hi, exponent, mirrors=(), affine=None):
         super().__init__(lo, hi)
-        if isinstance(exponent, bool):
+        if isinstance(exponent, bool) or not isinstance(exponent, numbers.Real):
             raise SpecFormatError(f"x_sin_family exponent must be a number; got {exponent!r}")
         p = float(exponent)
         if not 0 <= p < math.inf:
             raise SpecFormatError(f"x_sin_family exponent must be finite and >= 0; got {p}")
-        if lo < 0:
+        base_lo = mirrors[0][1] if mirrors else lo
+        if base_lo < 0:
             raise SpecFormatError("x_sin_family pieces need lo >= 0")
-        if p == 0 and lo <= 0:
+        if p == 0 and base_lo <= 0:
             raise SpecFormatError("sin(1/x) has no value at 0; need lo > 0")
         self.exponent = p
+        self.mirrors = mirrors
+        self.affine = affine
+
+    def _unmirrored(self, x) -> float:
+        for csum, _, _ in reversed(self.mirrors):
+            x = csum - x
+        return float(x)
 
     def value(self, x):
-        x = float(x)
-        if x == 0.0:
-            return 0.0
-        return x ** self.exponent * math.sin(1.0 / x)
+        t = self._unmirrored(x) if self.mirrors else float(x)
+        v = 0.0 if t == 0.0 else t ** self.exponent * math.sin(1.0 / t)
+        if self.affine is None:
+            return v
+        scale, linear, offset = self.affine
+        return offset + linear * x + scale * v
 
     def derivative(self, x):
-        x = float(x)
+        t = self._unmirrored(x) if self.mirrors else float(x)
         p = self.exponent
-        s, c = math.sin(1.0 / x), math.cos(1.0 / x)
-        return p * x ** (p - 1) * s - x ** (p - 2) * c
+        s, c = math.sin(1.0 / t), math.cos(1.0 / t)
+        d = p * t ** (p - 1) * s - t ** (p - 2) * c
+        if len(self.mirrors) % 2:
+            d = -d
+        if self.affine is None:
+            return d
+        scale, linear, _ = self.affine
+        return linear + scale * d
 
     def interior_criticals(self):
-        if self.lo <= 0:
+        base_lo, base_hi = self.mirrors[0][1:] if self.mirrors else (self.lo, self.hi)
+        if base_lo <= 0:
             raise InfiniteSegmentationError(
                 "x^p*sin(1/x) oscillates without bound as x -> 0; "
                 "segmentation does not terminate",
                 hint="restrict the piece to [x_min, hi] with x_min > 0 "
                 "(default truncation 1e-4)",
             )
-        return _sign_change_roots(self.derivative, self._sample_grid(self.lo, self.hi),
-                                  self.lo, self.hi)
+        # the bare piece bisects its derivative, as does a piece whose linear
+        # part moves the roots; any other mirrors out the bare piece's roots
+        if (self.affine[1] != 0) if self.affine else not self.mirrors:
+            return _sign_change_roots(self.derivative, self._sample_grid(self.lo, self.hi),
+                                      self.lo, self.hi)
+        roots = XSinPiece(base_lo, base_hi, self.exponent).interior_criticals()
+        for csum, _, _ in self.mirrors:
+            roots = sorted(csum - r for r in roots)
+        return roots if self.affine is None else [r for r in roots if self.lo < r < self.hi]
 
     def _sample_grid(self, lo, hi):
+        for csum, _, _ in reversed(self.mirrors):
+            lo, hi = csum - hi, csum - lo
         # uniform in t = 1/x with step pi/8: consecutive derivative roots are
         # separated by about pi in t, so every sign change is bracketed
         t_lo, t_hi = 1.0 / float(hi), 1.0 / float(lo)
@@ -374,96 +409,39 @@ class XSinPiece(Piece):
         ts = [t_lo + (t_hi - t_lo) * i / n for i in range(n + 1)]
         xs = sorted(1.0 / t for t in ts)
         xs[0], xs[-1] = float(lo), float(hi)
+        for csum, _, _ in self.mirrors:
+            xs = sorted(csum - t for t in xs)
         return xs
 
     def restrict(self, lo, hi):
-        return XSinPiece(lo, hi, self.exponent)
+        mirrors, m_lo, m_hi = [], lo, hi
+        for csum, _, _ in reversed(self.mirrors):
+            m_lo, m_hi = csum - m_hi, csum - m_lo
+            mirrors.insert(0, (csum, m_lo, m_hi))
+        return XSinPiece(lo, hi, self.exponent, tuple(mirrors), self.affine)
 
     def reflected(self, csum):
-        return ReflectedPiece(self, csum)
-
-
-class ReflectedPiece(Piece):
-    """Wrapper representing x -> base(csum - x), on ``[lo, hi]`` if given."""
-
-    kind = "reflected"
-
-    def __init__(self, base: Piece, csum, lo=None, hi=None):
-        super().__init__(csum - base.hi if lo is None else lo,
-                         csum - base.lo if hi is None else hi)
-        self.base = base
-        self.csum = csum
-
-    @property
-    def exact(self):
-        return self.base.exact
-
-    def value(self, x):
-        return self.base.value(self.csum - x)
-
-    def derivative(self, x):
-        return -self.base.derivative(self.csum - x)
-
-    def interior_criticals(self):
-        mirrored = self.base.interior_criticals()
-        return sorted(self.csum - r for r in mirrored)
-
-    def _sample_grid(self, lo, hi):
-        base_grid = self.base._sample_grid(self.csum - hi, self.csum - lo)
-        return sorted(self.csum - t for t in base_grid)
-
-    def restrict(self, lo, hi):
-        return ReflectedPiece(self.base.restrict(self.csum - hi, self.csum - lo), self.csum,
-                              lo, hi)
-
-    def reflected(self, csum):
-        if csum == self.csum:
-            return self.base
-        return ReflectedPiece(self, csum)
-
-
-class TransformedPiece(Piece):
-    """offset + linear*x + scale*base(x); only built over non-simplifiable bases."""
-
-    kind = "transformed"
-
-    def __init__(self, base: Piece, scale, linear, offset, lo=None, hi=None):
-        super().__init__(base.lo if lo is None else lo, base.hi if hi is None else hi)
-        self.base = base
-        self.scale = scale
-        self.linear = linear
-        self.offset = offset
-
-    @property
-    def exact(self):
-        return self.base.exact
-
-    def value(self, x):
-        return self.offset + self.linear * x + self.scale * self.base.value(x)
-
-    def derivative(self, x):
-        return self.linear + self.scale * self.base.derivative(x)
-
-    def interior_criticals(self):
-        if self.linear == 0:
-            return [r for r in self.base.interior_criticals() if self.lo < r < self.hi]
-        return _sign_change_roots(self.derivative,
-                                  self.base._sample_grid(self.lo, self.hi),
-                                  self.lo, self.hi)
-
-    def restrict(self, lo, hi):
-        return TransformedPiece(self.base.restrict(lo, hi), self.scale, self.linear,
-                                self.offset)
-
-    def reflected(self, csum):
-        rbase = self.base.reflected(csum)
-        # offset + linear*(csum - x) + scale*base(csum - x)
-        return TransformedPiece(rbase, self.scale, -self.linear,
-                                self.offset + self.linear * csum)
+        affine = self.affine
+        if affine is not None:  # offset + linear*(csum - x) + scale*v
+            scale, linear, offset = affine
+            affine = (scale, -linear, offset + linear * csum)
+        if self.mirrors and csum == self.mirrors[-1][0]:
+            # a mirror about the last one's center undoes it
+            *mirrors, (_, lo, hi) = self.mirrors
+            return XSinPiece(lo, hi, self.exponent, tuple(mirrors), affine)
+        return XSinPiece(csum - self.hi, csum - self.lo, self.exponent,
+                         self.mirrors + ((csum, self.lo, self.hi),), affine)
 
 
 def make_transformed(base: Piece, scale, linear, offset, lo=None, hi=None) -> Piece:
-    """Build offset + linear*x + scale*base(x), simplifying where exact."""
+    """Build offset + linear*x + scale*base(x) on ``[lo, hi]`` (the base's
+    domain by default) as one piece: linear, constant and polynomial bases
+    fold exactly, and an x^p*sin(1/x) base takes the map as its affine
+    part, composed with any it has.  Any other base, a Cantor piece among
+    them, is refused: a model transforms the pieces of its expansion."""
+    if not isinstance(base, (ConstantPiece, LinearPiece, PolynomialPiece, XSinPiece)):
+        raise SpecFormatError(f"cannot transform a {type(base).__name__} on "
+                              f"[{base.lo}, {base.hi}]; transform its expansion")
     lo = base.lo if lo is None else lo
     hi = base.hi if hi is None else hi
     base = base.restrict(lo, hi)
@@ -486,13 +464,12 @@ def make_transformed(base: Piece, scale, linear, offset, lo=None, hi=None) -> Pi
         coeffs[0] += frac(offset) if not isinstance(offset, float) else offset
         coeffs[1] += frac(linear) if not isinstance(linear, float) else linear
         return PolynomialPiece(lo, hi, coeffs)
-    if isinstance(base, CantorPiece):
-        raise SpecFormatError("transform cantor pieces via their expansion")
-    if isinstance(base, TransformedPiece):
-        return make_transformed(base.base, scale * base.scale,
-                                linear + scale * base.linear,
-                                offset + scale * base.offset, lo, hi)
-    return TransformedPiece(base, scale, linear, offset, lo, hi)
+    if base.affine is not None:
+        b_scale, b_linear, b_offset = base.affine
+        return make_transformed(XSinPiece(lo, hi, base.exponent, base.mirrors),
+                                scale * b_scale, linear + scale * b_linear,
+                                offset + scale * b_offset, lo, hi)
+    return XSinPiece(lo, hi, base.exponent, base.mirrors, (scale, linear, offset))
 
 
 def _sign_change_roots(deriv, grid, lo, hi) -> list:
@@ -680,18 +657,12 @@ class FunctionModel:
     # -- construction helpers ---------------------------------------------
 
     def _expand_pieces(self):
-        """The pieces with each Cantor piece expanded.  Only a bare Cantor
-        piece expands, so a float model refuses a wrapper around one (a
-        rational model refuses every wrapper in :meth:`_pair_table`)."""
+        """The pieces with each Cantor piece expanded."""
         out = []
         for p in self.pieces:
             if isinstance(p, CantorPiece):
                 out.extend(p.expand())
             else:
-                if not self.exact and _wraps_cantor(p):
-                    raise SpecFormatError(
-                        f"a cantor_iterate piece expands only when bare; got "
-                        f"{type(p).__name__} on [{p.lo}, {p.hi}] around one")
                 out.append(p)
         return tuple(out)
 
@@ -965,6 +936,10 @@ class FunctionModel:
         pieces = [p.reflected(csum) for p in reversed(self._expanded)]
         if not self.exact:
             pieces[0] = pieces[0].restrict(self.a, pieces[0].hi)
+            # an undone mirror restores stored ends that c - (c - x) may miss
+            for i in range(1, len(pieces)):
+                if pieces[i].lo != pieces[i - 1].hi:
+                    pieces[i] = pieces[i].restrict(pieces[i - 1].hi, pieces[i].hi)
             pieces[-1] = pieces[-1].restrict(pieces[-1].lo, self.b)
         return FunctionModel(pieces, arithmetic=self.arithmetic, tol=self.tol,
                              name=None if self.name is None else f"{self.name}~")
@@ -1109,12 +1084,6 @@ class FunctionModel:
     def __repr__(self):
         label = self.name or f"{len(self.pieces)} pieces"
         return f"FunctionModel({label} on [{self.a}, {self.b}], {self.arithmetic})"
-
-
-def _wraps_cantor(piece) -> bool:
-    while isinstance(piece, (ReflectedPiece, TransformedPiece)):
-        piece = piece.base
-    return isinstance(piece, CantorPiece)
 
 
 def _untabled(piece) -> SpecFormatError:

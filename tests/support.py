@@ -11,12 +11,11 @@ from __future__ import annotations
 from bvkit._num import FLOAT, fmt_number
 from bvkit.corpus import default_corpus
 from bvkit.errors import SpecFormatError
-from bvkit.specio import _PIECE_KINDS
 
 
 def piece_params(piece) -> dict:
-    """The parameters of a piece by name, as its spec entry holds them; a
-    wrapper's base nests as a kind, a domain and its own parameters."""
+    """The parameters of a piece by name, as its spec entry holds them; an
+    x^p*sin(1/x) piece with mirrors or an affine part gives those too."""
     kind = piece.kind
     if kind == "linear":
         return {"slope": piece.slope, "intercept": piece.intercept}
@@ -26,21 +25,19 @@ def piece_params(piece) -> dict:
         return {"coefficients": list(piece.coefficients)}
     if kind == "cantor_iterate":
         return {"level": piece.level}
-    if kind == "x_sin_family":
-        return {"exponent": piece.exponent}
-    base = {"kind": piece.base.kind, "domain": [piece.base.lo, piece.base.hi],
-            "params": piece_params(piece.base)}
-    if kind == "reflected":
-        return {"csum": piece.csum, "base": base}
-    return {"scale": piece.scale, "linear": piece.linear, "offset": piece.offset,
-            "base": base}
+    if piece.mirrors or piece.affine is not None:
+        return {"exponent": piece.exponent, "mirrors": piece.mirrors,
+                "affine": piece.affine}
+    return {"exponent": piece.exponent}
 
 
 def model_to_dict(model) -> dict:
     pieces = []
     for p in model.pieces:
-        if p.kind not in _PIECE_KINDS:  # a wrapper the reader cannot read back
-            raise SpecFormatError(f"cannot write a {p.kind} piece on [{p.lo}, {p.hi}]")
+        if p.kind == "x_sin_family" and (p.mirrors or p.affine is not None):
+            # the reader's x_sin_family entry holds the exponent alone
+            raise SpecFormatError(f"cannot write an x_sin_family piece with mirrors "
+                                  f"or an affine part on [{p.lo}, {p.hi}]")
         pieces.append({
             "kind": p.kind,
             "domain": [fmt_number(p.lo), fmt_number(p.hi)],

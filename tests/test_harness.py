@@ -29,6 +29,7 @@ from bvkit.model import (
     PolynomialPiece,
     build_cantor_iterate,
     build_identity,
+    piecewise_linear,
 )
 from bvkit.plots import SAMPLES, _float_values, emit_plots, write_report
 from bvkit.specio import (
@@ -39,7 +40,7 @@ from bvkit.specio import (
 )
 from bvkit.variation import jordan_decomposition, total_variation
 
-from support import corpus_by_name, model_to_dict
+from support import corpus_by_name, model_to_dict, piece_params
 
 F = Fraction
 
@@ -221,14 +222,15 @@ class TestSpecIO:
         assert model_to_dict(model)["pieces"][0]["kind"] == "cantor_iterate"
 
     def test_wrapper_pieces_are_refused(self):
-        # the spec reader has no kind for a reflected or transformed piece,
-        # so writing one would make a spec that cannot be read back
+        # the spec reader's x_sin_family entry holds no mirror or affine
+        # part, so writing one would make a spec that reads back as another
         model = build_oscillation(1)
-        for wrapped, kind in [(model.reflect(), "reflected"),
-                              (jordan_decomposition(model).p, "transformed")]:
+        for wrapped, part in [(model.reflect(), "mirrors"),
+                              (jordan_decomposition(model).p, "affine")]:
             piece = wrapped.pieces[0]
-            assert piece.kind == kind
-            message = f"cannot write a {kind} piece on [{piece.lo}, {piece.hi}]"
+            assert piece.kind == "x_sin_family" and piece_params(piece)[part]
+            message = (f"cannot write an x_sin_family piece with mirrors or an "
+                       f"affine part on [{piece.lo}, {piece.hi}]")
             with pytest.raises(SpecFormatError, match=f"^{re.escape(message)}$"):
                 model_to_dict(wrapped)
 
@@ -397,6 +399,28 @@ class TestCLI:
         payload = json.load(open(trace))
         assert payload["base_partition"] == ["0", "1/4", "1/2", "3/4", "1"]
 
+    def test_certify_shift_prints_its_ledger(self, tmp_path, capsys):
+        # G = F + x: the plateau [1/2, 3/4] holds [5/8, 41/64], whose image
+        # under G = 1 + x has measure 1/64
+        spec = tmp_path / "mono.json"
+        spec.write_text(json.dumps(model_to_dict(piecewise_linear(
+            [(0, 0), (F(1, 2), 1), (F(3, 4), 1), (1, F(3, 2))]))))
+        nullset = tmp_path / "ns.json"
+        nullset.write_text(json.dumps(intervals_to_dict(IntervalSet.from_pairs(
+            [(F(1, 8), F(9, 64)), (F(5, 8), F(41, 64)), (F(7, 8), F(57, 64))]))))
+        assert main(["certify", str(spec), "--nullset", str(nullset), "--eps", "1/8",
+                     "--shift"]) == 0
+        assert capsys.readouterr().out == (
+            "shift certificate: plateau part 0.015625, remainder bound 0.140625 "
+            "< 2*eps = 0.25\n")
+
+    def test_a_negative_point_binds_to_at(self, tmp_path, capsys):
+        spec = tmp_path / "abs.json"
+        spec.write_text(json.dumps(model_to_dict(piecewise_linear([(-1, 1), (0, 0), (1, 1)]))))
+        assert main(["variation", str(spec), "--at", "-1/2"]) == 0
+        assert capsys.readouterr().out == (
+            "variation from -1 to -1/2: 1/2 (converged=True, partition size 2)\n")
+
     def test_certify_shift_needs_monotone(self, zigzag_spec, nullset_file,
                                           capsys):
         code = main(["certify", zigzag_spec, "--nullset", nullset_file,
@@ -495,6 +519,11 @@ class TestCLI:
         ["--arithmetic", "float", "variation", "{nan_exponent}"],
         ["--arithmetic", "float", "variation", "{inf_exponent}"],
         ["--arithmetic", "float", "variation", "{bool_exponent}"],
+        ["variation", "{spec}", "--at", "-1/2"],
+        ["ac", "{spec}", "--deltas", "-1/2"],
+        ["certify", "{spec}", "--nullset", "{nullset}", "--eps", "-1/8"],
+        ["recover", "{spec}", "--h", "-1/8"],
+        ["lusin", "{spec}", "--threshold", "-1/2"],
     ], ids=["float-deltas", "float-at", "float-eps", "float-h", "float-spec",
             "threshold", "decompose-grid", "recover-grid", "spec-tol",
             "spec-truncated", "spec-missing", "piece-domain", "cantor-level",
@@ -504,7 +533,9 @@ class TestCLI:
             "spec-tol-inf", "spec-tol-nan", "spec-tol-negative",
             "interval-flag-string", "interval-flag-int", "interval-reversed",
             "float-bool-slope", "cantor-level-fraction", "cantor-level-bool",
-            "xsin-exponent-nan", "xsin-exponent-inf", "xsin-exponent-bool"])
+            "xsin-exponent-nan", "xsin-exponent-inf", "xsin-exponent-bool",
+            "negative-at", "negative-deltas", "negative-eps", "negative-h",
+            "negative-threshold"])
     def test_malformed_input_is_an_error(self, argv, zigzag_spec, nullset_file,
                                          tmp_path, capsys):
         text = (tmp_path / "zigzag.json").read_text()
@@ -569,8 +600,9 @@ class TestCLI:
         ["variation", "{spec}", "--tol", "nan"],
         ["variation", "{spec}", "--tol", "1e400"],
         ["--tol", "-1e-3", "variation", "{spec}"],
+        ["variation", "{spec}", "--tol", "-1e-3"],
     ], ids=["global-inf", "global-negative", "variation-nan", "variation-huge",
-            "global-negative-exponent"])
+            "global-negative-exponent", "variation-negative"])
     def test_tol_option_must_be_finite_and_non_negative(self, argv, zigzag_spec,
                                                        capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -24,8 +24,6 @@ from bvkit.measure import cantor_family, split_cover_at
 from bvkit.model import (
     CantorPiece,
     FunctionModel,
-    ReflectedPiece,
-    TransformedPiece,
     _sorted_unique,
     build_cantor_iterate,
     piecewise_linear,
@@ -525,17 +523,6 @@ class TestSpecNumbers:
 
 
 class TestFloatCantorWrappers:
-    @pytest.mark.parametrize("wrap", [
-        lambda c: ReflectedPiece(c, 1),
-        lambda c: TransformedPiece(c, 1, 0, 0),
-        lambda c: ReflectedPiece(TransformedPiece(c, 1, 0, 0), 1),
-    ], ids=["reflected", "transformed", "nested"])
-    def test_refused_with_the_piece_and_its_domain(self, wrap):
-        piece = wrap(CantorPiece(0, 1, 2))
-        name = type(piece).__name__
-        with pytest.raises(SpecFormatError, match=rf"{name} on \[0, 1\]"):
-            FunctionModel([piece], arithmetic="float")
-
     def test_a_bare_cantor_piece_still_builds(self):
         model = FunctionModel([CantorPiece(0, 1, 2)], arithmetic="float")
         assert model.monotone_segments()

@@ -27,8 +27,6 @@ from bvkit.model import (
     FunctionModel,
     LinearPiece,
     PolynomialPiece,
-    ReflectedPiece,
-    TransformedPiece,
     XSinPiece,
     build_cantor_iterate,
     build_zigzag,
@@ -38,6 +36,7 @@ from bvkit.model import (
 from bvkit.specio import model_from_dict
 from bvkit.variation import jordan_decomposition
 
+import wrapper_oracle
 from support import corpus_by_name, model_to_dict
 from test_evaluation_routes import _interval_keys, _key
 
@@ -1031,23 +1030,28 @@ class TestReflect:
 
 
 class TestWrappedRoutes:
-    """The wrapper routes no corpus model takes, each against its base at
-    the mirrored points."""
+    """The mirror and affine routes no corpus model takes, each against its
+    base at the mirrored points."""
 
     def test_a_mirror_shift_segments_on_the_reflected_derivative(self):
         # G(x) = F(csum - x) + x turns where F'(csum - x) = 1, so its knots
         # mirror those of F(y) - y on the base piece
         model = build_oscillation(1)
         csum = model.a + model.b
+        [mirrored] = model.reflect().pieces
         shift = model.reflect().shift_add_identity()
         [piece] = shift.pieces
-        assert type(piece) is TransformedPiece and type(piece.base) is ReflectedPiece
+        assert type(mirrored) is XSinPiece and mirrored.affine is None
+        # the mirror's restriction to [a, b] stores the base's ends as csum - x
+        assert mirrored.mirrors == ((csum, csum - 1.0, csum - 0.1),)
+        assert type(piece) is XSinPiece and piece.mirrors == mirrored.mirrors
+        assert piece.affine == (1, 1, 0)
         want = make_transformed(model.pieces[0], 1, -1, 0).interior_criticals()
         assert len(want) >= 2
         knots = shift.monotone_segments().knots()
         assert knots[0] == 0.1 and knots[-1] == 1.0
         assert knots[1:-1] == pytest.approx(sorted(csum - y for y in want), abs=1e-9)
-        base, mirrored = model.pieces[0], piece.base
+        base = model.pieces[0]
         grid = mirrored._sample_grid(mirrored.lo, mirrored.hi)
         assert grid == pytest.approx(sorted(csum - t for t in base._sample_grid(0.1, 1.0)),
                                      abs=1e-12)
@@ -1060,7 +1064,7 @@ class TestWrappedRoutes:
         model = build_oscillation(1)
         p = jordan_decomposition(model).p
         mirror = p.reflect()
-        assert any(type(q) is TransformedPiece and type(q.base) is ReflectedPiece
+        assert any(type(q) is XSinPiece and q.affine is not None and len(q.mirrors) == 1
                    for q in mirror.pieces)
         assert (mirror.a, mirror.b) == (p.a, p.b) == (0.1, 1.0)
         assert mirror.continuity_flag
@@ -1071,10 +1075,10 @@ class TestWrappedRoutes:
     def test_a_mirror_about_another_center_nests(self):
         piece = XSinPiece(0.1, 0.5, 1).reflected(1.0)  # x -> xsin(1 - x) on [0.5, 0.9]
         model = FunctionModel([piece])
-        mirror = model.reflect()  # about 1.4, not 1.0: a second wrapper
+        mirror = model.reflect()  # about 1.4, not 1.0: a second mirror
         [outer] = mirror.pieces
-        assert type(outer) is ReflectedPiece and outer.base is not piece
-        assert type(outer.base) is ReflectedPiece and type(outer.base.base) is XSinPiece
+        assert type(outer) is XSinPiece and outer.affine is None
+        assert [csum for csum, _, _ in outer.mirrors] == [1.0, 1.4]
         assert (mirror.a, mirror.b) == (0.5, 0.9)
         for x in [0.5, *model.verification_grid(33), 0.9]:
             # the piece itself, as 1.4 - 0.9 rounds below the model's domain
@@ -1082,8 +1086,88 @@ class TestWrappedRoutes:
         knots = mirror.monotone_segments().knots()
         want = model.monotone_segments().knots()
         assert knots == pytest.approx(sorted(1.4 - k for k in want), abs=1e-9)
-        # a mirror about the wrapper's own center unwraps it
-        assert piece.reflected(1.0) is piece.base
+        # a mirror about the last mirror's own center undoes it, and the
+        # piece regains the domain that mirror stored
+        bare = piece.reflected(1.0)
+        assert (bare.lo, bare.hi, bare.mirrors, bare.affine) == (0.1, 0.5, (), None)
+
+    @pytest.mark.parametrize("exponent", [1, 2])
+    def test_a_jordan_part_mirrors_back_to_itself(self, exponent):
+        # the mirror of p's mirror undoes the x*sin pieces' mirrors, which
+        # regain their stored ends, and each constant piece between them
+        # starts where the last piece ends: c - (c - x) may miss that end
+        p = jordan_decomposition(build_oscillation(exponent)).p
+        twice = p.reflect().reflect()
+        assert [(q.lo, q.hi) for q in twice.pieces] == [(q.lo, q.hi) for q in p.pieces]
+        assert all(q.mirrors == () for q in twice.pieces if type(q) is XSinPiece)
+        grid = p.verification_grid(4096)
+        assert twice.evaluate_many(grid) == p.evaluate_many(grid)
+
+    def test_make_transformed_refuses_a_base_it_cannot_fold(self):
+        message = ("cannot transform a CantorPiece on [0, 1]; "
+                   "transform its expansion")
+        with pytest.raises(SpecFormatError, match=f"^{re.escape(message)}$"):
+            make_transformed(CantorPiece(0, 1, 2), 0, 1, 0)
+
+
+def _reprs(values) -> list:
+    # repr tells -0.0 from 0.0, and every float bit for bit
+    return [repr(v) for v in values]
+
+
+_FOLD_OPS = st.one_of(
+    st.tuples(st.just("reflect"), st.sampled_from(["span", "last", 1.0, 1.3, 2])),
+    st.tuples(st.just("restrict"), st.sampled_from([0, 0.125, 0.25, 1 / 3]),
+              st.sampled_from([2 / 3, 0.75, 0.875, 1])),
+    st.tuples(st.just("transform"), st.sampled_from([1, -1, 0.5, -2.5, F(1, 3)]),
+              st.sampled_from([0, -0.0, 1, -1, 0.25]),
+              st.sampled_from([0, 0.0, -0.0, 1, -0.75, F(2, 3)])),
+)
+
+
+class TestFoldedXSinPiece:
+    """An x*sin piece with its mirrors and affine part against the wrapper
+    tree it replaced (:mod:`wrapper_oracle`), bit for bit, after any
+    sequence of mirrors, restrictions and transforms."""
+
+    @staticmethod
+    def assert_same(new, old):
+        assert type(new) is XSinPiece
+        assert _reprs([new.lo, new.hi]) == _reprs([old.lo, old.hi])
+        xs = [new.lo + (new.hi - new.lo) * k / 8 for k in range(9)]
+        assert _reprs(map(new.value, xs)) == _reprs(map(old.value, xs))
+        assert _reprs(map(new.derivative, xs)) == _reprs(map(old.derivative, xs))
+        assert _reprs(new.interior_criticals()) == _reprs(old.interior_criticals())
+        # a transformed piece samples its base's grid
+        gridded = old.base if type(old) is wrapper_oracle.TransformedPiece else old
+        assert (_reprs(new._sample_grid(new.lo, new.hi))
+                == _reprs(gridded._sample_grid(old.lo, old.hi)))
+
+    @given(exponent=st.sampled_from([0, 1, 2, 1.5]),
+           lo=st.sampled_from([0.05, 0.1, 0.3]),
+           width=st.sampled_from([0.4, 0.9, 1.0]),
+           ops=st.lists(_FOLD_OPS, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_wrapper_tree(self, exponent, lo, width, ops):
+        new = XSinPiece(lo, lo + width, exponent)
+        old = wrapper_oracle.XSinPiece(lo, lo + width, exponent)
+        self.assert_same(new, old)
+        for op, *args in ops:
+            if op == "reflect":
+                csum = args[0]
+                if csum == "last":
+                    csum = new.mirrors[-1][0] if new.mirrors else "span"
+                if csum == "span":
+                    csum = new.lo + new.hi
+                new, old = new.reflected(csum), old.reflected(csum)
+            elif op == "restrict":
+                width = new.hi - new.lo
+                at_lo, at_hi = (new.lo + width * u for u in args)
+                new, old = new.restrict(at_lo, at_hi), old.restrict(at_lo, at_hi)
+            else:
+                new = make_transformed(new, *args)
+                old = wrapper_oracle.make_transformed(old, *args)
+            self.assert_same(new, old)
 
 
 class TestPieceRules:
@@ -1109,6 +1193,16 @@ class TestPieceRules:
         (lambda: XSinPiece(-0.5, 1, 1), SpecFormatError, "x_sin_family pieces need lo >= 0"),
         (lambda: XSinPiece(0.1, 1, True), SpecFormatError,
          "x_sin_family exponent must be a number; got True"),
+        (lambda: CantorPiece(0, 1, "3"), SpecFormatError,
+         "cantor_iterate level must be an int; got '3'"),
+        (lambda: CantorPiece(0, 1, None), SpecFormatError,
+         "cantor_iterate level must be an int; got None"),
+        (lambda: XSinPiece(0.1, 1, "x"), SpecFormatError,
+         "x_sin_family exponent must be a number; got 'x'"),
+        (lambda: XSinPiece(0.1, 1, "3"), SpecFormatError,
+         "x_sin_family exponent must be a number; got '3'"),
+        (lambda: XSinPiece(0.1, 1, None), SpecFormatError,
+         "x_sin_family exponent must be a number; got None"),
         (lambda: FunctionModel([]), SpecFormatError, "a model needs at least one piece"),
         (lambda: FunctionModel([LinearPiece(0, 1, 1, 0)], arithmetic="decimal"),
          SpecFormatError, "unknown arithmetic mode 'decimal'"),
@@ -1123,7 +1217,9 @@ class TestPieceRules:
     ], ids=["empty-domain", "cantor-level-negative", "cantor-past-one",
             "cantor-below-zero", "cantor-level-fraction", "cantor-level-bool",
             "cantor-level-rational", "cantor-level-nan", "xsin-below-zero",
-            "xsin-exponent-bool", "no-pieces", "unknown-arithmetic",
+            "xsin-exponent-bool", "cantor-level-str", "cantor-level-none",
+            "xsin-exponent-str", "xsin-exponent-numeric-str", "xsin-exponent-none",
+            "no-pieces", "unknown-arithmetic",
             "preimage-point-target", "preimage-reversed-target",
             "preimage-discontinuous", "cantor-builder-negative", "one-knot"])
     def test_refused(self, build, error, message):

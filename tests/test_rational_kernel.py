@@ -20,8 +20,7 @@ from bvkit.model import (
     FunctionModel,
     LinearPiece,
     PolynomialPiece,
-    ReflectedPiece,
-    TransformedPiece,
+    XSinPiece,
     build_cantor_iterate,
     piecewise_linear,
 )
@@ -29,6 +28,7 @@ from bvkit.variation import jordan_decomposition
 
 from test_evaluation_routes import _keys
 from test_variation import rise_fall_plateau
+from wrapper_oracle import ReflectedPiece, TransformedPiece
 
 
 def _old_coerce(model, x):
@@ -175,9 +175,14 @@ UNTABLED = {
     "polynomial": (lambda: FunctionModel(
         [PolynomialPiece(0, 1, [0, 0, 1])], arithmetic="rational"),
         "PolynomialPiece on [0, 1]"),
-    # the wrapper hides its Cantor piece from the expansion
+    # the wrapper hides its Cantor piece from the expansion; the wrappers
+    # are the test oracle's, as no piece of bvkit wraps another
     "reflected-cantor": (lambda: FunctionModel([ReflectedPiece(CantorPiece(0, 1, 2), 1)]),
                          "ReflectedPiece on [0, 1]"),
+    # a mirrored x*sin piece names its own class
+    "mirrored-xsin": (lambda: FunctionModel([XSinPiece(0.5, 1, 1).reflected(2)],
+                                            arithmetic="rational"),
+                      "XSinPiece on [1, 1.5]"),
 }
 
 
