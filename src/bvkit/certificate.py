@@ -15,13 +15,22 @@ classifies the cover into the bands beyond / between the cell endpoint
 values, and closes the inequality ledger with budget 5*eps for p and
 9*eps for n.  Every recorded inequality is checked with exact arithmetic
 in rational mode.
+
+Both walk their inputs forward.  The cells come from one walk of the
+partition, the segmentation and N's components on the segmentation's
+integer keys, and a cell that is one monotone segment (every cell of the
+default partition) works on that segment alone (see :func:`_cell_record`).
+The shift certificate pulls each cover interval back only on the segments
+that F's running extremes allow (see :func:`_cover_preimage`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
+from itertools import accumulate
 from types import SimpleNamespace
 
 from .errors import CertificateFailure, PreconditionError
@@ -29,14 +38,17 @@ from .intervals import Interval, IntervalSet
 from .measure import (
     FAILS,
     NullSetFamily,
+    _sums_endpoints,
     image_measure,
     image_set,
     inflate,
     lusin_probe,
+    part_images,
     split_cover_at,
 )
 from .model import (
     CONSTANT,
+    DECREASING,
     FunctionModel,
     _checked_epsilon,
     _read_exactly,
@@ -175,9 +187,7 @@ def shift_certificate(model: FunctionModel, N: IntervalSet, epsilon,
                 f"image measure {img.measure} leaves no cover slack below {epsilon}")
         u = inflate(img, epsilon - img.measure)
         u_prime = inflate(n2, epsilon - n2.measure)
-        pre_u = IntervalSet(comp for piece in u
-                            for comp in model.preimage(piece.lo, piece.hi))
-        core = u_prime.intersect(pre_u)
+        core = u_prime.intersect(_cover_preimage(model, u))
 
         # the plateaus are disjoint and in order: at most one holds each end
         plateau_ivs = [iv for iv, _ in plateaus]
@@ -189,28 +199,31 @@ def shift_certificate(model: FunctionModel, N: IntervalSet, epsilon,
                 i = bisect_right(plateau_starts, x) - 1
                 if i >= 0 and plateau_ivs[i].contains(x):
                     held.add(i)
+            if not held:
+                trimmed_list.append(comp)
+                continue
+            # one component, and closed plateaus that never touch
             cut = [plateau_ivs[i] for i in sorted(held)]
-            rest = IntervalSet((comp,)).difference(IntervalSet(cut))
+            rest = IntervalSet._normal((comp,)).difference(IntervalSet._normal(cut))
             trimmed_list.extend(rest.components)
         trimmed = tuple(trimmed_list)
 
-        residual = n2.difference(IntervalSet(trimmed))
+        residual = n2.difference(IntervalSet.ordered(trimmed))
         if not residual.is_empty:
             raise CertificateFailure(
                 "trimmed open core does not contain the off-plateau set",
                 detail={"residual": residual})
 
-        images = tuple(image_set(model, IntervalSet((c,))) for c in trimmed)
+        images, g_comps = _trimmed_images(model, shifted, trimmed)
         for left, right in zip(images, images[1:]):
             if not left.intersect(right).is_empty:
                 raise CertificateFailure(
                     "image intervals of trimmed components are not disjoint",
                     detail={"left": left, "right": right})
 
-        comp_total = sum(c.length for c in trimmed)
+        comp_total = sum(c.hi - c.lo for c in trimmed)
         img_total = sum(j.measure for j in images)
-        for k, (comp, jk) in enumerate(zip(trimmed, images)):
-            g_comp = image_measure(shifted, IntervalSet((comp,)))
+        for k, (comp, jk, g_comp) in enumerate(zip(trimmed, images, g_comps)):
             ledger.append(LedgerEntry(f"shift_component_bound[{k}]", g_comp,
                                       comp.length + jk.measure, strict=False))
         g_n2 = image_measure(shifted, n2)
@@ -232,6 +245,61 @@ def shift_certificate(model: FunctionModel, N: IntervalSet, epsilon,
     )
     _check(trace.ledger, model.grace, "shift certificate")
     return trace
+
+
+def _cover_preimage(model: FunctionModel, cover: IntervalSet) -> IntervalSet:
+    """F^{-1} of the sorted open cover, for a non-decreasing F: each cover
+    interval (c, d) is pulled back on the segments between the last knot
+    whose running maximum is at most c and the first whose running minimum
+    is at least d, as no segment outside them has a value inside (c, d).
+    Both knots move forward only, and a float model's slivers of decrease
+    stay outside its window as well.  A part of one interval never merges
+    with a part of another, as their values lie in disjoint open
+    intervals, so one merge of them all is the union of each interval's
+    ``model.preimage``."""
+    segmentation = model.monotone_segments()
+    segments, values = segmentation.segments, segmentation.values
+    top = list(accumulate(values, max))
+    bottom = list(accumulate(reversed(values), min))[::-1]
+    last = len(values) - 1
+    i = j = 0
+    parts = []
+    for piece in cover:
+        c, d = piece.lo, piece.hi
+        while i < last and top[i + 1] <= c:
+            i += 1
+        while j < last and bottom[j] < d:
+            j += 1
+        for m in range(i, j):
+            parts.extend(model._segment_preimage(segments[m], values[m], values[m + 1], c, d))
+    return IntervalSet(parts)
+
+
+def _trimmed_images(model, shifted, trimmed) -> tuple:
+    """F(comp) and lambda(G(comp)) for each trimmed component.
+
+    F is checked non-decreasing, and a rational one is exactly so: the
+    image of a component that misses every plateau's interior is the
+    interval from F at its lo to F at its hi, with its flags, F taken in
+    one sweep over all the ends.  G's image measure is |G(hi) - G(lo)|
+    where :func:`image_measure` sums ends.  A float model, whose evaluated
+    F may dip by an ulp where its segments say it rises, measures each
+    component as before."""
+    ends = [e for comp in trimmed for e in (comp.lo, comp.hi)]
+    if model.exact:
+        values = model.evaluate_many(ends)
+        images = tuple(
+            IntervalSet._normal((Interval(flo, fhi, comp.lo_open, comp.hi_open),))
+            if flo < fhi else image_set(model, IntervalSet((comp,)))
+            for comp, flo, fhi in zip(trimmed, values[::2], values[1::2]))
+    else:
+        images = tuple(image_set(model, IntervalSet((comp,))) for comp in trimmed)
+    if _sums_endpoints(shifted):
+        g = shifted.evaluate_many(ends)
+        g_comps = [abs(ghi - glo) for glo, ghi in zip(g[::2], g[1::2])]
+    else:
+        g_comps = [image_measure(shifted, IntervalSet((comp,))) for comp in trimmed]
+    return images, g_comps
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +412,8 @@ def variation_certificate(model: FunctionModel, N: IntervalSet, epsilon,
             f"partition defect {defect} is not below epsilon {epsilon}")
 
     N = _clipped(model, N)
-    cells = []
-    for i, (xl, xr) in enumerate(zip(partition, partition[1:])):
-        cells.append(_cell_record(model, decomposition, i, xl, xr, N, epsilon))
+    cells = [_cell_record(model, decomposition, i, cell, epsilon)
+             for i, cell in enumerate(_cells(model, partition, N))]
     zero = model.zero
     trace = CertificateTrace(
         epsilon=epsilon,
@@ -366,19 +433,79 @@ def variation_certificate(model: FunctionModel, N: IntervalSet, epsilon,
     return trace
 
 
+def _cells(model: FunctionModel, partition, N: IntervalSet):
+    """``(xl, xr, F(xl), F(xr), n_i, k)`` for each cell [xl, xr] of the
+    partition, from one forward walk of the partition, the segmentation
+    and N's sorted components on the segmentation's integer keys (see
+    :meth:`MonotoneSegmentation.key`).  ``k`` is the index of the segment
+    the cell is, when its ends are that segment's knots, else None.  F at
+    a knot is its stored value when the point has the knot's type (an int
+    point may give an int where a Fraction knot gives a Fraction); other
+    points are evaluated.  ``n_i`` is ``N.clip(xl, xr)``, found on keys in
+    a segment cell, whose ends are knots."""
+    segmentation = model.monotone_segments()
+    keys, key, values, bounds = (segmentation.keys, segmentation.key,
+                                 segmentation.values, segmentation.bounds)
+    at, knot, f = [], [], []
+    m = 0
+    for x in partition:
+        kx = key(x)
+        while keys[m] < kx:
+            m += 1
+        at.append(kx)
+        knot.append(m if keys[m] == kx else None)
+        f.append(values[m] if keys[m] == kx and type(x) is type(bounds[m]) else None)
+    missing = iter(model.evaluate_many([x for x, v in zip(partition, f) if v is None]))
+    f = [next(missing) if v is None else v for v in f]
+
+    comps = N.components
+    comp_keys = [(key(comp.lo), key(comp.hi)) for comp in comps]
+    j = 0
+    for i, (xl, xr) in enumerate(zip(partition, partition[1:])):
+        k_l, k_r = at[i], at[i + 1]
+        # a component that ends before xl ends before every later cell
+        while j < len(comps) and comp_keys[j][1] < k_l:
+            j += 1
+        k = knot[i]
+        if k is None or knot[i + 1] != k + 1:
+            yield xl, xr, f[i], f[i + 1], N.clip(xl, xr), None
+            continue
+        pieces = []
+        for comp, (k_lo, k_hi) in zip(comps[j:], comp_keys[j:]):
+            if k_lo > k_r or (k_lo == k_r and comp.lo_open):
+                break
+            if k_hi == k_l and comp.hi_open:
+                continue
+            if k_lo < k_l or k_hi > k_r:
+                # Interval.intersect with [xl, xr]: a tie keeps comp's end
+                lo, lo_open = (xl, False) if k_lo < k_l else (comp.lo, comp.lo_open)
+                hi, hi_open = (xr, False) if k_hi > k_r else (comp.hi, comp.hi_open)
+                comp = Interval(lo, hi, lo_open, hi_open)
+            pieces.append(comp)
+        yield xl, xr, f[i], f[i + 1], IntervalSet._normal(pieces), k
+
+
 def _values_equal(model, u, v) -> bool:
     if model.exact:
         return u == v
     return abs(u - v) <= model.tol
 
 
-def _cell_record(model, decomposition, index, xl, xr, N, epsilon) -> CellRecord:
+def _cell_record(model, decomposition, index, cell, epsilon) -> CellRecord:
+    """One cell's cover, bands, sums, anchors and ledger.
+
+    A cell that is one monotone segment ``k`` maps its image in order,
+    pulls each cover interval back by the segment's one solve and reads
+    its middle-band anchors off those components' ends.  On a rational
+    one F maps each component exactly onto its cover interval within the
+    cell's values, so the swings and p's and n's moves are those lengths;
+    a float one evaluates F, p and n at the ends, as any other cell does.
+    Any other cell takes the model's windowed routes."""
+    xl, xr, f_lo, f_hi, n_i, k = cell
     pf = decomposition.p_function
-    f_lo, f_hi = model.evaluate_many((xl, xr))
     flat = _values_equal(model, f_lo, f_hi)
     case = FLAT_CELL if flat else ORDERED_CELL
     zero = model.zero
-    n_i = N.clip(xl, xr)
 
     if n_i.is_empty:
         ledger = (LedgerEntry("p_cover_budget", zero, 5 * epsilon),
@@ -387,7 +514,21 @@ def _cell_record(model, decomposition, index, xl, xr, N, epsilon) -> CellRecord:
                           IntervalSet.empty(), (), (xl, xr), (), (), (), (),
                           zero, zero, zero, zero, zero, zero, zero, zero, ledger)
 
-    image = image_set(model, n_i)
+    if k is None:
+        image = image_set(model, n_i)
+    else:
+        segments = model.monotone_segments().segments
+        seg = segments[k]
+        v_lo, v_hi = pf.values[k], pf.values[k + 1]
+        rows = list(model._segment_rows(seg))
+        n_values = model.evaluate_many([e for comp in n_i for e in (comp.lo, comp.hi)])
+        parts = [(comp, seg.direction) for comp in n_i]
+        point = n_i.components[0]
+        if k and point.lo == point.hi == xl:
+            # image_set meets a point at the left knot first on the segment
+            # before, whose direction orders the point's two end values
+            parts[0] = (point, segments[k - 1].direction)
+        image = part_images(parts, n_values)
     if not image.measure < epsilon:
         raise PreconditionError(
             f"cell {index}: image measure {image.measure} leaves no cover "
@@ -411,17 +552,36 @@ def _cell_record(model, decomposition, index, xl, xr, N, epsilon) -> CellRecord:
                     f"cell {index}: cover piece {piece} straddles a band "
                     "boundary after endpoint splitting")
             band = MID
-        comps = model.preimage(piece.lo, piece.hi, xl, xr).clip(xl, xr, True, True)
+        if k is None:
+            comps = model.preimage(piece.lo, piece.hi, xl, xr)
+        else:
+            comps = IntervalSet._normal(
+                [part for part in model._segment_preimage(seg, v_lo, v_hi, piece.lo,
+                                                          piece.hi, rows)
+                 if not part.empty])
+        comps = comps.clip(xl, xr, True, True)
         pieces.append(CoverPiece(piece, band, comps.components))
 
     p_sum = n_sum = f_sum = zero
     band_sums = {PLUS: zero, MINUS: zero, MID: zero, FLAT_BAND: zero}
     q_points = [xl, xr]
     for cp in pieces:
-        # a piece's components are disjoint and sorted: one sweep gives F
-        # at every end, and p and n = p - F follow from the same values
         ends = [e for comp in cp.components for e in (comp.lo, comp.hi)]
         q_points.extend(ends)
+        if k is not None and model.exact:
+            # F maps the segment's component onto the cover interval within
+            # the cell's values, exactly; there p moves by the same swing,
+            # and n = p - F by none where F rises and twice it where it falls
+            if cp.components:
+                swing = min(cp.interval.hi, hi_val) - max(cp.interval.lo, lo_val)
+                p_sum += swing
+                if seg.direction == DECREASING:
+                    n_sum += 2 * swing
+                f_sum += swing
+                band_sums[cp.band] += swing
+            continue
+        # a piece's components are disjoint and sorted: one sweep gives F
+        # at every end, and p and n = p - F follow from the same values
         values = model.evaluate_many(ends)
         for lo, hi, f_lo_end, f_hi_end in zip(ends[::2], ends[1::2],
                                               values[::2], values[1::2]):
@@ -433,8 +593,15 @@ def _cell_record(model, decomposition, index, xl, xr, N, epsilon) -> CellRecord:
             band_sums[cp.band] += swing
     q_partition = tuple(_sorted_unique(q_points))
 
-    p_image = image_measure(decomposition.p, n_i)
-    n_image = image_measure(decomposition.n, n_i)
+    if k is None or not model.exact:
+        p_image = image_measure(decomposition.p, n_i)
+        n_image = image_measure(decomposition.n, n_i)
+    else:
+        # on a monotone segment p moves by |F(hi) - F(lo)| across each part
+        # of N, and n = p - F by nothing where F rises and by twice that
+        # where it falls; their values are Fractions, and so are the sums
+        p_image = Fraction(image.measure)
+        n_image = 2 * p_image if seg.direction == DECREASING else zero
 
     ledger = [
         LedgerEntry("p_image_vs_components", p_image, p_sum, strict=False),
@@ -460,7 +627,7 @@ def _cell_record(model, decomposition, index, xl, xr, N, epsilon) -> CellRecord:
         mid_members = [cp for cp in pieces if cp.band == MID and cp.components]
         if mid_members:
             anchors, s1, s2, anchor_sum = _mid_anchors(
-                model, xl, xr, mid_members, increasing)
+                model, xl, xr, mid_members, increasing, k)
             mid_cover = sum(cp.interval.length for cp in pieces if cp.band == MID)
             ledger.append(LedgerEntry("mid_vs_anchor_swings",
                                       band_sums[MID], epsilon + anchor_sum))
@@ -524,7 +691,7 @@ def _beyond_family_trace(model, xl, xr, members, side, side_high) -> FamilyTrace
     return FamilyTrace(side, level, alpha, beta, r1, r2, gain)
 
 
-def _mid_anchors(model, xl, xr, mid_members, increasing):
+def _mid_anchors(model, xl, xr, mid_members, increasing, k=None):
     """Level-set anchors for the middle band, orientation-covariant.
 
     For an increasing cell each band interval (c, d) anchors at the first
@@ -533,16 +700,32 @@ def _mid_anchors(model, xl, xr, mid_members, increasing):
     crossing of d after the next anchor, which lies to its left.  Returns
     the anchors, the coarse and refined auxiliary partitions, and the
     anchored swing total.
+
+    On a cell that is the monotone segment ``k`` every level crosses once,
+    where its member's one component ends (see :func:`_crossing`).  On a
+    float cell a closing level whose window stops at the next anchor is
+    still found on that window, whose bracket sets the solve's last bits;
+    an exact solve is the same on any bracket that holds the crossing.
     """
     members = sorted(mid_members, key=lambda cp: cp.interval.lo)
     levels = [(cp.interval.lo, cp.interval.hi) for cp in members]
     first, last = (0, -1) if increasing else (-1, 0)
-    alphas = [model.level_points(c, xl, xr)[first] for c, _ in levels]
+    if k is None:
+        alphas = [model.level_points(c, xl, xr)[first] for c, _ in levels]
+    else:
+        # the c end of a rising component is its lo, of a falling one its hi
+        alphas = [_crossing(model, k, xl, c, cp.components[0].lo if increasing
+                            else cp.components[0].hi)
+                  for (c, _), cp in zip(levels, members)]
     nexts = alphas[1:] + [xr if increasing else xl]
     anchors = []
-    for (c, d), alpha, nxt in zip(levels, alphas, nexts):
-        window = (xl, nxt) if increasing else (nxt, xr)
-        beta = model.level_points(d, *window)[last]
+    for j, ((c, d), alpha, nxt) in enumerate(zip(levels, alphas, nexts)):
+        if k is not None and (model.exact or j == len(levels) - 1):
+            comp = members[j].components[0]
+            beta = _crossing(model, k, xl, d, comp.hi if increasing else comp.lo)
+        else:
+            window = (xl, nxt) if increasing else (nxt, xr)
+            beta = model.level_points(d, *window)[last]
         anchors.append(AnchorRecord(c, d, alpha, beta))
     s1 = tuple(_sorted_unique(
         [xl, xr] + [a.alpha for a in anchors] + [a.beta for a in anchors]))
@@ -557,6 +740,21 @@ def _mid_anchors(model, xl, xr, mid_members, increasing):
     anchor_sum = sum(abs(f_beta - f_alpha)
                      for f_alpha, f_beta in zip(values[::2], values[1::2]))
     return tuple(anchors), s1, s2, anchor_sum
+
+
+def _crossing(model, k, xl, y, solved):
+    """``model.level_points(y, xl, xr)``'s one point on a cell [xl, xr]
+    that is the monotone segment ``k``, for a level y inside the cell's
+    values, given the segment's solve of y (a middle-band component's
+    end).  A level at the left knot's value is xl, or the first knot on
+    the first cell, where no segment lies to the left; at the right
+    knot's value it is that knot."""
+    segmentation = model.monotone_segments()
+    if y == segmentation.values[k]:
+        return xl if k else segmentation.bounds[0]
+    if y == segmentation.values[k + 1]:
+        return segmentation.bounds[k + 1]
+    return solved
 
 
 # ---------------------------------------------------------------------------

@@ -143,7 +143,11 @@ class IntervalSet:
     def __init__(self, intervals=()):
         intervals = tuple(intervals)
         ends = [x for iv in intervals for x in (iv.lo, iv.hi)]
-        spots = positions(ends)
+        self._build(intervals, ends, positions(ends))
+
+    def _build(self, intervals, ends, spots):
+        """Sort and merge the intervals, given their ends and
+        ``positions(ends)``."""
         if spots is None:
             self._set(_merge(intervals, ends)[0])
             return
@@ -164,6 +168,35 @@ class IntervalSet:
         separated, as the outputs of intersect, complement and clip are."""
         out = cls.__new__(cls)
         out._set(comps)
+        return out
+
+    @classmethod
+    def ordered(cls, intervals) -> "IntervalSet":
+        """The set of intervals listed left to right.  When each is
+        non-empty and ends before the next starts, or where both ends are
+        open at one point, they are the components as they stand, with no
+        sort or merge; otherwise the constructor runs.  Either way the set
+        is the constructor's, its measure's span included: the checks run
+        on the same keys."""
+        intervals = tuple(intervals)
+        ends = [x for iv in intervals for x in (iv.lo, iv.hi)]
+        spots = positions(ends)
+        at = ends if spots is None else spots[1]
+        out = cls.__new__(cls)
+        total = 0
+        end = None
+        for i, iv in enumerate(intervals):
+            s, e = at[2 * i], at[2 * i + 1]
+            if not (s < e or (s == e and not (iv.lo_open or iv.hi_open))) or (
+                    end is not None and not (end < s or (end == s and end_open and iv.lo_open))):
+                out._build(intervals, ends, spots)
+                return out
+            total += e - s
+            end, end_open = e, iv.hi_open
+        if spots is None:
+            out._set(intervals)
+        else:
+            out._set(intervals, (total, spots[0], all(type(x) is int for x in ends)))
         return out
 
     # -- constructors ----------------------------------------------------

@@ -39,15 +39,28 @@ def image_set(model: FunctionModel, E: IntervalSet) -> IntervalSet:
     parts = _segment_parts(model.monotone_segments(), E.clip(model.a, model.b).components)
     # the parts run left to right, so their ends take one sorted sweep
     ends = model.evaluate_many([e for part, _ in parts for e in (part.lo, part.hi)])
+    return part_images(parts, ends)
+
+
+def part_images(parts, ends) -> IntervalSet:
+    """The union of the images of ``(part, direction)`` pairs, given F at
+    each part's two ends in ``ends``.  Parts that all rise map in order,
+    and parts that all fall in reverse order: when the images then come
+    out separated, the set takes them with no sort or merge."""
     pieces = []
+    falling = True
     for (part, direction), flo, fhi in zip(parts, ends[::2], ends[1::2]):
         if direction == CONSTANT:
             pieces.append(Interval(flo, flo))
+            falling = False
         elif direction == INCREASING:
             pieces.append(Interval(flo, fhi, part.lo_open, part.hi_open))
+            falling = False
         else:
             pieces.append(Interval(fhi, flo, part.hi_open, part.lo_open))
-    return IntervalSet(pieces)
+    if falling:
+        pieces.reverse()
+    return IntervalSet.ordered(pieces)
 
 
 def _segment_parts(segmentation, comps) -> list:
@@ -137,13 +150,16 @@ def inflate(E: IntervalSet, slack) -> IntervalSet:
     m = len(E.components)
     total = E.measure
     floor = slack / (4 * m)
+    spread = total > 0
     out = []
     for comp in E:
-        share = slack * comp.length / total if total > 0 else 0
+        # a component of a set is never empty: its length is hi - lo
+        share = slack * (comp.hi - comp.lo) / total if spread else 0
         amount = max(share / 2, floor)
         half = amount / 2
         out.append(Interval(comp.lo - half, comp.hi + half, True, True))
-    return IntervalSet(out)
+    # E's components are in order, so the cover is too, unless two overlap
+    return IntervalSet.ordered(out)
 
 
 def cover_image(model: FunctionModel, E: IntervalSet, slack) -> IntervalSet:
@@ -153,9 +169,28 @@ def cover_image(model: FunctionModel, E: IntervalSet, slack) -> IntervalSet:
 
 def split_cover_at(cover: IntervalSet, values) -> IntervalSet:
     """Exclude the given points from the cover, splitting any interval that
-    strictly contains one; total measure is unchanged."""
-    points = IntervalSet(Interval(v, v) for v in values)
-    return cover.difference(points)
+    strictly contains one; total measure is unchanged.
+
+    One walk over the sorted components: each point a component contains
+    ends the part before it, open, and starts the part after it, open, as
+    ``cover.difference`` of the points would; of equal points the first is
+    the one kept."""
+    points = []
+    # stable, so the first of equal values leads; a NaN is no point
+    for v in sorted(v for v in values if v == v):
+        if not points or points[-1] != v:
+            points.append(v)
+    out = []
+    for comp in cover:
+        for v in points:
+            if comp.contains(v):
+                left = Interval(comp.lo, v, comp.lo_open, True)
+                if not left.empty:
+                    out.append(left)
+                comp = Interval(v, comp.hi, True, comp.hi_open)
+        if not comp.empty:
+            out.append(comp)
+    return IntervalSet._normal(out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bvkit import certificate
 from bvkit.certificate import (
     FLAT_CELL,
     MID,
@@ -15,12 +17,15 @@ from bvkit.certificate import (
     shift_certificate,
     variation_certificate,
 )
-from bvkit.errors import PreconditionError, SpecFormatError
+from bvkit.errors import CertificateFailure, PreconditionError, SpecFormatError
 from bvkit.intervals import Interval, IntervalSet
-from bvkit.measure import cantor_family, measure, shrinking_family
+from bvkit.measure import cantor_family, inflate, measure, shrinking_family
 from bvkit.model import (
+    FunctionModel,
+    LinearPiece,
     build_cantor_iterate,
     build_identity,
+    build_zigzag,
     piecewise_linear,
 )
 from bvkit.specio import jsonable, model_from_dict
@@ -508,3 +513,98 @@ class TestRandomizedCertificates:
         assert trace.shift_bound < 2 * eps
         assert trace.g_n1_measure <= measure(trace.n1)
         assert trace.g_n2_measure <= trace.shift_bound
+
+
+class TestConsistencyChecksFire:
+    """Each of the certifier's own checks, made to fire once by a crafted
+    input or one collaborator that misbehaves, with its class and message."""
+
+    @staticmethod
+    def raises(error, message, build):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            build()
+
+    def test_a_failed_ledger_entry(self, identity, monkeypatch):
+        # G's image of the plateau part cannot exceed that part's measure
+        monkeypatch.setattr(certificate, "image_measure", lambda model, E: F(1))
+        self.raises(CertificateFailure,
+                    "shift certificate: ledger entry 'plateau_translation' failed: 1 vs 0",
+                    lambda: shift_certificate(identity, IntervalSet.closed(0, F(1, 1000)),
+                                              F(1, 100)))
+
+    def test_a_core_that_misses_the_set(self, identity, monkeypatch):
+        monkeypatch.setattr(certificate, "_cover_preimage",
+                            lambda model, cover: IntervalSet.empty())
+        self.raises(CertificateFailure,
+                    "trimmed open core does not contain the off-plateau set",
+                    lambda: shift_certificate(identity, IntervalSet.closed(0, F(1, 1000)),
+                                              F(1, 100)))
+
+    def test_trimmed_images_that_overlap(self, identity, monkeypatch):
+        walk = certificate._trimmed_images
+
+        def overlapping(model, shifted, trimmed):
+            images, measures = walk(model, shifted, trimmed)
+            return (images[0],) * len(images), measures
+
+        monkeypatch.setattr(certificate, "_trimmed_images", overlapping)
+        N = IntervalSet.from_pairs([(0, F(1, 1000)), (F(1, 2), F(501, 1000))])
+        self.raises(CertificateFailure,
+                    "image intervals of trimmed components are not disjoint",
+                    lambda: shift_certificate(identity, N, F(1, 100)))
+
+    def test_a_cover_piece_across_a_band_boundary(self, identity, monkeypatch):
+        # with no split at F(0) = 0 the cover of [0, 1/10] crosses it
+        monkeypatch.setattr(certificate, "split_cover_at", lambda cover, values: cover)
+        N, eps = IntervalSet.closed(0, F(1, 10)), F(1, 2)
+        piece = inflate(N, eps - F(1, 10)).components[0]
+        self.raises(CertificateFailure,
+                    f"cell 0: cover piece {piece} straddles a band boundary "
+                    "after endpoint splitting",
+                    lambda: variation_certificate(identity, N, eps))
+
+    def test_a_cover_that_misses_image_mass(self, identity, monkeypatch):
+        monkeypatch.setattr(certificate, "split_cover_at",
+                            lambda cover, values: IntervalSet.empty())
+        self.raises(CertificateFailure, "cell 0: cover misses image mass [0, 1/10]",
+                    lambda: variation_certificate(identity, IntervalSet.closed(0, F(1, 10)),
+                                                  F(1, 2)))
+
+    def test_a_cover_that_misses_an_image_point(self, identity, monkeypatch):
+        # {1/2} maps to a point inside the cell's values, not to an end one
+        monkeypatch.setattr(certificate, "split_cover_at",
+                            lambda cover, values: IntervalSet.empty())
+        self.raises(CertificateFailure, "cell 0: cover misses image point 1/2",
+                    lambda: variation_certificate(identity, IntervalSet.point(F(1, 2)),
+                                                  F(1, 2)))
+
+    def test_an_anchor_level_not_attained(self, monkeypatch):
+        # a cell across the zigzag's first peak has a family beyond its values
+        model = build_zigzag()
+        base = (F(0), F(15, 64), F(31, 64), F(47, 64), F(1))
+        N, eps = IntervalSet.closed(F(31, 128), F(33, 128)), F(1, 2)
+        cell = next(c for c in variation_certificate(model, N, eps, base).cells
+                    if c.family_traces)
+        level = cell.family_traces[0].anchor_level
+        solve = model.level_points
+        monkeypatch.setattr(model, "level_points",
+                            lambda y, lo, hi: [] if y == level else solve(y, lo, hi))
+        self.raises(CertificateFailure,
+                    f"anchor level {level} not attained inside cell [{cell.lo}, {cell.hi}]",
+                    lambda: variation_certificate(model, N, eps, base))
+
+    @pytest.mark.parametrize("certify, message", [
+        (shift_certificate, "shift certificate requires a continuous model"),
+        (variation_certificate, "variation certificate requires continuity"),
+    ], ids=["shift", "variation"])
+    def test_a_discontinuous_model(self, certify, message):
+        jump = FunctionModel([LinearPiece(0, 1, 1, 0), LinearPiece(1, 2, 1, 5)])
+        self.raises(PreconditionError, message,
+                    lambda: certify(jump, IntervalSet.closed(0, F(1, 100)), F(1, 10)))
+
+    def test_a_shift_image_with_no_cover_slack(self):
+        # N is small, but F = 10x stretches it past epsilon
+        steep = piecewise_linear([(0, 0), (1, 10)])
+        self.raises(PreconditionError, "image measure 1 leaves no cover slack below 1/2",
+                    lambda: shift_certificate(steep, IntervalSet.closed(0, F(1, 10)),
+                                              F(1, 2)))

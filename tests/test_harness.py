@@ -519,6 +519,7 @@ class TestCLI:
         ["--arithmetic", "float", "variation", "{nan_exponent}"],
         ["--arithmetic", "float", "variation", "{inf_exponent}"],
         ["--arithmetic", "float", "variation", "{bool_exponent}"],
+        ["--arithmetic", "float", "variation", "{huge_exponent}"],
         ["variation", "{spec}", "--at", "-1/2"],
         ["ac", "{spec}", "--deltas", "-1/2"],
         ["certify", "{spec}", "--nullset", "{nullset}", "--eps", "-1/8"],
@@ -534,6 +535,7 @@ class TestCLI:
             "interval-flag-string", "interval-flag-int", "interval-reversed",
             "float-bool-slope", "cantor-level-fraction", "cantor-level-bool",
             "xsin-exponent-nan", "xsin-exponent-inf", "xsin-exponent-bool",
+            "xsin-exponent-huge-int",
             "negative-at", "negative-deltas", "negative-eps", "negative-h",
             "negative-threshold"])
     def test_malformed_input_is_an_error(self, argv, zigzag_spec, nullset_file,
@@ -583,6 +585,8 @@ class TestCLI:
             "nan_exponent": _xsin_doc("nan"),
             "inf_exponent": _xsin_doc("inf"),
             "bool_exponent": _xsin_doc(True),
+            # a JSON int of 401 digits, which no float holds
+            "huge_exponent": _xsin_doc(10 ** 400),
         }
         paths = {}
         for name, body in files.items():

@@ -19,6 +19,7 @@ from bvkit.errors import (
 )
 from bvkit.intervals import IntervalSet
 from bvkit.model import (
+    CANTOR_LEVEL_LIMIT,
     CONSTANT,
     DECREASING,
     INCREASING,
@@ -1203,6 +1204,14 @@ class TestPieceRules:
          "x_sin_family exponent must be a number; got '3'"),
         (lambda: XSinPiece(0.1, 1, None), SpecFormatError,
          "x_sin_family exponent must be a number; got None"),
+        (lambda: XSinPiece(0.1, 1, 10 ** 400), SpecFormatError,
+         "x_sin_family exponent must be finite and >= 0; got inf"),
+        (lambda: XSinPiece(0.1, 1, -10 ** 400), SpecFormatError,
+         "x_sin_family exponent must be finite and >= 0; got -inf"),
+        (lambda: CantorPiece(0, 1, 17), SpecFormatError,
+         "cantor_iterate level must be at most 16; got 17"),
+        (lambda: CantorPiece(0, 1, 40.0), SpecFormatError,
+         "cantor_iterate level must be at most 16; got 40.0"),
         (lambda: FunctionModel([]), SpecFormatError, "a model needs at least one piece"),
         (lambda: FunctionModel([LinearPiece(0, 1, 1, 0)], arithmetic="decimal"),
          SpecFormatError, "unknown arithmetic mode 'decimal'"),
@@ -1219,6 +1228,8 @@ class TestPieceRules:
             "cantor-level-rational", "cantor-level-nan", "xsin-below-zero",
             "xsin-exponent-bool", "cantor-level-str", "cantor-level-none",
             "xsin-exponent-str", "xsin-exponent-numeric-str", "xsin-exponent-none",
+            "xsin-exponent-huge-int", "xsin-exponent-huge-negative-int",
+            "cantor-level-past-limit", "cantor-level-far-past-limit",
             "no-pieces", "unknown-arithmetic",
             "preimage-point-target", "preimage-reversed-target",
             "preimage-discontinuous", "cantor-builder-negative", "one-knot"])
@@ -1230,6 +1241,10 @@ class TestPieceRules:
     def test_integral_levels_are_ints(self, level):
         piece = CantorPiece(0, 1, level)
         assert type(piece.level) is int and piece.level == 3
+
+    def test_the_level_limit_itself_is_a_level(self):
+        # a piece expands only in a model, so this builds no pieces
+        assert CantorPiece(0, 1, CANTOR_LEVEL_LIMIT).level == CANTOR_LEVEL_LIMIT == 16
 
 
 class TestVerificationGrid:
