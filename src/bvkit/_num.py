@@ -35,14 +35,12 @@ def frac(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         text = value.strip()
-        num, slash, den = text.partition("/")
-        digits = num[1:] if num[:1] == "-" else num
         try:
             # "-n/d" in ASCII digits is two int parses; Fraction(str) takes
             # every other spelling it accepts (signs, "_", decimals, exponents)
-            if (digits.isascii() and digits.isdigit()
-                    and (not slash or (den.isascii() and den.isdigit()))):
-                return Fraction(int(num), int(den) if slash else 1)
+            ints = _digit_ratio(text)
+            if ints is not None:
+                return Fraction(*ints)
             # an exponent Fraction reads is all the text after the one "e";
             # where that text is no int, Fraction refuses the number too
             _, e, exponent = text.lower().rpartition("e")
@@ -53,6 +51,29 @@ def frac(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise SpecFormatError(f"cannot parse rational {value!r}") from exc
     raise SpecFormatError(f"not a rational value: {value!r}")
+
+
+def _digit_ratio(text: str):
+    """``(int(n), int(d))`` for text spelled ``n``, ``-n``, ``n/d`` or
+    ``-n/d`` in ASCII digits, ``d`` 1 for a whole number; None otherwise."""
+    num, slash, den = text.partition("/")
+    digits = num[1:] if num[:1] == "-" else num
+    if (digits.isascii() and digits.isdigit()
+            and (not slash or (den.isascii() and den.isdigit()))):
+        return int(num), int(den) if slash else 1
+    return None
+
+
+def frac_pair(value) -> tuple:
+    """:func:`frac`'s value as its reduced integer pair ``(n, d)``, ``d > 0``,
+    with its refusals.  Text in ASCII digits is two int parses and one gcd,
+    with no Fraction built."""
+    if type(value) is str:
+        ints = _digit_ratio(value.strip())
+        if ints is not None and ints[1]:
+            g = math.gcd(*ints)
+            return ints[0] // g, ints[1] // g
+    return frac(value).as_integer_ratio()
 
 
 def fraction_quotient(d, w):

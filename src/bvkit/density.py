@@ -383,7 +383,8 @@ class ModulusReport:
 
 
 def _greedy_items(model: FunctionModel):
-    """(gain density, capacity, lo, hi, linear slope or None) per slice."""
+    """(gain density, capacity, lo, hi, linear slope or None) per slice of
+    a float model's pieces."""
     items = []
     for piece in model._expanded:
         if isinstance(piece, ConstantPiece):
@@ -407,13 +408,66 @@ def _greedy_items(model: FunctionModel):
     return items
 
 
+def _pair_samples(model: FunctionModel, schedule) -> list:
+    """The greedy fill of a rational model, on its table.
+
+    The rising and falling pieces are the items, sorted steepest first,
+    then rightmost first, on integer keys: each start and end ``n/d`` as
+    ``n * (D // d)`` over the common denominator D of the knots, and each
+    ``|slope| = |A|/B`` as ``|A| * (S // B)`` over the common denominator S
+    of the slopes.  Widths and gains (|slope| times width, over S * D)
+    are summed once along that order; each delta then takes, by one
+    bisection of the width sums, every item that fits whole, and the next
+    one clipped to what is left.  The values and types are the walk's: a
+    Fraction omega, and a clipped end ``lo + remaining`` whose remaining
+    is an int only when delta and every width before it are."""
+    start_num, start_den, coeffs, _, (b_num, b_den) = model._table
+    starts, knots, forms = model._starts, model._knots, model._source.forms
+    scale = math.lcm(*start_den, b_den)
+    pos = [n * (scale // d) for n, d in zip(start_num, start_den)]
+    pos.append(b_num * (scale // b_den))
+    rows = [i for i, co in enumerate(coeffs) if co is not None and co[0]]
+    slope_scale = math.lcm(*[coeffs[i][2] for i in rows])
+    steep = {i: abs(coeffs[i][0]) * (slope_scale // coeffs[i][2]) for i in rows}
+    rows.sort(key=lambda i: (steep[i], pos[i]), reverse=True)
+    widths, gains, whole = [0], [0], [True]
+    for i in rows:
+        w = pos[i + 1] - pos[i]
+        widths.append(widths[-1] + w)
+        gains.append(gains[-1] + steep[i] * w)
+        whole.append(whole[-1] and type(starts[i]) is int and type(knots[i + 1]) is int)
+    gain_den = slope_scale * scale
+    samples = []
+    for delta in schedule:
+        d_num, d_den = delta.as_integer_ratio()
+        k = bisect_right(widths, d_num * scale // d_den) - 1
+        ends = {i: knots[i + 1] for i in rows[:k]}
+        omega = Fraction(gains[k], gain_den)
+        if k < len(rows) and widths[k] * d_den != d_num * scale:
+            i = rows[k]
+            if isinstance(delta, int) and whole[k]:
+                remaining = delta - widths[k] // scale
+            else:
+                remaining = Fraction(d_num * scale - widths[k] * d_den, d_den * scale)
+            slope_num, _, den, _ = coeffs[i]
+            slope = (abs(slope_num) // den if forms[i][0] is int
+                     else Fraction(abs(slope_num), den))
+            omega += slope * remaining
+            ends[i] = starts[i] + remaining
+        chosen = IntervalSet.ordered(Interval(starts[i], ends[i]) for i in sorted(ends))
+        samples.append((delta, omega, chosen))
+    return samples
+
+
 def ac_modulus(model: FunctionModel, deltas) -> ModulusReport:
     """Worst-case image swing over disjoint collections of length <= delta.
 
     Exact for piecewise-linear models (the greedy fill over slope-sorted
     pieces solves the fractional allocation); for curved pieces the greedy
     runs on a sliced profile and the result is a stated lower bound (the
-    reported collections are always feasible).
+    reported collections are always feasible).  A rational model fills on
+    its table, with one prefix sweep for the whole schedule
+    (:func:`_pair_samples`); a float model walks its items once per delta.
     """
     if not model.continuity_flag:
         raise PreconditionError("the modulus requires a continuous model")
@@ -421,34 +475,36 @@ def ac_modulus(model: FunctionModel, deltas) -> ModulusReport:
     if not schedule or not all(0 < d < math.inf for d in schedule):
         raise SpecFormatError("need one or more deltas, each positive and finite")
     if model.exact:  # float deltas are read exactly, as epsilon is
-        schedule = [_read_exactly(model, d) for d in schedule]
-    schedule.sort()
-    items = _greedy_items(model)
-    zero = model.zero
-    samples = []
-    for delta in schedule:
-        remaining = delta
-        omega = zero
-        chosen = []
-        for density, width, lo, hi, slope in items:
-            if not remaining > 0:
-                break
-            if width <= remaining:
-                take_hi = hi
-                gain = density * width
-                remaining -= width
-            else:
-                take_hi = lo + remaining
-                # evaluate the clipped swing honestly: for a curved slice
-                # the uniform-density estimate may not be attainable
-                if slope is None:
-                    gain = abs(model.evaluate(take_hi) - model.evaluate(lo))
+        samples = _pair_samples(model, sorted(_read_exactly(model, d) for d in schedule))
+    else:
+        # one walk of the items per delta: the sequential remaining -= width
+        # sets the last bits
+        samples = []
+        items = _greedy_items(model)
+        zero = model.zero
+        for delta in sorted(schedule):
+            remaining = delta
+            omega = zero
+            chosen = []
+            for density, width, lo, hi, slope in items:
+                if not remaining > 0:
+                    break
+                if width <= remaining:
+                    take_hi = hi
+                    gain = density * width
+                    remaining -= width
                 else:
-                    gain = slope * remaining
-                remaining = zero
-            omega += gain
-            chosen.append(Interval(lo, take_hi))
-        samples.append((delta, omega, IntervalSet(chosen)))
+                    take_hi = lo + remaining
+                    # evaluate the clipped swing honestly: for a curved slice
+                    # the uniform-density estimate may not be attainable
+                    if slope is None:
+                        gain = abs(model.evaluate(take_hi) - model.evaluate(lo))
+                    else:
+                        gain = slope * remaining
+                    remaining = zero
+                omega += gain
+                chosen.append(Interval(lo, take_hi))
+            samples.append((delta, omega, IntervalSet(chosen)))
     for (d0, w0, _), (d1, w1, _) in zip(samples, samples[1:]):
         if w1 < w0:
             raise PreconditionError(f"omega decreased from {w0} to {w1}")

@@ -8,26 +8,31 @@ of its argument, so rational-mode models stay rational end to end.
 
 Evaluation has one path per arithmetic mode, and ``evaluate`` is a batch
 of one.  A rational model evaluates on integer numerator/denominator
-pairs: its pieces are tabulated at construction, and the order, domain
-and piece tests are integer cross-multiplications.  The table holds
-linear and constant pieces with int or Fraction knots and parameters
-(Cantor pieces expand into those), and a rational model refuses any other
-piece.  A float model evaluates on a float table built at construction:
-each piece start as the least float at or above it, so a float point is
-placed among int or Fraction knots without exact comparisons, and each
-linear piece as float slope and intercept.  Its other pieces evaluate the
-point themselves, and a constant piece gives its constant as it is.  A
+pairs: its pieces are a table of integer rows, and the order, domain and
+piece tests are integer cross-multiplications.  The table holds linear
+and constant pieces with int or Fraction knots and parameters (Cantor
+pieces expand into those), and a rational model refuses any other piece.
+A float model evaluates on a float table built at construction: each
+piece start as the least float at or above it, so a float point is placed
+among int or Fraction knots without exact comparisons, and each linear
+piece as float slope and intercept.  Its other pieces evaluate the point
+themselves, and a constant piece gives its constant as it is.  A
 polynomial piece runs Horner's rule at a float point on its coefficients
 rounded once to floats, bit for bit its rule on the exact coefficients.
 An x^p*sin(1/x) piece carries its own mirrors and affine part, so a mirror
 or a Jordan part maps it to another such piece: no piece wraps another.
 
-Rational construction runs on integers as well.  The level-L Cantor
-iterate is generated from integer knots over 3^L and values over 2^L, a
-rational model checks continuity by cross-multiplying the two values at
-each junction, and the companion F + x maps each tabled piece directly,
-as :func:`make_transformed` would.  Float models keep the loops over
-their pieces.
+A rational model lives on its table (:class:`_Table`).  The spec reader,
+the Cantor expansion (generated from integer knots over 3^L and values
+over 2^L), :func:`piecewise_linear`, the Jordan parts and the companion
+F + x build tables of integer rows and Fraction knots, with nothing left
+to check piece by piece; a model given a list of pieces checks each one
+and derives its table from them.  Continuity is checked by
+cross-multiplying the two values at each junction, the segmentation takes
+its breakpoints and directions from the table, and ``knots()`` reads its
+knot objects.  The pieces of a table-built model are a view rebuilt from
+the table on first use, for the routes that walk pieces (a segment's
+solve, the mirror).  Float models keep the loops over their pieces.
 
 The monotone segmentation (maximal alternating runs of increasing /
 decreasing / constant behaviour) is the workhorse every downstream module
@@ -76,6 +81,7 @@ _ONE_THIRD = Fraction(1, 3)
 _TWO_THIRDS = Fraction(2, 3)
 _HALF = Fraction(1, 2)
 _EXACT = (int, Fraction)  # the types a pair table holds
+_FRACTIONS = (Fraction, Fraction)  # the slope and intercept types of a read piece
 _REAL = (int, Fraction, float)  # the linear coefficients a float table rounds
 
 
@@ -87,10 +93,13 @@ _REAL = (int, Fraction, float)  # the linear coefficients a float table rounds
 class Piece:
     """Common surface for all piece kinds.
 
-    Subclasses provide ``value`` plus enough structure for critical-point
-    isolation and monotone inversion.  ``derivative`` and ``_sample_grid``
-    are on :class:`XSinPiece` alone, which carries its own mirrors and
-    affine part: no piece wraps another.  Pieces are immutable.
+    Each subclass provides ``value(x)``; ``interior_criticals()``, the
+    interior points where the derivative may change sign, sorted;
+    ``restrict(lo, hi)``, the piece on a sub-range; and
+    ``reflected(csum)``, the piece representing x -> self(csum - x) on
+    [csum-hi, csum-lo].  ``derivative`` and ``_sample_grid`` are on
+    :class:`XSinPiece` alone, which carries its own mirrors and affine
+    part: no piece wraps another.  Pieces are immutable.
     """
 
     kind = "abstract"
@@ -98,27 +107,17 @@ class Piece:
 
     def __init__(self, lo, hi):
         if not lo < hi:
-            raise SpecFormatError(f"piece domain must satisfy lo < hi, got [{lo}, {hi}]")
+            raise _domain_error(lo, hi)
         self.lo = lo
         self.hi = hi
-
-    def value(self, x):
-        raise NotImplementedError
-
-    def interior_criticals(self) -> list:
-        """Interior points where the derivative may change sign, sorted."""
-        raise NotImplementedError
-
-    def restrict(self, lo, hi) -> "Piece":
-        raise NotImplementedError
-
-    def reflected(self, csum) -> "Piece":
-        """Piece representing x -> self(csum - x) on [csum-hi, csum-lo]."""
-        raise NotImplementedError
 
     def solve(self, y, lo, hi):
         """Solve value(x) = y on [lo, hi] where the piece is monotone there."""
         return bisect_solve(self.value, y, lo, hi)
+
+
+def _domain_error(lo, hi) -> SpecFormatError:
+    return SpecFormatError(f"piece domain must satisfy lo < hi, got [{lo}, {hi}]")
 
 
 class LinearPiece(Piece):
@@ -279,24 +278,15 @@ class CantorPiece(Piece):
 
     def __init__(self, lo, hi, level: int):
         super().__init__(lo, hi)
-        # int() would truncate a fractional level, read a bool as 0 or 1 and
-        # parse a str
-        if isinstance(level, bool) or not isinstance(level, numbers.Real) or level % 1:
-            raise SpecFormatError(f"cantor_iterate level must be an int; got {level!r}")
-        if level < 0:
-            raise SpecFormatError("cantor_iterate level must be >= 0")
-        if level > CANTOR_LEVEL_LIMIT:
-            raise SpecFormatError(f"cantor_iterate level must be at most "
-                                  f"{CANTOR_LEVEL_LIMIT}; got {level}")
+        self.level = _checked_level(level)
         if lo < 0 or hi > 1:
             raise SpecFormatError("cantor_iterate pieces live inside [0, 1]")
-        self.level = int(level)
 
     def value(self, x):
         return _cantor_value(self.level, x)
 
     def expand(self) -> list:
-        pieces = _cantor_pieces(self.level)
+        pieces = _table_pieces(_cantor_table(self.level))
         if self.lo == 0 and self.hi == 1:
             # restricting to [0, 1] would rebuild every piece as it is
             return pieces
@@ -304,29 +294,45 @@ class CantorPiece(Piece):
                 for p in pieces if p.lo < self.hi and p.hi > self.lo]
 
 
-def _cantor_pieces(level: int) -> list:
-    """Piecewise-linear expansion of c_level on [0, 1], in order, from
-    integer knots over 3^level and values over 2^level.
+def _checked_level(level) -> int:
+    """A Cantor level as an int, refused unless it is a whole real number
+    (not a bool) from 0 to ``CANTOR_LEVEL_LIMIT``: int() would truncate a
+    fractional level, read a bool as 0 or 1 and parse a str."""
+    if isinstance(level, bool) or not isinstance(level, numbers.Real) or level % 1:
+        raise SpecFormatError(f"cantor_iterate level must be an int; got {level!r}")
+    if level < 0:
+        raise SpecFormatError("cantor_iterate level must be >= 0")
+    if level > CANTOR_LEVEL_LIMIT:
+        raise SpecFormatError(f"cantor_iterate level must be at most "
+                              f"{CANTOR_LEVEL_LIMIT}; got {level}")
+    return int(level)
+
+
+def _cantor_table(level: int) -> "_Table":
+    """The table of c_level's piecewise-linear expansion on [0, 1], in
+    order, from integer knots over 3^level and values over 2^level.
 
     Rise k starts at X_k / 3^level, where X_k reads the binary digits of k
     as the ternary digits 0 and 2, and climbs from k / 2^level to
-    (k + 1) / 2^level over one 1 / 3^level; the plateau after it holds
-    (k + 1) / 2^level until rise k + 1 starts.  Every knot, slope,
-    intercept and constant is one Fraction."""
+    (k + 1) / 2^level over one 1 / 3^level, with slope 3^level / 2^level
+    and intercept (k - X_k) / 2^level; the plateau after it holds
+    (k + 1) / 2^level until rise k + 1 starts.  Every knot and constant is
+    one Fraction; slopes and intercepts are rows of integers."""
     width, height = 3 ** level, 2 ** level
-    slope = Fraction(width, height)
-    pieces = []
-    lo = Fraction(0)
+    knots = [Fraction(0)]
+    coeffs, consts, forms = [], [], []
     for k, x in enumerate(cantor_starts(level)):
         if k:
-            rise = Fraction(x, width)
-            pieces.append(ConstantPiece(lo, rise, Fraction(k, height)))
-            lo = rise
-        hi = Fraction(x + 1, width)
-        # k / 2^level - slope * x / 3^level
-        pieces.append(LinearPiece(lo, hi, slope, Fraction(k - x, height)))
-        lo = hi
-    return pieces
+            knots.append(Fraction(x, width))
+            coeffs.append(None)
+            consts.append(Fraction(k, height))
+            forms.append(None)
+        c, e = _reduced(k - x, height)
+        coeffs.append((width * e, c * height, height * e, False))
+        consts.append(None)
+        forms.append(_FRACTIONS)
+        knots.append(Fraction(x + 1, width))
+    return _Table.of_knots(knots, coeffs, consts, forms)
 
 
 class XSinPiece(Piece):
@@ -627,28 +633,88 @@ class MonotoneSegmentation:
         return len(self.segments)
 
 
+class _Table:
+    """A rational model's pieces as integer rows: what a builder hands
+    :class:`FunctionModel`, and what a model built from pieces derives.
+
+    ``knots`` holds the first start and each piece's end, ``starts`` each
+    piece's start, as the objects the model reports; ``num``/``den`` are
+    the starts' reduced pairs and ``b`` the last end's.  ``coeffs`` and
+    ``consts`` are the rows of :meth:`FunctionModel._pair_many`.  ``forms``
+    gives each linear piece's slope and intercept types (None on a
+    constant piece), and ``given`` the pieces a builder was given where
+    they are not the rows: a row's index, or ``(first, last, level)`` for
+    a Cantor piece over rows ``first`` to ``last - 1``."""
+
+    __slots__ = ("starts", "knots", "num", "den", "b", "coeffs", "consts", "forms", "given")
+
+    def __init__(self, starts, knots, num, den, b, coeffs, consts, forms, given=None):
+        self.starts, self.knots = starts, knots
+        self.num, self.den, self.b = num, den, b
+        self.coeffs, self.consts, self.forms = coeffs, consts, forms
+        self.given = given
+
+    @classmethod
+    def of_knots(cls, knots, coeffs, consts, forms) -> "_Table":
+        """Pieces that meet at shared knot objects, each knot's pair read
+        from it."""
+        num, den = (list(t) for t in zip(*[q.as_integer_ratio() for q in knots]))
+        b = num.pop(), den.pop()
+        return cls(knots[:-1], knots, num, den, b, coeffs, consts, forms)
+
+
+def _table_pieces(table: _Table) -> list:
+    """The table's pieces, in order: each linear piece's slope and
+    intercept rebuilt from its row, of the types its ``forms`` entry
+    names."""
+    out = []
+    for lo, hi, co, const, form in zip(table.starts, table.knots[1:], table.coeffs,
+                                       table.consts, table.forms):
+        if co is None:
+            out.append(ConstantPiece(lo, hi, const))
+            continue
+        slope_num, icpt_num, den, _ = co
+        out.append(LinearPiece(
+            lo, hi, slope_num // den if form[0] is int else Fraction(slope_num, den),
+            icpt_num // den if form[1] is int else Fraction(icpt_num, den)))
+    return out
+
+
 class FunctionModel:
     """Contiguous piecewise model of a continuous-by-default function.
 
     Immutable after construction; every operation is pure.
     ``continuity_flag`` records whether all junction values match (exactly
     in rational mode, within ``tol`` otherwise).
+
+    A model is built from a list of pieces, each checked, or, by the
+    builders in this package, from a :class:`_Table`, which makes a
+    rational model with nothing left to check.  A rational model lives on
+    its table: ``pieces`` and ``_expanded`` of a table-built model are a
+    view rebuilt from it on first use.
     """
 
     def __init__(self, pieces, arithmetic=None, tol=DEFAULT_FLOAT_TOL, name=None):
-        pieces = tuple(pieces)
-        if not pieces:
-            raise SpecFormatError("a model needs at least one piece")
-        for left, right in zip(pieces, pieces[1:]):
-            if left.hi != right.lo:
-                raise SpecFormatError(
-                    f"pieces must tile the domain; gap or overlap at {left.hi} vs {right.lo}"
-                )
-        if arithmetic is None:
-            arithmetic = RATIONAL if all(p.exact for p in pieces) else FLOAT
-        if arithmetic not in (RATIONAL, FLOAT):
-            raise SpecFormatError(f"unknown arithmetic mode {arithmetic!r}")
-        self.pieces = pieces
+        if type(pieces) is _Table:
+            source, view = pieces, None
+            arithmetic = RATIONAL
+            self.a, self.b = source.starts[0], source.knots[-1]
+            self._count = len(source.given or source.coeffs)
+        else:
+            pieces = tuple(pieces)
+            if not pieces:
+                raise SpecFormatError("a model needs at least one piece")
+            for left, right in zip(pieces, pieces[1:]):
+                if left.hi != right.lo:
+                    raise _tiling_error(left.hi, right.lo)
+            if arithmetic is None:
+                arithmetic = RATIONAL if all(p.exact for p in pieces) else FLOAT
+            if arithmetic not in (RATIONAL, FLOAT):
+                raise SpecFormatError(f"unknown arithmetic mode {arithmetic!r}")
+            view = pieces, _expand_pieces(pieces)
+            self.a, self.b = pieces[0].lo, pieces[-1].hi
+            self._count = len(pieces)
+            source = _pair_table(view[1], self.b) if arithmetic == RATIONAL else None
         self.arithmetic = arithmetic
         self.tol = tol
         # the mode's zero, and how far a float comparison may miss (bisected
@@ -656,55 +722,45 @@ class FunctionModel:
         self.zero = Fraction(0) if arithmetic == RATIONAL else 0.0
         self.grace = 0 if arithmetic == RATIONAL else 10 * tol
         self.name = name
-        self.a = pieces[0].lo
-        self.b = pieces[-1].hi
         self._cache: dict = {}
-        self._expanded = self._expand_pieces()
-        self._starts = [p.lo for p in self._expanded]
-        self._table = self._pair_table() if arithmetic == RATIONAL else None
-        self._float_table = None if arithmetic == RATIONAL else self._build_float_table()
+        self._view = view
+        self._source = source
+        if source is None:
+            expanded = view[1]
+            self._starts = [p.lo for p in expanded]
+            self._knots = [expanded[0].lo] + [p.hi for p in expanded]
+            self._table = None
+            self._float_table = self._build_float_table()
+        else:
+            self._starts, self._knots = source.starts, source.knots
+            self._table = (source.num, source.den, source.coeffs, source.consts, source.b)
+            self._float_table = None
         self.continuity_flag = self._verify_continuity()
 
-    # -- construction helpers ---------------------------------------------
+    @property
+    def pieces(self) -> tuple:
+        """The pieces the model was built from; on a model built from a
+        table, rebuilt from it on first use."""
+        return (self._view or self._build_view())[0]
 
-    def _expand_pieces(self):
+    @property
+    def _expanded(self) -> tuple:
         """The pieces with each Cantor piece expanded."""
-        out = []
-        for p in self.pieces:
-            if isinstance(p, CantorPiece):
-                out.extend(p.expand())
-            else:
-                out.append(p)
-        return tuple(out)
+        return (self._view or self._build_view())[1]
 
-    def _pair_table(self):
-        """The integer-pair table behind :meth:`_pair_many`: piece starts
-        as (numerator, denominator), ``slope*x + intercept`` at ``x = n/d``
-        as ``(A*n + C*d) / (B*d)`` with integers A, C, B, and each constant
-        piece's ``const`` as is.  A piece that is not linear or constant,
-        or whose ends, coefficients or constant are not ints or Fractions,
-        raises :class:`SpecFormatError` naming its class and domain."""
-        start_num, start_den, coeffs, consts = [], [], [], []
-        for p in self._expanded:
-            if type(p.lo) not in _EXACT:
-                raise _untabled(p)
-            start_num.append(p.lo.numerator)
-            start_den.append(p.lo.denominator)
-            if type(p) is ConstantPiece and type(p.const) in _EXACT:
-                coeffs.append(None)
-                consts.append(p.const)
-            elif (type(p) is LinearPiece and type(p.slope) in _EXACT
-                  and type(p.intercept) in _EXACT):
-                a, b = p.slope.numerator, p.slope.denominator
-                c, e = p.intercept.numerator, p.intercept.denominator
-                coeffs.append((a * e, c * b, b * e,
-                               type(p.slope) is int and type(p.intercept) is int))
-                consts.append(None)
-            else:
-                raise _untabled(p)
-        if type(self.b) not in _EXACT:
-            raise _untabled(self._expanded[-1])
-        return start_num, start_den, coeffs, consts, (self.b.numerator, self.b.denominator)
+    def _build_view(self) -> tuple:
+        source = self._source
+        expanded = tuple(_table_pieces(source))
+        if source.given is None:
+            pieces = expanded
+        else:
+            pieces = tuple(expanded[g] if type(g) is int
+                           else CantorPiece(source.starts[g[0]], source.knots[g[1]], g[2])
+                           for g in source.given)
+        self._view = pieces, expanded
+        return self._view
+
+    # -- construction helpers ---------------------------------------------
 
     def _build_float_table(self):
         """The table behind the float loop of :meth:`evaluate_many`: each
@@ -860,7 +916,8 @@ class FunctionModel:
         return self.evaluate(x)
 
     def knots(self) -> list:
-        return [self._expanded[0].lo] + [p.hi for p in self._expanded]
+        """The first piece's start and every piece's end."""
+        return list(self._knots)
 
     # -- segmentation ---------------------------------------------------------
 
@@ -869,6 +926,8 @@ class FunctionModel:
         return self.cached("segments", self._build_segments)
 
     def _build_segments(self) -> MonotoneSegmentation:
+        if self.exact:
+            return self._pair_segments()
         breakpoints = []
         for p in self._expanded:
             breakpoints.append(p.lo)
@@ -896,6 +955,33 @@ class FunctionModel:
         return MonotoneSegmentation(segments, (values[0],) + tuple(r[3] for r in runs),
                                     scale, starts)
 
+    def _pair_segments(self) -> MonotoneSegmentation:
+        """The segmentation of a rational model, on its table.  Its pieces
+        are linear or constant, so the breakpoints are the piece starts and
+        b, already sorted and distinct, and each piece's direction is the
+        sign of its rise from F at its start to F at the next breakpoint,
+        cross-multiplied from their value pairs.  F is evaluated as objects
+        at the segments' knots alone."""
+        start_num, start_den, coeffs, consts, (b_num, b_den) = self._table
+        at = [_pair_value(co, k, n, d)
+              for co, k, n, d in zip(coeffs, consts, start_num, start_den)]
+        at.append(_pair_value(coeffs[-1], consts[-1], b_num, b_den))
+        bounds, directions = [0], []  # each run's last breakpoint, and direction
+        for i, ((lo_n, lo_d), (hi_n, hi_d)) in enumerate(zip(at, at[1:]), 1):
+            rise = hi_n * lo_d - lo_n * hi_d
+            direction = CONSTANT if not rise else INCREASING if rise > 0 else DECREASING
+            if directions and directions[-1] == direction:
+                bounds[-1] = i
+            else:
+                directions.append(direction)
+                bounds.append(i)
+        pts = [*self._starts, self.b]
+        knots = [pts[i] for i in bounds]
+        segments = tuple(Segment(lo, hi, d) for lo, hi, d in zip(knots, knots[1:], directions))
+        scale = math.lcm(*start_den, b_den)
+        starts = tuple([2 * n * (scale // d) for n, d in zip(start_num, start_den)])
+        return MonotoneSegmentation(segments, tuple(self._pair_many(knots)), scale, starts)
+
     def is_nondecreasing(self) -> bool:
         """True when no segment genuinely falls; float models forgive drops
         within ``grace`` (bisected segment boundaries leave ulp-scale slivers)."""
@@ -918,11 +1004,21 @@ class FunctionModel:
 
     def _build_shift(self) -> "FunctionModel":
         if self.exact:
-            # make_transformed(p, 1, 1, 0) on a tabled piece: slope + 1 with
-            # the same intercept, or slope 1 with the constant as intercept
-            pieces = [LinearPiece(p.lo, p.hi, 1, p.const) if co is None
-                      else LinearPiece(p.lo, p.hi, p.slope + 1, p.intercept)
-                      for p, co in zip(self._expanded, self._table[2])]
+            # make_transformed(p, 1, 1, 0) on a table's row: slope + 1 with
+            # the same intercept, (A + B, C, B), or slope 1 with the constant
+            # as intercept
+            source = self._source
+            coeffs, forms = [], []
+            for co, const, form in zip(source.coeffs, source.consts, source.forms):
+                if co is None:
+                    num, den = const.as_integer_ratio()
+                    coeffs.append((den, num, den, type(const) is int))
+                    forms.append((int, type(const)))
+                else:
+                    coeffs.append((co[0] + co[2], co[1], co[2], co[3]))
+                    forms.append(form)
+            pieces = _Table(source.starts, source.knots, source.num, source.den, source.b,
+                            coeffs, [None] * len(coeffs), forms)
         else:
             pieces = [make_transformed(p, 1, 1, 0) for p in self._expanded]
         shifted = FunctionModel(pieces, arithmetic=self.arithmetic, tol=self.tol,
@@ -1095,14 +1191,64 @@ class FunctionModel:
         """n uniform points plus every knot: the declared finite surrogate
         for the universally quantified invariants."""
         pts = uniform_grid(self.a, self.b, n, self.exact)
-        pts.extend(self.knots())
+        pts.extend(self._knots)
         if not self.exact:
             pts = [float(x) for x in pts]
         return _sorted_unique(pts)
 
     def __repr__(self):
-        label = self.name or f"{len(self.pieces)} pieces"
+        label = self.name or f"{self._count} pieces"
         return f"FunctionModel({label} on [{self.a}, {self.b}], {self.arithmetic})"
+
+
+def _expand_pieces(pieces) -> tuple:
+    """The pieces with each Cantor piece expanded."""
+    out = []
+    for p in pieces:
+        if isinstance(p, CantorPiece):
+            out.extend(p.expand())
+        else:
+            out.append(p)
+    return tuple(out)
+
+
+def _pair_table(expanded, b) -> _Table:
+    """The table of a rational model built from pieces, its expansion
+    ``expanded`` ending at ``b``: piece starts as (numerator,
+    denominator), ``slope*x + intercept`` at ``x = n/d`` as ``(A*n + C*d) /
+    (B*d)`` with integers A, C, B, and each constant piece's ``const`` as
+    is.  A piece that is not linear or constant, or whose ends,
+    coefficients or constant are not ints or Fractions, raises
+    :class:`SpecFormatError` naming its class and domain."""
+    start_num, start_den, coeffs, consts, forms = [], [], [], [], []
+    for p in expanded:
+        if type(p.lo) not in _EXACT:
+            raise _untabled(p)
+        start_num.append(p.lo.numerator)
+        start_den.append(p.lo.denominator)
+        if type(p) is ConstantPiece and type(p.const) in _EXACT:
+            coeffs.append(None)
+            consts.append(p.const)
+            forms.append(None)
+        elif (type(p) is LinearPiece and type(p.slope) in _EXACT
+              and type(p.intercept) in _EXACT):
+            a, d = p.slope.numerator, p.slope.denominator
+            c, e = p.intercept.numerator, p.intercept.denominator
+            coeffs.append((a * e, c * d, d * e,
+                           type(p.slope) is int and type(p.intercept) is int))
+            consts.append(None)
+            forms.append((type(p.slope), type(p.intercept)))
+        else:
+            raise _untabled(p)
+    if type(b) not in _EXACT:
+        raise _untabled(expanded[-1])
+    return _Table([p.lo for p in expanded], [expanded[0].lo] + [p.hi for p in expanded],
+                  start_num, start_den, (b.numerator, b.denominator), coeffs, consts, forms)
+
+
+def _tiling_error(left_hi, right_lo) -> SpecFormatError:
+    return SpecFormatError(
+        f"pieces must tile the domain; gap or overlap at {left_hi} vs {right_lo}")
 
 
 def _untabled(piece) -> SpecFormatError:
@@ -1234,29 +1380,45 @@ def build_cantor_iterate(level: int) -> FunctionModel:
 
     c_0 is the identity; c_level has 2^level rising pieces of slope
     (3/2)^level over intervals of length 3^-level, interleaved with
-    2^level - 1 plateaus.
+    2^level - 1 plateaus.  The level takes a Cantor piece's rules
+    (:func:`_checked_level`), before anything is expanded.
     """
-    if level < 0:
-        raise SpecFormatError("level must be >= 0")
-    return FunctionModel(_cantor_pieces(level), arithmetic=RATIONAL,
+    level = _checked_level(level)
+    return FunctionModel(_cantor_table(level), arithmetic=RATIONAL,
                          name=f"cantor_{level}")
 
 
 def piecewise_linear(points, name=None) -> FunctionModel:
-    """Model through knots [(x0, y0), ..., (xn, yn)], exact rational."""
+    """Model through knots [(x0, y0), ..., (xn, yn)], exact rational: the
+    knots are Fractions, and each piece's row is built on integers."""
     pts = [(frac(x), frac(y)) for x, y in points]
     if len(pts) < 2:
         raise SpecFormatError("need at least two knots")
-    pieces = []
+    coeffs, consts, forms = [], [], []
     for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-        if not x0 < x1:
+        (p0, q0), (p1, q1) = x0.as_integer_ratio(), x1.as_integer_ratio()
+        if not p0 * q1 < p1 * q0:
             raise SpecFormatError("knot abscissae must increase strictly")
-        if y0 == y1:
-            pieces.append(ConstantPiece(x0, x1, y0))
-        else:
-            slope = (y1 - y0) / (x1 - x0)
-            pieces.append(LinearPiece(x0, x1, slope, y0 - slope * x0))
-    return FunctionModel(pieces, arithmetic=RATIONAL, name=name)
+        (u0, v0), (u1, v1) = y0.as_integer_ratio(), y1.as_integer_ratio()
+        if u0 == u1 and v0 == v1:
+            coeffs.append(None)
+            consts.append(y0)
+            forms.append(None)
+            continue
+        # slope a/d = (y1 - y0) / (x1 - x0), intercept c/e = y0 - slope * x0
+        a, d = _reduced((u1 * v0 - u0 * v1) * q0 * q1, v0 * v1 * (p1 * q0 - p0 * q1))
+        c, e = _reduced(u0 * d * q0 - a * p0 * v0, v0 * d * q0)
+        coeffs.append((a * e, c * d, d * e, False))
+        consts.append(None)
+        forms.append(_FRACTIONS)
+    return FunctionModel(_Table.of_knots([x for x, _ in pts], coeffs, consts, forms),
+                         arithmetic=RATIONAL, name=name)
+
+
+def _reduced(num, den) -> tuple:
+    """num/den in lowest terms, for den > 0."""
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 def build_zigzag() -> FunctionModel:

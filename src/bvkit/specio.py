@@ -11,28 +11,43 @@ function spec document is::
 with kinds ``linear`` (slope, intercept), ``constant`` (value),
 ``polynomial`` (coefficients, ascending), ``cantor_iterate`` (level) and
 ``x_sin_family`` (exponent).
+
+A rational spec of linear, constant and Cantor pieces is read straight
+into its model's table: each number string once, into a reduced integer
+pair, the piece rules and the tiling checked on those pairs with the
+constructors' messages, in their order.  Any other spec builds its pieces.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 
-from ._num import DEFAULT_FLOAT_TOL, FLOAT, RATIONAL, as_number, fmt_number
+from ._num import DEFAULT_FLOAT_TOL, FLOAT, RATIONAL, as_number, fmt_number, frac_pair
 from .errors import SpecFormatError
 from .intervals import Interval, IntervalSet
 from .model import (
+    _FRACTIONS,
     CantorPiece,
     ConstantPiece,
     FunctionModel,
     LinearPiece,
     PolynomialPiece,
     XSinPiece,
+    _cantor_table,
+    _checked_level,
+    _domain_error,
+    _Table,
+    _tiling_error,
 )
 
 _PIECE_KINDS = ("linear", "constant", "polynomial", "cantor_iterate", "x_sin_family")
+# the kinds a rational spec reads into its table
+_TABLED_KINDS = ("linear", "constant", "cantor_iterate")
+_TABLED = (LinearPiece, ConstantPiece, CantorPiece)
 
 # what reading a field of a document that is not the expected shape raises:
 # a missing key, a wrong container or scalar type, an unparsable value
@@ -43,7 +58,12 @@ def model_from_dict(doc: dict) -> FunctionModel:
     """Build a model from a spec document; a document whose fields cannot
     be read, whose optional ``domain`` is not the span of its pieces, or
     (in float mode) whose ``tol`` is NaN, infinite or negative, raises
-    :class:`SpecFormatError`."""
+    :class:`SpecFormatError`.
+
+    A rational spec of linear, constant and Cantor pieces reads each of
+    their numbers once, into a reduced integer pair, and builds the
+    model's table from the pairs (:func:`_spec_table`); any other spec
+    builds its pieces, each checked by its constructor."""
     try:
         arithmetic = doc.get("arithmetic", RATIONAL)
         tol = float(doc.get("tol", DEFAULT_FLOAT_TOL))
@@ -66,8 +86,13 @@ def model_from_dict(doc: dict) -> FunctionModel:
                   else [as_number(v, arithmetic) for v in raw_domain])
     except _MALFORMED as exc:
         raise SpecFormatError(f"malformed spec domain: {exc!r}") from exc
-    model = FunctionModel([cls(*args) for cls, args in fields],
-                          arithmetic=arithmetic, tol=tol, name=name)
+    if arithmetic == RATIONAL and fields and all(cls in _TABLED for cls, _ in fields):
+        model = FunctionModel(_spec_table(fields), arithmetic=arithmetic, tol=tol, name=name)
+    else:
+        # a tabled kind's pairs become Fractions, as frac reads them
+        model = FunctionModel([cls(*(Fraction(*v) if type(v) is tuple else v for v in args))
+                               for cls, args in fields],
+                              arithmetic=arithmetic, tol=tol, name=name)
     if domain is not None and domain != [model.a, model.b]:
         raise SpecFormatError(f"spec domain {raw_domain} is not the pieces' "
                               f"span [{model.a}, {model.b}]")
@@ -75,23 +100,81 @@ def model_from_dict(doc: dict) -> FunctionModel:
 
 
 def _piece_fields(entry: dict, arithmetic: str) -> tuple:
-    """The piece class and its constructor arguments, read from one entry."""
+    """The piece class and its constructor arguments, read from one entry;
+    in rational mode a linear, constant or Cantor piece's numbers are
+    reduced integer pairs (:func:`frac_pair`)."""
     kind = entry.get("kind")
     if kind not in _PIECE_KINDS:
         raise SpecFormatError(f"unknown piece kind {kind!r}")
-    lo, hi = (as_number(v, arithmetic) for v in entry["domain"])
+    if arithmetic == RATIONAL and kind in _TABLED_KINDS:
+        number = frac_pair
+    else:
+        def number(value):
+            return as_number(value, arithmetic)
+    lo, hi = (number(v) for v in entry["domain"])
     params = entry.get("params", {})
     if kind == "linear":
-        return LinearPiece, (lo, hi, as_number(params["slope"], arithmetic),
-                             as_number(params["intercept"], arithmetic))
+        return LinearPiece, (lo, hi, number(params["slope"]), number(params["intercept"]))
     if kind == "constant":
-        return ConstantPiece, (lo, hi, as_number(params["value"], arithmetic))
+        return ConstantPiece, (lo, hi, number(params["value"]))
     if kind == "polynomial":
-        return PolynomialPiece, (lo, hi, [as_number(c, arithmetic)
-                                          for c in params["coefficients"]])
+        return PolynomialPiece, (lo, hi, [number(c) for c in params["coefficients"]])
     if kind == "cantor_iterate":
         return CantorPiece, (lo, hi, _json_number(params["level"], int))
     return XSinPiece, (lo, hi, _json_number(params["exponent"], float))
+
+
+def _spec_table(fields) -> _Table:
+    """The table of a rational spec's linear, constant and Cantor pieces,
+    whose numbers are reduced pairs.  Each piece's rules come first, in
+    order (``lo < hi`` by cross-multiplication, then a Cantor piece's level
+    and range), then the tiling, with the messages and in the order the
+    constructors give them.  Knots and constants become Fractions; a
+    Cantor piece's rows are its level's table cut to its domain."""
+    for cls, (lo, hi, *params) in fields:
+        if not lo[0] * hi[1] < hi[0] * lo[1]:
+            raise _domain_error(Fraction(*lo), Fraction(*hi))
+        if cls is CantorPiece:
+            _checked_level(params[0])
+            if lo[0] < 0 or hi[0] > hi[1]:
+                raise SpecFormatError("cantor_iterate pieces live inside [0, 1]")
+    for (_, (_, left, *_)), (_, (right, *_)) in zip(fields, fields[1:]):
+        if left[0] * right[1] != right[0] * left[1]:
+            raise _tiling_error(Fraction(*left), Fraction(*right))
+    knots = [Fraction(*fields[0][1][0])]
+    num, den, coeffs, consts, forms, given = [], [], [], [], [], []
+    for cls, (lo, hi, *params) in fields:
+        first, end = len(coeffs), Fraction(*hi)
+        num.append(lo[0])
+        den.append(lo[1])
+        if cls is CantorPiece:
+            level = _checked_level(params[0])
+            cut = _cantor_table(level)
+            # the rows meeting (lo, hi): each ends past lo and starts before hi
+            r0 = bisect_right(cut.knots, knots[-1]) - 1
+            r1 = bisect_left(cut.knots, end)
+            num.extend(cut.num[r0 + 1:r1])
+            den.extend(cut.den[r0 + 1:r1])
+            knots.extend(cut.knots[r0 + 1:r1])
+            coeffs.extend(cut.coeffs[r0:r1])
+            consts.extend(cut.consts[r0:r1])
+            forms.extend(cut.forms[r0:r1])
+            given.append((first, len(coeffs), level))
+        elif cls is LinearPiece:
+            (a, d), (c, e) = params
+            coeffs.append((a * e, c * d, d * e, False))
+            consts.append(None)
+            forms.append(_FRACTIONS)
+            given.append(first)
+        else:
+            coeffs.append(None)
+            consts.append(Fraction(*params[0]))
+            forms.append(None)
+            given.append(first)
+        knots.append(end)
+    cantor = any(type(g) is tuple for g in given)
+    return _Table(knots[:-1], knots, num, den, fields[-1][1][1], coeffs, consts, forms,
+                  given if cantor else None)
 
 
 def _json_number(value, parse):

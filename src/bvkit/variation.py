@@ -15,10 +15,11 @@ segment would.  The walk runs in both arithmetic modes on the
 segmentation's integer keys, the piece starts' against the knots'.
 
 Only the map of each part depends on the mode.  A float model maps it
-with :func:`make_transformed`.  A rational model maps it on integers, with
-c as an integer pair and each new intercept or constant one Fraction: the
-same classes, values and types as :func:`make_transformed` gives.  Both
-parts then check their monotonicity, a rational model's on integer pairs.
+with :func:`make_transformed`.  A rational model maps each part's table
+row on integers, with c as an integer pair, and p and n are tables that
+share the parts' knots: the same classes, values and types, in their
+views, as :func:`make_transformed` gives.  Both parts then check their
+monotonicity, a rational model's on integer pairs.
 """
 
 from __future__ import annotations
@@ -38,10 +39,10 @@ from .model import (
     CONSTANT,
     DECREASING,
     INCREASING,
-    ConstantPiece,
     FunctionModel,
-    LinearPiece,
     _checked_epsilon,
+    _reduced,
+    _Table,
     make_transformed,
 )
 
@@ -213,41 +214,51 @@ def _monotone_envelope_models(pf: VariationFunction) -> tuple:
     """
     model = pf.model
     segmentation = model.monotone_segments()
+    signs = [_SIGN[seg.direction] for seg in segmentation]
+    parts = _envelope_parts(model, segmentation)
+    if model.exact:
+        offsets = [_pair_offset(prefix, value, s)
+                   for prefix, value, s in zip(pf.prefix, pf.values, signs)]
+        built = _pair_envelope_tables(model, parts, signs, offsets)
+    else:
+        expanded = model._expanded
+        offsets = [prefix - s * value for prefix, value, s in zip(pf.prefix, pf.values, signs)]
+        built = ([make_transformed(expanded[i], signs[k] - shift, 0, offsets[k], lo, hi)
+                  for i, lo, hi, k in zip(*parts)] for shift in (0, 1))
+    base = model.name or "F"
+    return tuple(FunctionModel(pieces, arithmetic=model.arithmetic, tol=model.tol,
+                               name=f"{suffix}[{base}]")
+                 for suffix, pieces in zip(("p", "n"), built))
+
+
+def _envelope_parts(model: FunctionModel, segmentation) -> tuple:
+    """The walk over segments and pieces: for each part, in order, the
+    piece's index, the part's ends and its segment's index, as four lists.
+    A part is ``[max(piece.lo, seg.lo), min(piece.hi, seg.hi)]``, keeping
+    the piece's own end on a tie, as max and min do."""
     starts, keys = segmentation.starts, segmentation.keys
     # piece i ends where piece i + 1 starts, the last one at b
     ends = (*starts[1:], keys[-1])
-    expanded = model._expanded
-    transformed = _pair_transformed if model.exact else _float_transformed
-    p_pieces, n_pieces = [], []
+    piece_los, piece_his = model._starts, model._knots
+    index, los, his, segs = [], [], [], []
     i = 0
-    for idx, (seg, prefix, value) in enumerate(zip(segmentation, pf.prefix, pf.values)):
-        s = _SIGN[seg.direction]
-        k_lo, k_hi = keys[idx], keys[idx + 1]
-        c = _pair_offset(prefix, value, s) if model.exact else prefix - s * value
+    for k, seg in enumerate(segmentation):
+        k_lo, k_hi = keys[k], keys[k + 1]
         # both tile [a, b] in order, so i only moves forward: it skips the
         # pieces that end by the segment's start, and the walk stops at the
         # first piece that ends at or past the segment's end
         while ends[i] <= k_lo:
             i += 1
         while True:
-            piece, end = expanded[i], ends[i]
-            # the part is [max(piece.lo, seg.lo), min(piece.hi, seg.hi)],
-            # keeping the piece's own end on a tie, as max and min do
-            lo = piece.lo if starts[i] >= k_lo else seg.lo
-            hi = piece.hi if end <= k_hi else seg.hi
-            p_pieces.append(transformed(piece, s, c, lo, hi))
-            n_pieces.append(transformed(piece, s - 1, c, lo, hi))
+            end = ends[i]
+            index.append(i)
+            los.append(piece_los[i] if starts[i] >= k_lo else seg.lo)
+            his.append(piece_his[i + 1] if end <= k_hi else seg.hi)
+            segs.append(k)
             if end >= k_hi:
                 break
             i += 1
-    base = model.name or "F"
-    return tuple(FunctionModel(pieces, arithmetic=model.arithmetic, tol=model.tol,
-                               name=f"{suffix}[{base}]")
-                 for suffix, pieces in (("p", p_pieces), ("n", n_pieces)))
-
-
-def _float_transformed(piece, scale, c, lo, hi):
-    return make_transformed(piece, scale, 0, c, lo, hi)
+    return index, los, his, segs
 
 
 def _pair_offset(prefix, value, s) -> tuple:
@@ -259,22 +270,42 @@ def _pair_offset(prefix, value, s) -> tuple:
     return c_num, c_den, Fraction(c_num, c_den) if s >= 0 else None
 
 
-def _pair_transformed(piece, scale, c, lo, hi):
-    """``make_transformed(piece, scale, 0, c_frac, lo, hi)`` for a linear or
-    constant piece of a rational model, where ``c = (c_num, c_den, c_frac)``
-    (:func:`_pair_offset`): c_frac itself at scale 0, else one Fraction
-    from integers for the new intercept or constant."""
+def _pair_envelope_tables(model: FunctionModel, parts, signs, offsets) -> tuple:
+    """p's and n's tables, which share the parts' ends: each part maps its
+    piece's row as ``make_transformed(piece, scale, 0, c, lo, hi)`` would,
+    with scale s for p and s - 1 for n (:func:`_pair_row`)."""
+    index, los, his, segs = parts
+    source = model._source
+    coeffs, consts, forms = source.coeffs, source.consts, source.forms
+    pairs = [lo.as_integer_ratio() for lo in los]
+    num, den = [n for n, _ in pairs], [d for _, d in pairs]
+    knots = [los[0], *his]
+    b = his[-1].as_integer_ratio()
+    tables = []
+    for shift in (0, 1):
+        rows = zip(*[_pair_row(coeffs[i], consts[i], forms[i], signs[k] - shift, offsets[k])
+                     for i, k in zip(index, segs)])
+        tables.append(_Table(los, knots, num, den, b, *map(list, rows)))
+    return tables
+
+
+def _pair_row(co, const, form, scale, c) -> tuple:
+    """``(coeffs, const, form)`` of ``make_transformed(piece, scale, 0,
+    c_frac)`` for a table's row ``co``/``const``, where ``c = (c_num,
+    c_den, c_frac)`` (:func:`_pair_offset`): c_frac itself at scale 0, a
+    constant as one Fraction from integers, and a linear row's slope
+    ``scale * A/B`` and intercept ``c + scale * C/B``, each reduced, of
+    the types the transform gives."""
     c_num, c_den, c_frac = c
     if scale == 0:
-        return ConstantPiece(lo, hi, c_frac)
-    if type(piece) is ConstantPiece:
-        k_num, k_den = piece.const.as_integer_ratio()
-        return ConstantPiece(lo, hi, Fraction(c_num * k_den + scale * k_num * c_den,
-                                              c_den * k_den))
-    # slope' = scale * slope; intercept' = c + scale * intercept
-    i_num, i_den = piece.intercept.as_integer_ratio()
-    return LinearPiece(lo, hi, piece.slope if scale == 1 else scale * piece.slope,
-                       Fraction(c_num * i_den + scale * i_num * c_den, c_den * i_den))
+        return None, c_frac, None
+    if co is None:
+        k_num, k_den = const.as_integer_ratio()
+        return None, Fraction(c_num * k_den + scale * k_num * c_den, c_den * k_den), None
+    slope_num, icpt_num, den, _ = co
+    a, d = _reduced(scale * slope_num, den)
+    c0, e = _reduced(c_num * den + scale * icpt_num * c_den, c_den * den)
+    return (a * e, c0 * d, d * e, False), None, (form[0], Fraction)
 
 
 def variation_function(model: FunctionModel) -> VariationFunction:

@@ -9,7 +9,7 @@ their bits.
 """
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -35,6 +35,8 @@ from bvkit.measure import (
 )
 from bvkit.model import CONSTANT, Segment, build_cantor_iterate, build_zigzag, piecewise_linear
 
+from oracles import bisected_window_oracle as window_oracle
+from oracles import windowed_image_set_oracle as image_set_oracle
 from test_evaluation_routes import _interval_keys, _key, _keys
 from test_integer_intervals import _cantor_level
 from test_variation import _cantor, _float_twin, rise_fall_plateau
@@ -96,14 +98,6 @@ def propagation_oracle(model, family, eps_schedule, max_level=40, probe_levels=6
     return PropagationReport(tuple(rows))
 
 
-def window_oracle(segmentation, lo, hi):
-    bounds, count = segmentation.bounds, len(segmentation.segments)
-    first = last = max(bisect_left(bounds, lo) - 1, 0)
-    while last < count and bounds[last] <= hi:
-        last += 1
-    return range(first, last)
-
-
 def solve_oracle(model, seg, y):
     """``_solve_in_segment`` with its pieces found by bisecting the starts;
     the rational branch only (a rational model has no float fallback)."""
@@ -124,30 +118,6 @@ def solve_oracle(model, seg, y):
                 return phi
             return p.solve(y, plo, phi)
     raise PreconditionError(f"value {y} not attained on segment [{seg.lo}, {seg.hi}]")
-
-
-def image_set_oracle(model, E):
-    """``image_set`` with one bisecting window per component."""
-    segmentation = model.monotone_segments()
-    segments = segmentation.segments
-    parts = []
-    for comp in E.clip(model.a, model.b):
-        point = comp.lo == comp.hi
-        for i in window_oracle(segmentation, comp.lo, comp.hi):
-            seg = segments[i]
-            part = comp.intersect(Interval(seg.lo, seg.hi))
-            if not part.empty and (point or part.lo != part.hi):
-                parts.append((part, seg.direction))
-    ends = model.evaluate_many([e for part, _ in parts for e in (part.lo, part.hi)])
-    pieces = []
-    for (part, direction), flo, fhi in zip(parts, ends[::2], ends[1::2]):
-        if direction == CONSTANT:
-            pieces.append(Interval(flo, flo))
-        elif direction == "increasing":
-            pieces.append(Interval(flo, fhi, part.lo_open, part.hi_open))
-        else:
-            pieces.append(Interval(fhi, flo, part.hi_open, part.lo_open))
-    return IntervalSet(pieces)
 
 
 # ---------------------------------------------------------------------------

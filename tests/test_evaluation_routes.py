@@ -13,8 +13,6 @@ from bvkit.errors import PreconditionError
 from bvkit.intervals import Interval, IntervalSet
 from bvkit.measure import cantor_family, image_set, shrinking_family
 from bvkit.model import (
-    CONSTANT,
-    INCREASING,
     FunctionModel,
     LinearPiece,
     build_cantor_iterate,
@@ -22,6 +20,7 @@ from bvkit.model import (
 )
 from bvkit.variation import jordan_decomposition
 
+from oracles import image_set_oracle
 from test_variation import _cantor, _float_twin, rise_fall_plateau
 
 CORPUS = default_corpus()
@@ -142,24 +141,6 @@ class TestPreimageFromKnotValues:
 # ---------------------------------------------------------------------------
 # image sets evaluate their part ends in one sweep
 # ---------------------------------------------------------------------------
-
-
-def image_set_oracle(model, E):
-    """The old route: the two ends of each part evaluated on their own."""
-    pieces = []
-    for comp in E.clip(model.a, model.b):
-        for seg in model.monotone_segments():
-            part = comp.intersect(Interval(seg.lo, seg.hi))
-            if part.empty:
-                continue
-            flo, fhi = model.evaluate(part.lo), model.evaluate(part.hi)
-            if seg.direction == CONSTANT:
-                pieces.append(Interval(flo, flo))
-            elif seg.direction == INCREASING:
-                pieces.append(Interval(flo, fhi, part.lo_open, part.hi_open))
-            else:
-                pieces.append(Interval(fhi, flo, part.hi_open, part.lo_open))
-    return IntervalSet(pieces)
 
 
 def _sets(model, cantor_levels):

@@ -25,7 +25,6 @@ from bvkit.model import (
     FunctionModel,
     LinearPiece,
     XSinPiece,
-    _cantor_pieces,
     build_cantor_iterate,
     build_identity,
     make_transformed,
@@ -315,11 +314,11 @@ def tabled_models(draw, jumps=False):
 
 
 class TestCantorExpansion:
-    """``_cantor_pieces`` gives the Fraction loop's pieces, in order."""
+    """The level's table gives the Fraction loop's pieces, in order."""
 
     @pytest.mark.parametrize("level", range(11))
     def test_pieces_match_the_fraction_loop(self, level):
-        got = _cantor_pieces(level)
+        got = CantorPiece(0, 1, level).expand()
         want = old_cantor_pieces(level)
         assert [piece_key(p) for p in got] == [piece_key(p) for p in want]
         assert len(got) == 2 ** (level + 1) - 1

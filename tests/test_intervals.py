@@ -163,3 +163,33 @@ def test_a_full_tie_keeps_the_first_ends():
     got = Interval(1, Fraction(2)).intersect(Interval(Fraction(1), 2, True, True))
     assert type(got.lo) is Fraction and type(got.hi) is int
     assert (got.lo_open, got.hi_open) == (True, True)
+
+
+_OPERANDS = [
+    IntervalSet(),
+    IntervalSet([Interval(0, Fraction(1, 2)), Interval(1, 2, True, False)]),
+    IntervalSet([Interval(Fraction(1, 4), 1), Interval(3, 3)]),
+    IntervalSet([Interval(0.25, 1.5, True, True)]),
+]
+
+
+def _ends(s):
+    return [(type(c.lo), c.lo, type(c.hi), c.hi, c.lo_open, c.hi_open) for c in s]
+
+
+@pytest.mark.parametrize("left", range(len(_OPERANDS)))
+@pytest.mark.parametrize("right", range(len(_OPERANDS)))
+def test_operators_are_the_named_methods(left, right):
+    a, b = _OPERANDS[left], _OPERANDS[right]
+    assert _ends(a | b) == _ends(a.union(b))
+    assert _ends(a & b) == _ends(a.intersect(b))
+    assert _ends(a - b) == _ends(a.difference(b))
+
+
+def test_equal_sets_hash_alike():
+    a = IntervalSet([Interval(1, 2, True, False), Interval(0, Fraction(1, 2))])
+    b = IntervalSet([Interval(0, Fraction(1, 4)), Interval(Fraction(1, 4), Fraction(1, 2)),
+                     Interval(1, 2, True, False)])
+    assert a == b and hash(a) == hash(b) == hash(a.components)
+    assert len({a, b, IntervalSet(), IntervalSet.empty()}) == 2
+    assert a != IntervalSet([Interval(0, Fraction(1, 2)), Interval(1, 2)])

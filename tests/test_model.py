@@ -1221,8 +1221,18 @@ class TestPieceRules:
          "target interval must satisfy c < d"),
         (lambda: FunctionModel([LinearPiece(0, 1, 1, 0), LinearPiece(1, 2, 1, 5)])
          .preimage(0, 1), PreconditionError, "preimage requires a continuous model"),
-        (lambda: build_cantor_iterate(-1), SpecFormatError, "level must be >= 0"),
+        (lambda: build_cantor_iterate(-1), SpecFormatError,
+         "cantor_iterate level must be >= 0"),
         (lambda: piecewise_linear([(0, 0)]), SpecFormatError, "need at least two knots"),
+        # the builder takes a Cantor piece's level rules before it expands
+        (lambda: build_cantor_iterate(17), SpecFormatError,
+         "cantor_iterate level must be at most 16; got 17"),
+        (lambda: build_cantor_iterate(40), SpecFormatError,
+         "cantor_iterate level must be at most 16; got 40"),
+        (lambda: build_cantor_iterate(True), SpecFormatError,
+         "cantor_iterate level must be an int; got True"),
+        (lambda: build_cantor_iterate(2.5), SpecFormatError,
+         "cantor_iterate level must be an int; got 2.5"),
     ], ids=["empty-domain", "cantor-level-negative", "cantor-past-one",
             "cantor-below-zero", "cantor-level-fraction", "cantor-level-bool",
             "cantor-level-rational", "cantor-level-nan", "xsin-below-zero",
@@ -1232,7 +1242,9 @@ class TestPieceRules:
             "cantor-level-past-limit", "cantor-level-far-past-limit",
             "no-pieces", "unknown-arithmetic",
             "preimage-point-target", "preimage-reversed-target",
-            "preimage-discontinuous", "cantor-builder-negative", "one-knot"])
+            "preimage-discontinuous", "cantor-builder-negative", "one-knot",
+            "cantor-builder-past-limit", "cantor-builder-far-past-limit",
+            "cantor-builder-bool", "cantor-builder-fraction"])
     def test_refused(self, build, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             build()
@@ -1245,6 +1257,42 @@ class TestPieceRules:
     def test_the_level_limit_itself_is_a_level(self):
         # a piece expands only in a model, so this builds no pieces
         assert CantorPiece(0, 1, CANTOR_LEVEL_LIMIT).level == CANTOR_LEVEL_LIMIT == 16
+
+
+class TestCallAndRepr:
+    """A model called is its ``evaluate``; its ``repr`` gives its name or
+    counts the pieces it was given, and a table-built model counts them
+    without building its piece view."""
+
+    def test_named_model(self):
+        model = build_zigzag()
+        assert repr(model) == "FunctionModel(zigzag on [0, 1], rational)"
+        assert model(F(1, 8)) == model.evaluate(F(1, 8)) == F(1, 2)
+        assert model(0.75) == F(1)
+
+    def test_unnamed_rational_model(self):
+        model = piecewise_linear([(0, 0), (1, 2), (3, 2)])
+        assert repr(model) == "FunctionModel(2 pieces on [0, 3], rational)"
+        assert model._view is None
+        assert model(2) == 2 and type(model(2)) is Fraction
+        assert model(F(1, 2)) == model.evaluate(F(1, 2)) == 1
+        assert model._view is None
+
+    def test_one_piece_cantor_spec(self):
+        model = model_from_dict({"arithmetic": "rational", "pieces": [
+            {"kind": "cantor_iterate", "domain": ["0", "1"], "params": {"level": 3}}]})
+        assert repr(model) == "FunctionModel(1 pieces on [0, 1], rational)"
+        assert model._view is None and len(model._table[0]) == 15
+        assert model(F(1, 2)) == F(1, 2)
+        [piece] = model.pieces
+        assert type(piece) is CantorPiece and piece.level == 3
+        assert len(model._expanded) == 15
+
+    def test_unnamed_float_model(self):
+        model = FunctionModel([LinearPiece(0.0, 1.0, 2.0, 0.5), ConstantPiece(1.0, 2.0, 2.5)],
+                              arithmetic="float")
+        assert repr(model) == "FunctionModel(2 pieces on [0.0, 2.0], float)"
+        assert model(0.25) == model.evaluate(0.25) == 1.0
 
 
 class TestVerificationGrid:

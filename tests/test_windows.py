@@ -33,6 +33,7 @@ from bvkit.model import (
 from bvkit.specio import model_from_dict
 from bvkit.variation import jordan_decomposition
 
+from oracles import window_oracle
 from test_evaluation_routes import (
     CANTOR_IDS,
     CANTOR_MODELS,
@@ -127,10 +128,6 @@ def _outcome(route, *args):
 # ---------------------------------------------------------------------------
 # the window helper
 # ---------------------------------------------------------------------------
-
-
-def window_oracle(segmentation, lo, hi):
-    return [i for i, seg in enumerate(segmentation) if seg.lo <= hi and seg.hi >= lo]
 
 
 class TestWindow:
